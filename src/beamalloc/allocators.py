@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .feasibility import build_demand_system, check_feasible, sinr_targets
+from .feasibility import DemandSystem, build_demand_system, check_feasible, sinr_targets
 from .metrics import rates
 from .precoding import Precoder, effective_gains
 from .waterfill import waterfill
@@ -73,23 +73,26 @@ def satisfied_mask(rates_mbps: np.ndarray, demands: np.ndarray) -> np.ndarray:
     return rates_mbps >= demands * (1.0 - RATE_REL_TOL)
 
 
-def _finish(
-    H, W, cfg, qos, p, strategy, iterations, trace=None, converged=True
+def score_allocation(
+    p, r, qos: QoSProfile, strategy, iterations=0, trace=None, converged=True
 ) -> AllocationResult:
-    r = rates(H, W, p, cfg)
-    mask = satisfied_mask(r, qos.demands)
-    q = frozenset(int(i) for i in np.nonzero(mask)[0])
-    entry = (int(mask.sum()), float(r.sum()))
+    """Score powers `p` with served rates `r` [Mbps] against the demands of
+    `qos`; without a trace, the single entry is (|Q|, sum rate)."""
+    q = frozenset(int(i) for i in np.nonzero(satisfied_mask(r, qos.demands))[0])
     return AllocationResult(
         powers=p,
         satisfied=q,
         rates_mbps=r,
         iterations=iterations,
-        trace=tuple(trace) if trace else (entry,),
+        trace=tuple(trace) if trace else ((len(q), float(r.sum())),),
         strategy=strategy,
         congested=len(q) < len(qos.demands),
         converged=converged,
     )
+
+
+def _finish(H, W, cfg, qos, p, strategy, iterations, trace=None, converged=True):
+    return score_allocation(p, rates(H, W, p, cfg), qos, strategy, iterations, trace, converged)
 
 
 def equal_power(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -147,12 +150,12 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
     return _joint_zf(H, W, qos, cfg, "joint", surplus_equal=False)
 
 
-def _surplus_with_demand_guard(H, W, qos, cfg, p_base, c, surplus_equal, gains, alpha_pin):
-    """Top up an exact minimum-power solution with the surplus.
+def _surplus_with_demand_guard(H, W, qos, cfg, ds, p_base, c, surplus_equal):
+    """Top up an exact minimum-power solution of `ds` with the surplus.
 
     Water-filling (or equal-splitting) the surplus can push a user below its
     demand through added interference.  Repair by pinning the violated users
-    at their `alpha_pin` targets and water-filling the rest of the budget over
+    at their `ds.alpha` targets and water-filling the rest of the budget over
     the others, repeating while new violations appear; scaling all powers
     proportionally (which provably raises every SINR) is the last resort.
     """
@@ -169,7 +172,7 @@ def _surplus_with_demand_guard(H, W, qos, cfg, p_base, c, surplus_equal, gains, 
     if not surplus_equal:
         pinned = violated.copy()
         for _ in range(k):
-            p_fix, ok = _solve_pinned(gains, alpha_pin, cfg.noise_power_w, pinned, p_budget, p)
+            p_fix, ok = _solve_pinned(ds, pinned, p_budget, p)
             if not ok:
                 break
             r_fix = rates(H, W, p_fix, cfg)
@@ -187,19 +190,15 @@ def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
         raise ValueError("RZF allocator requires an RZF precoder")
     sigma2 = cfg.noise_power_w
     p_budget = cfg.p_max_w
-    gains = effective_gains(H, W)
-    g_kk = np.diag(gains)
     relaxed = qos.demands + qos.tolerances
-    alpha_rel = sinr_targets(relaxed, cfg.bandwidth_mhz)
-    c = sigma2 / g_kk
     ds = build_demand_system(H, W, relaxed, sigma2, cfg.bandwidth_mhz)
+    gains, alpha_rel = ds.Qm, ds.alpha
+    c = sigma2 / np.diag(gains)
     rep = check_feasible(ds, p_budget)
     if rep.feasible:
         # exact joint minimum powers for the relaxed demands (true rates hit
         # xi_k + omega_k, so the omega margin absorbs the surplus top-up)
-        p = _surplus_with_demand_guard(
-            H, W, qos, cfg, rep.min_powers, c, surplus_equal, gains, alpha_rel
-        )
+        p = _surplus_with_demand_guard(H, W, qos, cfg, ds, rep.min_powers, c, surplus_equal)
         return _finish(H, W, cfg, qos, p, strategy, 0)
     # congestion: grow the relaxed satisfied set, truncating each new member
     # to exactly its relaxed demand against the current interference; keep the
@@ -246,8 +245,8 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocat
     return _joint_rzf(H, W, qos, cfg, "joint", surplus_equal=False)
 
 
-def _solve_pinned(gains, alpha, sigma2, pinned, p_budget, p_start):
-    """Fixed point of: (i) exact-demand linear solve for the pinned users
+def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
+    """Fixed point of: (i) exact-demand linear solve for the pinned users of `ds`
     given complement interference, (ii) water-filling the leftover over the
     complement on interference-adjusted inverse gains (sigma^2 + I_k)/g_kk,
     with the interference taken from the previous sweep.
@@ -257,17 +256,17 @@ def _solve_pinned(gains, alpha, sigma2, pinned, p_budget, p_start):
     subsystem is infeasible (spectral radius >= 1 or budget exceeded) or the
     alternation fails to settle within the iteration cap.
     """
+    gains, sigma2 = ds.Qm, ds.noise_power
     g_kk = np.diag(gains)
-    comp = ~pinned
     if not pinned.any():
         return waterfill(sigma2 / g_kk, p_budget), True
     s_idx = np.nonzero(pinned)[0]
-    c_idx = np.nonzero(comp)[0]
-    r_s = alpha[s_idx] / ((alpha[s_idx] + 1.0) * g_kk[s_idx])
-    nu_s = r_s * sigma2
-    q_ss = gains[np.ix_(s_idx, s_idx)]
-    a = np.eye(len(s_idx)) - r_s[:, None] * q_ss
-    radius = np.max(np.abs(np.linalg.eigvals(r_s[:, None] * q_ss)))
+    c_idx = np.nonzero(~pinned)[0]
+    r_s = ds.R[s_idx]
+    nu_s = ds.nu[s_idx]
+    rq_ss = r_s[:, None] * gains[np.ix_(s_idx, s_idx)]
+    a = np.eye(len(s_idx)) - rq_ss
+    radius = np.max(np.abs(np.linalg.eigvals(rq_ss)))
     if radius >= 1.0:
         return p_start, False
     p = p_start.copy()
@@ -307,19 +306,13 @@ def joint_opt_generic(
     budget allows.  Stops when the set stalls; at most K growth rounds.
     """
     k = len(qos.demands)
-    sigma2 = cfg.noise_power_w
     p_budget = cfg.p_max_w
-    gains = effective_gains(H, W)
-    g_kk = np.diag(gains)
-    c_up = sigma2 / g_kk
-    ds = build_demand_system(H, W, qos.demands, sigma2, cfg.bandwidth_mhz)
+    ds = build_demand_system(H, W, qos.demands, cfg.noise_power_w, cfg.bandwidth_mhz)
+    c_up = cfg.noise_power_w / np.diag(ds.Qm)
     rep = check_feasible(ds, p_budget)
-    alpha = ds.alpha
     strategy = "satisset" if _surplus_equal else "joint_generic"
     if rep.feasible:
-        p = _surplus_with_demand_guard(
-            H, W, qos, cfg, rep.min_powers, c_up, _surplus_equal, gains, alpha
-        )
+        p = _surplus_with_demand_guard(H, W, qos, cfg, ds, rep.min_powers, c_up, _surplus_equal)
         return _finish(H, W, cfg, qos, p, strategy, 0)
     # congestion: sum-rate initialization, then monotone set growth
     p = waterfill(c_up, p_budget)
@@ -330,7 +323,7 @@ def joint_opt_generic(
     n = 0
     while n <= k:
         n += 1
-        p_new, ok = _solve_pinned(gains, alpha, sigma2, mask, p_budget, p)
+        p_new, ok = _solve_pinned(ds, mask, p_budget, p)
         if not ok:
             converged = False
             break
@@ -343,7 +336,7 @@ def joint_opt_generic(
             for j in np.nonzero(~mask)[0]:
                 trial_mask = mask.copy()
                 trial_mask[j] = True
-                p_j, ok_j = _solve_pinned(gains, alpha, sigma2, trial_mask, p_budget, p_new)
+                p_j, ok_j = _solve_pinned(ds, trial_mask, p_budget, p_new)
                 if not ok_j:
                     continue
                 total_j = p_j[trial_mask].sum()

@@ -64,7 +64,6 @@ def hex_beam_centers(n_beams: int, spacing_km: float) -> np.ndarray:
     ring = 1
     while len(centers) < n_beams:
         # walk the hexagon ring corner to corner
-        corner = np.array([ring * spacing_km, 0.0])
         angles = np.deg2rad(np.arange(0, 360, 60))
         corners = [
             ring * spacing_km * np.array([np.cos(a), np.sin(a)]) for a in angles

@@ -16,12 +16,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    import math
-
-    return 10.0 * math.log10(x)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Physical and budget parameters of the multi-beam downlink.

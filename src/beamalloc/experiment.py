@@ -22,7 +22,14 @@ from .precoding import Precoder, make_rzf, make_zf
 _REDRAW_STRIDE = 2654435761  # seed offset per conditioning redraw
 _MAX_REDRAWS = 64
 
-KNOWN_STRATEGIES = ("equal", "sumopt", "satisset", "joint")
+# strategy -> allocator name, looked up in `allocators` at call time so that a
+# rebound module attribute (a wrapped or replaced allocator) takes effect
+KNOWN_STRATEGIES = {
+    "equal": "equal_power",
+    "sumopt": "sum_opt",
+    "satisset": "satis_set_opt",
+    "joint": "joint_opt",
+}
 KNOWN_PRECODERS = ("zf", "rzf")
 
 PER_TRIAL_COLUMNS = (
@@ -63,7 +70,7 @@ class ExperimentConfig:
     qos_sweep: tuple = (200.0, 400.0, 600.0, 800.0, 1000.0, 1200.0)
     qos_per_user: tuple | None = None
     omega_frac: float = 0.02
-    strategies: tuple = KNOWN_STRATEGIES
+    strategies: tuple = tuple(KNOWN_STRATEGIES)
     precoders: tuple = KNOWN_PRECODERS
     n_trials: int = 200
     base_seed: int = 1
@@ -86,6 +93,17 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown precoder {p!r}")
         if not self.qos_sweep and self.qos_per_user is None:
             raise ConfigError("qos.sweep or qos.per_user must be set")
+        if self.system.p_max_w <= 0:
+            raise ConfigError("system.p_max_w must be > 0 for a campaign")
+        if self.qos_per_user is not None and len(self.qos_per_user) != self.system.n_users:
+            raise ConfigError(
+                f"qos.per_user has {len(self.qos_per_user)} values, "
+                f"expected n_users = {self.system.n_users}"
+            )
+        if any(xi <= 0 for xi in (*self.qos_sweep, *(self.qos_per_user or ()))):
+            raise ConfigError("qos.sweep and qos.per_user demands must be > 0")
+        if self.omega_frac < 0:
+            raise ConfigError("qos.omega_frac must be >= 0")
 
 
 def _parse_scalar(text: str):
@@ -237,18 +255,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _allocate(strategy, H, W, qos, system):
-    if strategy == "equal":
-        return allocators.equal_power(H, W, qos, system)
-    if strategy == "sumopt":
-        return allocators.sum_opt(H, W, qos, system)
-    if strategy == "satisset":
-        return allocators.satis_set_opt(H, W, qos, system)
-    if strategy == "joint":
-        return allocators.joint_opt(H, W, qos, system)
-    raise ConfigError(f"unknown strategy {strategy!r}")
-
-
 def run_campaign(cfg: ExperimentConfig) -> dict:
     """Full Monte-Carlo sweep; writes the per-trial and aggregated CSVs and
     returns their paths plus the in-memory records."""
@@ -277,26 +283,14 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
                 for strategy in cfg.strategies:
                     if strategy == "sumopt":
                         # allocation is demand-independent; reuse the solve
-                        sat_set = frozenset(
-                            int(i)
-                            for i in np.nonzero(
-                                allocators.satisfied_mask(sumopt_res.rates_mbps, qos.demands)
-                            )[0]
-                        )
-                        res = allocators.AllocationResult(
-                            powers=sumopt_res.powers,
-                            satisfied=sat_set,
-                            rates_mbps=sumopt_res.rates_mbps,
-                            iterations=0,
-                            trace=((len(sat_set), float(sumopt_res.rates_mbps.sum())),),
-                            strategy="sumopt",
-                            congested=len(sat_set) < k,
-                            converged=True,
+                        res = allocators.score_allocation(
+                            sumopt_res.powers, sumopt_res.rates_mbps, qos, "sumopt"
                         )
                         elapsed_ms = sumopt_ms
                     else:
+                        allocate = getattr(allocators, KNOWN_STRATEGIES[strategy])
                         t0 = time.perf_counter()
-                        res = _allocate(strategy, trial.channel, W, qos, system)
+                        res = allocate(trial.channel, W, qos, system)
                         elapsed_ms = (time.perf_counter() - t0) * 1e3
                     sat = sorted(res.satisfied)
                     unsat = [i for i in range(k) if i not in res.satisfied]

@@ -28,7 +28,7 @@ def sinr_targets(demands_mbps: np.ndarray, bandwidth_mhz: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DemandSystem:
-    R: np.ndarray  # (K, K) diagonal
+    R: np.ndarray  # (K,) diagonal of R
     Qm: np.ndarray  # (K, K) cross gains |h_k^H w_l|^2
     nu: np.ndarray  # (K,)
     alpha: np.ndarray  # (K,) SINR targets
@@ -42,11 +42,18 @@ class FeasibilityReport:
     total_min_power: float  # inf when undefined
     radius_ok: bool
     budget_ok: bool
-    lower_bound: float  # 1^T nu / ||I - RQ||_2
+    system: DemandSystem
 
     @property
     def feasible(self) -> bool:
         return self.radius_ok and self.budget_ok
+
+    @property
+    def lower_bound(self) -> float:
+        """1^T nu / ||I - RQ||_2, a lower bound on the total minimum power."""
+        ds = self.system
+        a = np.eye(len(ds.nu)) - ds.R[:, None] * ds.Qm
+        return float(np.sum(ds.nu) / np.linalg.norm(a, 2))
 
 
 def build_demand_system(
@@ -62,33 +69,21 @@ def build_demand_system(
     alpha = sinr_targets(demands, bandwidth_mhz)
     r_diag = alpha / ((alpha + 1.0) * g_kk)
     nu = alpha * noise_power / ((alpha + 1.0) * g_kk)
-    return DemandSystem(
-        R=np.diag(r_diag), Qm=gains, nu=nu, alpha=alpha, noise_power=noise_power
-    )
+    return DemandSystem(R=r_diag, Qm=gains, nu=nu, alpha=alpha, noise_power=noise_power)
 
 
 def check_feasible(ds: DemandSystem, p_max: float) -> FeasibilityReport:
     """Evaluate both serving conditions; infeasibility is reported, not raised."""
-    rq = ds.R @ ds.Qm
+    rq = ds.R[:, None] * ds.Qm
     radius = float(np.max(np.abs(np.linalg.eigvals(rq))))
-    eye = np.eye(rq.shape[0])
-    lower = float(np.sum(ds.nu) / np.linalg.norm(eye - rq, 2))
-    if radius >= 1.0:
-        return FeasibilityReport(
-            spectral_radius=radius,
-            min_powers=None,
-            total_min_power=np.inf,
-            radius_ok=False,
-            budget_ok=False,
-            lower_bound=lower,
-        )
-    p_star = np.linalg.solve(eye - rq, ds.nu)
-    total = float(np.sum(p_star))
+    radius_ok = radius < 1.0
+    p_star = np.linalg.solve(np.eye(len(ds.nu)) - rq, ds.nu) if radius_ok else None
+    total = float(np.sum(p_star)) if radius_ok else np.inf
     return FeasibilityReport(
         spectral_radius=radius,
         min_powers=p_star,
         total_min_power=total,
-        radius_ok=True,
-        budget_ok=bool(total <= p_max),
-        lower_bound=lower,
+        radius_ok=radius_ok,
+        budget_ok=radius_ok and bool(total <= p_max),
+        system=ds,
     )

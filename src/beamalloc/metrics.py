@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class MetricsSummary:
     jain_index: float
     lambda_obj: float
     n_trials: int
-    records: tuple = field(repr=False, default=())
 
 
 def aggregate(records: list[TrialRecord]) -> MetricsSummary:
@@ -94,5 +93,4 @@ def aggregate(records: list[TrialRecord]) -> MetricsSummary:
         jain_index=sum(r.jain for r in records) / n,
         lambda_obj=sum(r.lambda_obj for r in records) / n,
         n_trials=n,
-        records=tuple(records),
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .allocators import score_allocation
 from .config import SystemConfig
 from .metrics import rates
 from .precoding import Precoder
@@ -118,14 +119,21 @@ def denormalize_powers(p_norm: np.ndarray, stats: NormStats) -> np.ndarray:
     return p_norm * (stats.p_max - stats.p_min) + stats.p_min
 
 
+def _activations(weights, biases, x) -> list:
+    """Layer outputs of the stack for a batch `x`, input first and network
+    output last: affine + ReLU per hidden layer, affine output."""
+    acts = [x]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if i < last else z)
+    return acts
+
+
 def forward(model: SurrogateModel, x_in: np.ndarray) -> np.ndarray:
-    """Affine + ReLU per hidden layer, affine output."""
-    a = np.atleast_2d(np.asarray(x_in, dtype=float))
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w + b
-        if i < last:
-            a = np.maximum(a, 0.0)
+    """Network output for one input vector or a batch of them."""
+    x = np.atleast_2d(np.asarray(x_in, dtype=float))
+    a = _activations(model.weights, model.biases, x)[-1]
     return a[0] if np.ndim(x_in) == 1 else a
 
 
@@ -154,14 +162,7 @@ def _init_model(layer_sizes, rng) -> tuple[list, list]:
 def _loss_and_grads(weights, biases, x, t):
     """MSE loss (mean over the batch of squared error norms) and gradients."""
     n_layers = len(weights)
-    acts = [x]
-    pre = []
-    a = x
-    for i in range(n_layers):
-        z = a @ weights[i] + biases[i]
-        pre.append(z)
-        a = np.maximum(z, 0.0) if i < n_layers - 1 else z
-        acts.append(a)
+    acts = _activations(weights, biases, x)
     diff = acts[-1] - t
     batch = x.shape[0]
     loss = float(np.sum(diff**2) / batch)
@@ -174,18 +175,13 @@ def _loss_and_grads(weights, biases, x, t):
         grad_w[i] = acts[i].T @ delta
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ weights[i].T) * (pre[i - 1] > 0)
+            # acts[i] = max(z, 0) is positive exactly where the ReLU passes
+            delta = (delta @ weights[i].T) * (acts[i] > 0)
     return loss, grad_w, grad_b
 
 
 def _mse(weights, biases, x, t):
-    a = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        a = a @ w + b
-        if i < last:
-            a = np.maximum(a, 0.0)
-    return float(np.sum((a - t) ** 2) / x.shape[0])
+    return float(np.sum((_activations(weights, biases, x)[-1] - t) ** 2) / x.shape[0])
 
 
 def train(
@@ -292,22 +288,8 @@ def predict_powers(model: SurrogateModel, gains: np.ndarray, p_max_total: float)
 
 def predict(model: SurrogateModel, channel, W: Precoder, qos, cfg: SystemConfig):
     """Full pipeline to an AllocationResult (rates use true interference)."""
-    from .allocators import AllocationResult, satisfied_mask
-
     p = predict_powers(model, gains_vector(channel), cfg.p_max_w)
-    r = rates(channel, W, p, cfg)
-    mask = satisfied_mask(r, qos.demands)
-    q = frozenset(int(i) for i in np.nonzero(mask)[0])
-    return AllocationResult(
-        powers=p,
-        satisfied=q,
-        rates_mbps=r,
-        iterations=0,
-        trace=((int(mask.sum()), float(r.sum())),),
-        strategy="surrogate",
-        congested=len(q) < len(qos.demands),
-        converged=True,
-    )
+    return score_allocation(p, rates(channel, W, p, cfg), qos, "surrogate")
 
 
 # ---------------------------------------------------------------------------

@@ -211,3 +211,64 @@ def test_sum_rate_split_adds_up(tmp_path):
         assert rec.sum_rate_satisfied_mbps + rec.sum_rate_unsatisfied_mbps == pytest.approx(
             rec.sum_rate_mbps, rel=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "system.p_max_w = 0",
+        "qos.per_user = 200, 300, 400",
+        "qos.sweep = 300, 0",
+        "qos.per_user = 200, 200, 400, -1, 600, 600, 800",
+        "qos.omega_frac = -0.01",
+    ],
+)
+def test_cli_rejects_unrunnable_config_at_parse_time(tmp_path, capsys, line):
+    cfg_path = _write_config(tmp_path, SMALL_CONFIG + line + "\n")
+    assert main(["run", "--config", cfg_path, "--trials", "1"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "per_trial.csv").exists()
+
+
+def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path, monkeypatch):
+    from beamalloc import allocators
+    from beamalloc.experiment import build_precoder
+
+    text = SMALL_CONFIG.replace("equal, sumopt, satisset, joint", "sumopt")
+    text += "qos.per_user = 200, 250, 300, 600, 900, 1000, 1200\n"
+    cfg = parse_config(_write_config(tmp_path, text))
+    cfg.n_trials = 2
+    built = []
+    score = allocators.score_allocation
+
+    def spy(p, r, qos, strategy, *args, **kwargs):
+        res = score(p, r, qos, strategy, *args, **kwargs)
+        if not np.all(qos.demands == 1.0):  # not the shared solve's own reference profile
+            built.append((qos, res))
+        return res
+
+    monkeypatch.setattr(allocators, "score_allocation", spy)
+    run_campaign(cfg)
+    monkeypatch.undo()
+    cells = [
+        (t, pk)
+        for t in range(cfg.n_trials)
+        for pk in cfg.precoders
+        for _ in range(len(cfg.qos_sweep) + 1)
+    ]
+    assert len(built) == len(cells)
+    assert 0 < sum(res.congested for _, res in built) < len(built)
+    for (t, pk), (qos, res) in zip(cells, built):
+        trial = make_trial(cfg.system, cfg.base_seed + t)
+        W = build_precoder(trial, cfg.system, pk)
+        fresh = allocators.sum_opt(trial.channel, W, qos, cfg.system)
+        assert np.array_equal(res.powers, fresh.powers)
+        assert np.array_equal(res.rates_mbps, fresh.rates_mbps)
+        assert res.satisfied == fresh.satisfied
+        assert res.trace == fresh.trace
+        assert res.congested == fresh.congested
+        assert (res.strategy, res.iterations, res.converged) == (
+            fresh.strategy,
+            fresh.iterations,
+            fresh.converged,
+        )

@@ -42,7 +42,7 @@ def test_two_user_hand_evaluation():
     sigma2 = 1.5
     H, W, ds = _system_from_gain_matrix([[g1, q12], [q21, g2]], xi, sigma2)
     a = 2.0 ** (xi / B) - 1.0
-    assert np.allclose(np.diag(ds.R), a / ((a + 1) * np.array([g1, g2])))
+    assert np.allclose(ds.R, a / ((a + 1) * np.array([g1, g2])))
     assert np.allclose(ds.Qm, [[g1, q12], [q21, g2]])
     assert np.allclose(ds.nu, a * sigma2 / ((a + 1) * np.array([g1, g2])))
     assert np.allclose(ds.alpha, a)
@@ -50,7 +50,7 @@ def test_two_user_hand_evaluation():
 
 def test_tiny_demand_shrinks_system():
     H, W, ds = _system_from_gain_matrix([[1.0, 0.1], [0.1, 1.0]], np.array([1e-6, 1e-6]))
-    assert np.all(np.diag(ds.R) < 1e-8)
+    assert np.all(ds.R < 1e-8)
     assert np.all(ds.nu < 1e-8)
 
 
@@ -142,6 +142,20 @@ def test_lower_bound_below_total():
         rep = check_feasible(build_demand_system(H, W, xi, 1.0, B), p_max=np.inf)
         if rep.radius_ok:
             assert rep.lower_bound <= rep.total_min_power + 1e-12
+    # the value itself, 1^T nu / ||I - RQ||_2, with and without the radius condition
+    for q, xi, radius_ok in (
+        ([[1.0, 0.1], [0.2, 0.8]], [300.0, 450.0], True),
+        ([[1.0, 0.9], [0.9, 1.0]], [1.5 * B, 1.5 * B], False),
+    ):
+        q, xi = np.array(q), np.array(xi)
+        H, W, ds = _system_from_gain_matrix(q, xi, sigma2=1.7)
+        rep = check_feasible(ds, p_max=np.inf)
+        assert rep.radius_ok is radius_ok
+        a = 2.0 ** (xi / B) - 1.0
+        r = a / ((a + 1) * np.diag(q))
+        nu = 1.7 * r
+        expected = nu.sum() / np.linalg.norm(np.eye(2) - np.diag(r) @ q, 2)
+        assert rep.lower_bound == pytest.approx(expected, rel=1e-12)
 
 
 def test_neumann_series_converges_to_min_powers():
@@ -149,7 +163,7 @@ def test_neumann_series_converges_to_min_powers():
     ds = build_demand_system(H, W, xi, 1.0, B)
     rep = check_feasible(ds, p_max=np.inf)
     assert rep.radius_ok
-    rq = ds.R @ ds.Qm
+    rq = ds.R[:, None] * ds.Qm
     p = np.zeros_like(ds.nu)
     term = ds.nu.copy()
     for _ in range(201):

@@ -115,9 +115,10 @@ def beam_gain(offset_angle: np.ndarray | float, cfg: SystemConfig) -> np.ndarray
     """Tapered-aperture gain G(theta) = G_max*[J1(u)/(2u) + 36*J3(u)/u^3]^2
     with u = 2.07123*sin(theta)/sin(theta_3dB); the u -> 0 limit is G_max.
 
-    theta_3dB = atan(pattern_3db_radius/sat_height); by default the pattern
-    radius equals the user-drop disc radius, putting disc-edge users on the
-    half-power contour.
+    theta_3dB = atan(pattern_3db_radius/sat_height).  The pattern radius is
+    `beam_3db_radius_km` (75 km by default, half the 150 km drop-disc radius
+    `beam_radius_km`); only when it is None does it equal the disc radius,
+    putting disc-edge users on the half-power contour.
     """
     scalar_in = np.isscalar(offset_angle)
     theta = np.atleast_1d(np.asarray(offset_angle, dtype=float))

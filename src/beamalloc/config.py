@@ -71,6 +71,10 @@ class SystemConfig:
         ):
             if getattr(self, name) <= 0:
                 raise InvalidConfigError(f"{name} must be strictly positive")
+        if self.beam_3db_radius_km is not None and self.beam_3db_radius_km <= 0:
+            raise InvalidConfigError("beam_3db_radius_km must be strictly positive (or None)")
+        if self.cond_cap < 1:
+            raise InvalidConfigError("cond_cap must be >= 1: a condition number is never below 1")
 
     @property
     def pattern_3db_radius_km(self) -> float:

@@ -8,9 +8,11 @@ are `base_seed + trial_index`, so any single trial can be replayed.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -81,6 +83,8 @@ class ExperimentConfig:
     def validate(self):
         if self.n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
         if not self.precoders:
@@ -104,39 +108,69 @@ class ExperimentConfig:
             raise ConfigError("qos.sweep and qos.per_user demands must be > 0")
         if self.omega_frac < 0:
             raise ConfigError("qos.omega_frac must be >= 0")
+        s = self.surrogate
+        for ok, msg in (
+            (s.n_train >= 1, "n_train must be >= 1"),
+            (s.batch_size >= 1, "batch_size must be >= 1"),
+            (s.epochs >= 1, "epochs must be >= 1"),
+            (all(h >= 1 for h in s.hidden), "hidden widths must be >= 1"),
+            (0 <= s.val_fraction < 1, "val_fraction must be in [0, 1)"),
+            (s.n_train < 2 or round(s.val_fraction * s.n_train) < s.n_train,
+             "val_fraction must leave at least one training sample"),
+            (s.learning_rate > 0, "learning_rate must be > 0"),
+            (s.xi_mbps > 0, "xi_mbps must be > 0"),
+            (s.seed >= 0, "seed must be >= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"surrogate.{msg}")
 
 
-def _parse_scalar(text: str):
-    t = text.strip()
-    if t.lower() in ("true", "false"):
-        return t.lower() == "true"
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    return t
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
 
 
-def _parse_value(text: str):
-    if "," in text:
-        return tuple(_parse_scalar(part) for part in text.split(",") if part.strip())
-    return _parse_scalar(text)
+def _float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return x
 
 
-_SYSTEM_KEYS = {f.name: f.name for f in fields(SystemConfig)}
-_SYSTEM_KEYS["atmospherics"] = "atmospherics_enabled"
-_SURROGATE_KEYS = {f.name for f in fields(SurrogateSection)}
+def _tuple_of(conv):
+    return lambda text: tuple(conv(part.strip()) for part in text.split(",") if part.strip())
+
+
+_SCALAR_CONVERTERS = {bool: _bool, int: int, float: _float, str: str}
+
+# config key -> (section, attribute, converter from the value text); section
+# "" is a top-level ExperimentConfig field
+_KEYS = {
+    f"{section}.{f.name}": (section, f.name, _SCALAR_CONVERTERS.get(type(f.default)))
+    for section, cls in (("system", SystemConfig), ("surrogate", SurrogateSection))
+    for f in fields(cls)
+}
+_KEYS.update(
+    {
+        "system.atmospherics": ("system", "atmospherics_enabled", _bool),
+        "surrogate.hidden": ("surrogate", "hidden", _tuple_of(int)),
+        "qos.sweep": ("", "qos_sweep", _tuple_of(_float)),
+        "qos.per_user": ("", "qos_per_user", _tuple_of(_float)),
+        "qos.omega_frac": ("", "omega_frac", _float),
+        "strategies": ("", "strategies", _tuple_of(str)),
+        "precoders": ("", "precoders", _tuple_of(str)),
+        "n_trials": ("", "n_trials", int),
+        "base_seed": ("", "base_seed", int),
+        "output.dir": ("", "out_dir", str),
+        "output.record_timing": ("", "record_timing", _bool),
+    }
+)
 
 
 def parse_config(path: str) -> ExperimentConfig:
     """Parse a flat dotted-key config file with line-precise errors."""
-    system_kwargs = {}
-    surr = SurrogateSection()
-    cfg = ExperimentConfig()
+    values = {"": {}, "system": {}, "surrogate": {}}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -146,65 +180,25 @@ def parse_config(path: str) -> ExperimentConfig:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+                raise ConfigError(f"{where}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            val = _parse_value(value)
-            where = f"{path}:{line_no}"
+            if key not in _KEYS:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            section, name, convert = _KEYS[key]
             try:
-                _apply_key(cfg, system_kwargs, surr, key, val, where)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
+                values[section][name] = convert(value.strip())
+            except ValueError as exc:
                 raise ConfigError(f"{where}: invalid value for {key!r}: {exc}") from exc
     try:
-        cfg.system = SystemConfig(**system_kwargs)
+        system = SystemConfig(**values["system"])
     except InvalidConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    cfg.surrogate = surr
+    cfg = ExperimentConfig(system=system, surrogate=SurrogateSection(**values["surrogate"]), **values[""])
     cfg.validate()
     return cfg
-
-
-def _as_tuple(val):
-    return val if isinstance(val, tuple) else (val,)
-
-
-def _apply_key(cfg, system_kwargs, surr, key, val, where):
-    if key.startswith("system."):
-        name = key[len("system.") :]
-        if name not in _SYSTEM_KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        system_kwargs[_SYSTEM_KEYS[name]] = val
-    elif key == "qos.sweep":
-        cfg.qos_sweep = tuple(float(v) for v in _as_tuple(val))
-    elif key == "qos.per_user":
-        cfg.qos_per_user = tuple(float(v) for v in _as_tuple(val))
-    elif key == "qos.omega_frac":
-        cfg.omega_frac = float(val)
-    elif key == "strategies":
-        cfg.strategies = tuple(str(v) for v in _as_tuple(val))
-    elif key == "precoders":
-        cfg.precoders = tuple(str(v) for v in _as_tuple(val))
-    elif key == "n_trials":
-        cfg.n_trials = int(val)
-    elif key == "base_seed":
-        cfg.base_seed = int(val)
-    elif key == "output.dir":
-        cfg.out_dir = str(val)
-    elif key == "output.record_timing":
-        cfg.record_timing = bool(val)
-    elif key.startswith("surrogate."):
-        name = key[len("surrogate.") :]
-        if name not in _SURROGATE_KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        if name == "hidden":
-            setattr(surr, name, tuple(int(v) for v in _as_tuple(val)))
-        else:
-            setattr(surr, name, type(getattr(surr, name))(val))
-    else:
-        raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +313,16 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
     return {"per_trial": per_trial_path, "aggregate": agg_path, "records": records}
 
 
-def _write_per_trial(path, records):
+def _write_csv(path, columns, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PER_TRIAL_COLUMNS + "\n")
-        for r in records:
-            fh.write(
-                ",".join(
-                    (
-                        str(r.trial),
-                        str(r.seed),
-                        r.precoder,
-                        r.strategy,
-                        _fmt(r.xi_mbps),
-                        _fmt(r.sum_rate_mbps),
-                        str(r.n_satisfied),
-                        _fmt(r.congested),
-                        _fmt(r.jain),
-                        _fmt(r.lambda_obj),
-                        _fmt(r.runtime_ms),
-                    )
-                )
-                + "\n"
-            )
+        fh.write(columns + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _write_per_trial(path, records):
+    # the per-trial columns are TrialRecord field names
+    _write_csv(path, PER_TRIAL_COLUMNS, map(attrgetter(*PER_TRIAL_COLUMNS.split(",")), records))
 
 
 def group_records(records):
@@ -353,28 +335,16 @@ def group_records(records):
 
 def _write_aggregate(path, records):
     groups = group_records(records)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(AGGREGATE_COLUMNS + "\n")
-        for (pk, strategy, xi) in sorted(groups, key=lambda c: (c[0], c[1], c[2])):
-            s = groups[(pk, strategy, xi)]
-            fh.write(
-                ",".join(
-                    (
-                        pk,
-                        strategy,
-                        _fmt(xi),
-                        str(s.n_trials),
-                        _fmt(s.congestion_prob),
-                        _fmt(s.satisfaction_prob),
-                        _fmt(s.mean_sum_rate),
-                        _fmt(s.mean_sum_rate_satisfied),
-                        _fmt(s.mean_sum_rate_unsatisfied),
-                        _fmt(s.jain_index),
-                        _fmt(s.lambda_obj),
-                    )
-                )
-                + "\n"
-            )
+    _write_csv(
+        path,
+        AGGREGATE_COLUMNS,
+        (
+            (pk, strategy, xi, s.n_trials, s.congestion_prob, s.satisfaction_prob,
+             s.mean_sum_rate, s.mean_sum_rate_satisfied, s.mean_sum_rate_unsatisfied,
+             s.jain_index, s.lambda_obj)
+            for (pk, strategy, xi), s in sorted(groups.items())
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,27 +460,15 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
 
     n = len(test_split)
     rows = [
-        (
-            f"model_{pk}",
-            surr.xi_mbps,
-            model_ms / n,
-            float(np.mean(model_rates)),
-            100.0 * model_sat / (n * k),
-        ),
-        (
-            f"surrogate_{pk}",
-            surr.xi_mbps,
-            surro_ms_total / n,
-            float(np.mean(surro_rates)),
-            100.0 * surro_sat / (n * k),
-        ),
+        (f"{method}_{pk}", float(surr.xi_mbps), ms / n, float(np.mean(rates)), 100.0 * sat / (n * k))
+        for method, ms, rates, sat in (
+            ("model", model_ms, model_rates, model_sat),
+            ("surrogate", surro_ms_total, surro_rates, surro_sat),
+        )
     ]
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"eval_{pk}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EVAL_COLUMNS + "\n")
-        for method, q, ms, sr, sp in rows:
-            fh.write(f"{method},{_fmt(float(q))},{_fmt(ms)},{_fmt(sr)},{_fmt(sp)}\n")
+    _write_csv(path, EVAL_COLUMNS, rows)
     return path
 
 

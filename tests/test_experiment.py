@@ -221,6 +221,30 @@ def test_sum_rate_split_adds_up(tmp_path):
         "qos.sweep = 300, 0",
         "qos.per_user = 200, 200, 400, -1, 600, 600, 800",
         "qos.omega_frac = -0.01",
+        # values that do not convert to the key's type
+        "system.atmospherics = no",
+        "output.record_timing = yes",
+        "system.p_max_w = abc",
+        "system.p_max_w = inf",
+        "system.n_beams = 7.5",
+        "system.bandwidth_mhz = 500, 600",
+        "n_trials = 2.7",
+        "surrogate.n_train = 1.5",
+        "qos.sweep = nan",
+        # ranges that used to die late or run silently
+        "system.beam_3db_radius_km = 0",
+        "system.beam_3db_radius_km = -5",
+        "system.cond_cap = 0.5",
+        "surrogate.batch_size = 0",
+        "surrogate.n_train = 0",
+        "surrogate.epochs = 0",
+        "surrogate.hidden = 16, 0",
+        "surrogate.val_fraction = 2",
+        "surrogate.learning_rate = -1",
+        "surrogate.xi_mbps = 0",
+        "surrogate.val_fraction = 0.99",  # 40 samples, all of them for validation
+        "surrogate.seed = -1",
+        "base_seed = -3",
     ],
 )
 def test_cli_rejects_unrunnable_config_at_parse_time(tmp_path, capsys, line):

@@ -33,7 +33,7 @@ from .feasibility import (
 )
 from .metrics import MetricsSummary, aggregate, jain, lambda_objective, rates, sinr
 from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
-from .waterfill import WaterfillProblem, solve, waterfill
+from .waterfill import waterfill
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "QoSProfile",
     "SystemConfig",
     "UserDrop",
-    "WaterfillProblem",
     "aggregate",
     "apply_atmosphere",
     "beam_gain",
@@ -73,7 +72,6 @@ __all__ = [
     "rates",
     "satis_set_opt",
     "sinr",
-    "solve",
     "sum_opt",
     "waterfill",
 ]

@@ -24,6 +24,13 @@ _STREAM_ATMOS = 303
 # Half-power argument of the tapered-aperture pattern.
 _U_3DB = 2.07123
 
+# Atmosphere: lognormal rain fade with this dB mean and dB^2 variance, and a
+# cloud of this integrated reduced liquid water content at this temperature.
+RAIN_MEAN_DB = -2.6
+RAIN_VAR_DB = 1.63
+CLOUD_W_RED = 0.6  # kg/m^2
+CLOUD_TEMP_K = 273.15
+
 
 class AttenuationOverflowError(ValueError):
     """Cloud attenuation diverges as the elevation angle approaches zero."""
@@ -52,9 +59,6 @@ class ChannelMatrix:
 class AtmosphereState:
     rain_fades: np.ndarray  # (K,) linear power factors
     cloud_attens_db: np.ndarray  # (K,)
-    rain_mean_db: float
-    rain_var_db: float
-    w_red: float  # integrated reduced liquid water content, kg/m^2
 
 
 def hex_beam_centers(n_beams: int, spacing_km: float) -> np.ndarray:
@@ -179,19 +183,14 @@ def _water_permittivity(f_ghz: float, temp_k: float) -> tuple[float, float]:
     return eps_p, eps_pp
 
 
-def cloud_attenuation_db(
-    elevations_deg: np.ndarray,
-    f_ghz: float,
-    w_red: float = 0.6,
-    temp_k: float = 273.15,
-) -> np.ndarray:
+def cloud_attenuation_db(elevations_deg: np.ndarray, f_ghz: float) -> np.ndarray:
     """Cloud attenuation [dB] from liquid water content and elevation angle."""
-    eps_p, eps_pp = _water_permittivity(f_ghz, temp_k)
+    eps_p, eps_pp = _water_permittivity(f_ghz, CLOUD_TEMP_K)
     zeta = (2.0 + eps_p) / eps_pp
     sin_e = np.sin(np.radians(np.asarray(elevations_deg, dtype=float)))
     if np.any(sin_e <= 1e-6):
         raise AttenuationOverflowError("elevation angle too small; cloud path diverges")
-    return 0.819 * f_ghz * w_red / (eps_pp * (1.0 + zeta**2)) / sin_e
+    return 0.819 * f_ghz * CLOUD_W_RED / (eps_pp * (1.0 + zeta**2)) / sin_e
 
 
 def apply_atmosphere(
@@ -199,10 +198,6 @@ def apply_atmosphere(
     drop: UserDrop,
     cfg: SystemConfig,
     seed: int,
-    rain_mean_db: float = -2.6,
-    rain_var_db: float = 1.63,
-    w_red: float = 0.6,
-    cloud_temp_k: float = 273.15,
 ) -> tuple[ChannelMatrix, AtmosphereState]:
     """Scale column k by sqrt(r_k)/sqrt(c_k): lognormal rain fade r_k and
     Salonen-Uppala cloud attenuation c_k (computed in dB, converted to linear
@@ -210,22 +205,14 @@ def apply_atmosphere(
     if not cfg.atmospherics_enabled:
         raise InvalidConfigError("atmospherics are disabled in this config")
     rng = np.random.default_rng([_STREAM_ATMOS, seed])
-    rain_db = rng.normal(rain_mean_db, np.sqrt(rain_var_db), size=cfg.n_users)
+    rain_db = rng.normal(RAIN_MEAN_DB, np.sqrt(RAIN_VAR_DB), size=cfg.n_users)
     rain = 10.0 ** (rain_db / 10.0)
-    cloud_db = cloud_attenuation_db(
-        drop.elevations_deg, cfg.carrier_ghz, w_red=w_red, temp_k=cloud_temp_k
-    )
+    cloud_db = cloud_attenuation_db(drop.elevations_deg, cfg.carrier_ghz)
     if np.any(cloud_db > 100.0):
         raise AttenuationOverflowError("cloud attenuation exceeds 100 dB")
     cloud_lin = 10.0 ** (cloud_db / 10.0)
     scale = np.sqrt(rain) / np.sqrt(cloud_lin)
-    state = AtmosphereState(
-        rain_fades=rain,
-        cloud_attens_db=cloud_db,
-        rain_mean_db=rain_mean_db,
-        rain_var_db=rain_var_db,
-        w_red=w_red,
-    )
+    state = AtmosphereState(rain_fades=rain, cloud_attens_db=cloud_db)
     scaled = ChannelMatrix(
         H=channel.H * scale[None, :],
         gain=channel.gain * scale[None, :],

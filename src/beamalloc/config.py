@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 BOLTZMANN = 1.380649e-23  # J/K
@@ -50,6 +51,10 @@ class SystemConfig:
     cond_cap: float = 1e8  # channel condition-number guard for precoding
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfigError(f"{f.name} must be finite, got {value}")
         if self.n_beams < 1:
             raise InvalidConfigError("n_beams must be >= 1")
         if not 1 <= self.n_users <= self.n_beams:
@@ -92,6 +97,3 @@ class SystemConfig:
     def noise_norm(self) -> float:
         """Thermal-noise power K_B * T * B used to normalize channel amplitudes."""
         return self.boltzmann * self.noise_temp_k * self.bandwidth_hz
-
-    def with_updates(self, **kwargs) -> "SystemConfig":
-        return replace(self, **kwargs)

@@ -22,6 +22,11 @@ from .precoding import Precoder
 
 MODEL_FORMAT_VERSION = 1
 
+# Adam moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class NormStats:
@@ -59,9 +64,6 @@ class TrainingConfig:
     hidden: tuple = (128, 64)
     batch_size: int = 256
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 200
     patience: int = 10
     val_fraction: float = 0.1
@@ -137,17 +139,20 @@ def forward(model: SurrogateModel, x_in: np.ndarray) -> np.ndarray:
     return a[0] if np.ndim(x_in) == 1 else a
 
 
-def project_budget(p_hat: np.ndarray, p_max_total: float) -> tuple[np.ndarray, bool]:
+def project_budget(p_hat: np.ndarray, p_max_total: float) -> tuple[np.ndarray, int]:
     """Rescale nonnegative predictions to consume the budget exactly.
 
-    Negative raw predictions are clipped first.  An all-zero prediction falls
-    back to equal power; the second return value flags that fallback.
+    `p_hat` is one power vector or a batch of them in rows.  Negative raw
+    predictions are clipped first.  A row that is all zero after clipping
+    falls back to equal power; the second return value counts those rows.
     """
     p = np.maximum(np.asarray(p_hat, dtype=float), 0.0)
-    total = p.sum()
-    if total <= 0:
-        return np.full(p.shape, p_max_total / p.size), True
-    return p * (p_max_total / total), False
+    total = p.sum(axis=-1, keepdims=True)
+    fell_back = total <= 0
+    # a fallback row rescales all ones over its length: an equal split
+    p = np.where(fell_back, 1.0, p)
+    total = np.where(fell_back, p.shape[-1], total)
+    return p * (p_max_total / total), int(fell_back.sum())
 
 
 def _init_model(layer_sizes, rng) -> tuple[list, list]:
@@ -213,10 +218,9 @@ def train(
 
     layer_sizes = [x_all.shape[1], *tcfg.hidden, p_all.shape[1]]
     weights, biases = _init_model(layer_sizes, rng)
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    params = weights + biases  # the same arrays, updated in place
+    ms = [np.zeros_like(q) for q in params]
+    vs = [np.zeros_like(q) for q in params]
 
     report = TrainingReport()
     best_val = np.inf
@@ -237,20 +241,12 @@ def train(
                 ) from exc
             epoch_loss += loss * len(idx)
             step += 1
-            bc1 = 1.0 - tcfg.beta1**step
-            bc2 = 1.0 - tcfg.beta2**step
-            for params, grads, ms, vs in (
-                (weights, gw, m_w, v_w),
-                (biases, gb, m_b, v_b),
-            ):
-                for i in range(len(params)):
-                    ms[i] = tcfg.beta1 * ms[i] + (1 - tcfg.beta1) * grads[i]
-                    vs[i] = tcfg.beta2 * vs[i] + (1 - tcfg.beta2) * grads[i] ** 2
-                    params[i] -= (
-                        tcfg.learning_rate
-                        * (ms[i] / bc1)
-                        / (np.sqrt(vs[i] / bc2) + tcfg.eps)
-                    )
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
+            for i, g in enumerate(gw + gb):
+                ms[i] = ADAM_BETA1 * ms[i] + (1 - ADAM_BETA1) * g
+                vs[i] = ADAM_BETA2 * vs[i] + (1 - ADAM_BETA2) * g**2
+                params[i] -= tcfg.learning_rate * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + ADAM_EPS)
         report.train_losses.append(epoch_loss / n_tr)
         val = _mse(weights, biases, x_va, t_va) if n_val else report.train_losses[-1]
         report.val_losses.append(val)
@@ -275,15 +271,8 @@ def train(
 
 def predict_powers(model: SurrogateModel, gains: np.ndarray, p_max_total: float) -> np.ndarray:
     """Gain vector(s) -> budget-tight power vector(s)."""
-    x_in = normalize(gains, model.norm_stats)
-    raw = forward(model, x_in)
-    p_hat = denormalize_powers(raw, model.norm_stats)
-    if p_hat.ndim == 1:
-        return project_budget(p_hat, p_max_total)[0]
-    out = np.empty_like(p_hat)
-    for i in range(p_hat.shape[0]):
-        out[i] = project_budget(p_hat[i], p_max_total)[0]
-    return out
+    raw = forward(model, normalize(gains, model.norm_stats))
+    return project_budget(denormalize_powers(raw, model.norm_stats), p_max_total)[0]
 
 
 def predict(model: SurrogateModel, channel, W: Precoder, qos, cfg: SystemConfig):

@@ -7,31 +7,20 @@ p_k = max(0, w - c_k) with a water level w such that the budget is tight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class WaterfillProblem:
-    inverse_gains: np.ndarray  # c_k > 0, same power units as the budget
-    budget: float  # P >= 0
-
-    def __post_init__(self):
-        c = np.asarray(self.inverse_gains, dtype=float)
-        if c.size == 0:
-            raise ValueError("water-filling needs at least one channel")
-        if np.any(c <= 0) or not np.all(np.isfinite(c)):
-            raise ValueError("inverse gains must be finite and strictly positive")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        object.__setattr__(self, "inverse_gains", c)
-
-
-def solve(problem: WaterfillProblem) -> np.ndarray:
-    """Unique KKT point; the budget is used exactly when it is positive."""
-    c = problem.inverse_gains
-    P = float(problem.budget)
+def waterfill(inverse_gains: np.ndarray, budget: float) -> np.ndarray:
+    """Unique KKT point for inverse gains c_k > 0 and a finite budget P >= 0 in
+    the same power units; the budget is used exactly when it is positive."""
+    c = np.asarray(inverse_gains, dtype=float)
+    if c.size == 0:
+        raise ValueError("water-filling needs at least one channel")
+    if np.any(c <= 0) or not np.all(np.isfinite(c)):
+        raise ValueError("inverse gains must be finite and strictly positive")
+    P = float(budget)
+    if not 0.0 <= P < np.inf:
+        raise ValueError("budget must be finite and nonnegative")
     if P == 0.0:
         return np.zeros_like(c)
     order = np.argsort(c, kind="stable")
@@ -48,8 +37,3 @@ def solve(problem: WaterfillProblem) -> np.ndarray:
     # strip float residue so the budget is tight to ~1e-16 relative
     scale = P / p.sum()
     return p * scale
-
-
-def waterfill(inverse_gains: np.ndarray, budget: float) -> np.ndarray:
-    """Convenience wrapper around :func:`solve`."""
-    return solve(WaterfillProblem(np.asarray(inverse_gains, dtype=float), budget))

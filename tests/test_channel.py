@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,24 @@ def test_drop_rejects_too_many_users():
         SystemConfig(n_beams=3, n_users=4)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("p_max_w", np.nan),
+        ("p_max_w", np.inf),
+        ("bandwidth_mhz", np.inf),
+        ("noise_temp_k", np.nan),
+        ("cond_cap", np.nan),
+        ("cond_cap", np.inf),
+        ("beam_3db_radius_km", np.nan),
+        ("beam_3db_radius_km", np.inf),
+    ],
+)
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(InvalidConfigError, match=field):
+        SystemConfig(**{field: value})
+
+
 def test_beam_gain_boresight_and_half_power(cfg):
     assert beam_gain(0.0, cfg) == pytest.approx(cfg.peak_beam_gain)
     theta_3db = np.arctan2(cfg.pattern_3db_radius_km, cfg.sat_height_km)
@@ -115,7 +135,7 @@ def test_channel_inverse_distance_law():
 
 def test_channel_scales_with_sqrt_gain():
     cfg = SystemConfig(n_beams=1, n_users=1)
-    weak = cfg.with_updates(peak_beam_gain=cfg.peak_beam_gain * 1e-6)
+    weak = dataclasses.replace(cfg, peak_beam_gain=cfg.peak_beam_gain * 1e-6)
     strong = build_channel(_single_user_drop(cfg, cfg.sat_height_km), cfg, 7)
     faded = build_channel(_single_user_drop(weak, weak.sat_height_km), weak, 7)
     assert faded.gain[0, 0] == pytest.approx(1e-3 * strong.gain[0, 0], rel=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beamalloc.waterfill import WaterfillProblem, solve, waterfill
+from beamalloc.waterfill import waterfill
 from oracles import simplex_grid_best, waterfill_bisection, waterfill_objective
 
 
@@ -24,11 +24,15 @@ def test_zero_budget():
 
 def test_bad_inputs():
     with pytest.raises(ValueError):
-        WaterfillProblem(np.array([]), 1.0)
+        waterfill(np.array([]), 1.0)
     with pytest.raises(ValueError):
-        WaterfillProblem(np.array([1.0, -1.0]), 1.0)
+        waterfill(np.array([1.0, -1.0]), 1.0)
     with pytest.raises(ValueError):
-        WaterfillProblem(np.array([1.0]), -0.5)
+        waterfill(np.array([1.0]), -0.5)
+    with pytest.raises(ValueError):
+        waterfill(np.array([1.0, 2.0]), np.nan)
+    with pytest.raises(ValueError):
+        waterfill(np.array([1.0, 2.0]), np.inf)
 
 
 def test_budget_tightness_and_slackness():
@@ -72,7 +76,7 @@ def test_beats_simplex_grid():
         m = int(rng.integers(1, 5))
         c = rng.lognormal(0.0, 1.0, size=m)
         P = float(rng.uniform(0.5, 5.0))
-        p = solve(WaterfillProblem(c, P))
+        p = waterfill(c, P)
         got = waterfill_objective(c, p)
         ref = simplex_grid_best(c, P)
         assert got >= ref - 1e-6 * abs(ref)

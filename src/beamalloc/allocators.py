@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .feasibility import DemandSystem, build_demand_system, check_feasible, sinr_targets
+from .feasibility import (
+    DemandSystem, build_demand_system, check_feasible, m_matrix_solve, sinr_targets
+)
 from .metrics import rates
 from .precoding import Precoder, effective_gains
 from .waterfill import waterfill
@@ -25,6 +27,10 @@ RATE_REL_TOL = 1e-6
 _PINNED_TOL = 1e-8
 _PINNED_MAX_INNER = 100
 _RZF_MAX_ITERS = 50
+
+# outcomes under which the joint and satisfied-set allocators run the same
+# congestion branch, so they return the same powers
+CONGESTED_OUTCOMES = frozenset({"congested_growth", "not_converged"})
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,13 @@ class AllocationResult:
     trace: tuple  # ((|Q|, sum rate) per iterate)
     strategy: str
     congested: bool
-    converged: bool = True
+    # joint and satisset only: feasible_closed_form, feasible_guard_repaired,
+    # feasible_guard_scaled, congested_growth or not_converged
+    outcome: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.outcome != "not_converged"
 
 
 def satisfied_mask(rates_mbps: np.ndarray, demands: np.ndarray) -> np.ndarray:
@@ -74,7 +86,7 @@ def satisfied_mask(rates_mbps: np.ndarray, demands: np.ndarray) -> np.ndarray:
 
 
 def score_allocation(
-    p, r, qos: QoSProfile, strategy, iterations=0, trace=None, converged=True
+    p, r, qos: QoSProfile, strategy, iterations=0, trace=None, outcome=None
 ) -> AllocationResult:
     """Score powers `p` with served rates `r` [Mbps] against the demands of
     `qos`; without a trace, the single entry is (|Q|, sum rate)."""
@@ -87,12 +99,12 @@ def score_allocation(
         trace=tuple(trace) if trace else ((len(q), float(r.sum())),),
         strategy=strategy,
         congested=len(q) < len(qos.demands),
-        converged=converged,
+        outcome=outcome,
     )
 
 
-def _finish(H, W, cfg, qos, p, strategy, iterations, trace=None, converged=True):
-    return score_allocation(p, rates(H, W, p, cfg), qos, strategy, iterations, trace, converged)
+def _finish(H, W, cfg, qos, p, strategy, iterations, trace=None, outcome=None):
+    return score_allocation(p, rates(H, W, p, cfg), qos, strategy, iterations, trace, outcome)
 
 
 def equal_power(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -126,7 +138,7 @@ def _joint_zf(H, W, qos, cfg, strategy, surplus_equal):
             p = p_min + surplus / k
         else:
             p = p_min + waterfill(c, surplus)
-        return _finish(H, W, cfg, qos, p, strategy, 0)
+        return _finish(H, W, cfg, qos, p, strategy, 0, outcome="feasible_closed_form")
     # congestion: largest ascending-cost prefix that fits the budget, ties
     # broken by user index
     order = np.argsort(p_min, kind="stable")
@@ -139,7 +151,7 @@ def _joint_zf(H, W, qos, cfg, strategy, surplus_equal):
     leftover = p_budget - p[members].sum()
     if rest.size:
         p[rest] = waterfill(c[rest], leftover)
-    return _finish(H, W, cfg, qos, p, strategy, 0)
+    return _finish(H, W, cfg, qos, p, strategy, 0, outcome="congested_growth")
 
 
 def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -150,25 +162,27 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
     return _joint_zf(H, W, qos, cfg, "joint", surplus_equal=False)
 
 
-def _surplus_with_demand_guard(H, W, qos, cfg, ds, p_base, c, surplus_equal):
-    """Top up an exact minimum-power solution of `ds` with the surplus.
+def _surplus_with_demand_guard(H, W, qos, cfg, rep, c, surplus_equal):
+    """Top up the exact minimum-power solution of a feasible `rep` with the surplus.
 
     Water-filling (or equal-splitting) the surplus can push a user below its
     demand through added interference.  Repair by pinning the violated users
     at their `ds.alpha` targets and water-filling the rest of the budget over
     the others, repeating while new violations appear; scaling all powers
     proportionally (which provably raises every SINR) is the last resort.
+    Returns (powers, outcome).
     """
+    ds, p_base = rep.system, rep.min_powers
     k = len(qos.demands)
     p_budget = cfg.p_max_w
     surplus = p_budget - p_base.sum()
     if surplus <= 0:
-        return p_base
+        return p_base, "feasible_closed_form"
     p = p_base + (surplus / k if surplus_equal else waterfill(c, surplus))
     r = rates(H, W, p, cfg)
     violated = ~satisfied_mask(r, qos.demands)
     if not violated.any():
-        return p
+        return p, "feasible_closed_form"
     if not surplus_equal:
         pinned = violated.copy()
         for _ in range(k):
@@ -178,11 +192,11 @@ def _surplus_with_demand_guard(H, W, qos, cfg, ds, p_base, c, surplus_equal):
             r_fix = rates(H, W, p_fix, cfg)
             still = ~satisfied_mask(r_fix, qos.demands)
             if not still.any():
-                return p_fix
+                return p_fix, "feasible_guard_repaired"
             if not (still & ~pinned).any():
                 break
             pinned |= still
-    return p_base * (p_budget / p_base.sum())
+    return p_base * (p_budget / p_base.sum()), "feasible_guard_scaled"
 
 
 def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
@@ -198,8 +212,8 @@ def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
     if rep.feasible:
         # exact joint minimum powers for the relaxed demands (true rates hit
         # xi_k + omega_k, so the omega margin absorbs the surplus top-up)
-        p = _surplus_with_demand_guard(H, W, qos, cfg, ds, rep.min_powers, c, surplus_equal)
-        return _finish(H, W, cfg, qos, p, strategy, 0)
+        p, outcome = _surplus_with_demand_guard(H, W, qos, cfg, rep, c, surplus_equal)
+        return _finish(H, W, cfg, qos, p, strategy, 0, outcome=outcome)
     # congestion: grow the relaxed satisfied set, truncating each new member
     # to exactly its relaxed demand against the current interference; keep the
     # lexicographically best iterate (|Q| first, then sum rate) seen
@@ -214,10 +228,10 @@ def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
 
     best_p, best_score = p.copy(), score(r)
     n = 0
-    converged = True
+    outcome = "congested_growth"
     while newly.any():
         if n >= _RZF_MAX_ITERS:
-            converged = False
+            outcome = "not_converged"
             break
         n += 1
         p_prev = p.copy()
@@ -236,7 +250,7 @@ def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
         in_set = in_set | joiners
         newly = joiners
         trace.append((int(in_set.sum()), float(r.sum())))
-    return _finish(H, W, cfg, qos, best_p, strategy, n, trace=trace, converged=converged)
+    return _finish(H, W, cfg, qos, best_p, strategy, n, trace=trace, outcome=outcome)
 
 
 def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -253,8 +267,9 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
 
     For interference-free precoding (ZF) step (ii) reduces to the plain
     upper-bound water-fill.  Returns (powers, ok); ok is False when the pinned
-    subsystem is infeasible (spectral radius >= 1 or budget exceeded) or the
-    alternation fails to settle within the iteration cap.
+    subsystem is infeasible (budget exceeded, or spectral radius >= 1 by the
+    test of `check_feasible`: p_start is returned) or the alternation fails
+    to settle within the iteration cap.
     """
     gains, sigma2 = ds.Qm, ds.noise_power
     g_kk = np.diag(gains)
@@ -266,15 +281,14 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
     nu_s = ds.nu[s_idx]
     rq_ss = r_s[:, None] * gains[np.ix_(s_idx, s_idx)]
     a = np.eye(len(s_idx)) - rq_ss
-    radius = np.max(np.abs(np.linalg.eigvals(rq_ss)))
-    if radius >= 1.0:
-        return p_start, False
     p = p_start.copy()
     for _ in range(_PINNED_MAX_INNER):
         p_old = p.copy()
         interf_c = gains[np.ix_(s_idx, c_idx)] @ p[c_idx] if c_idx.size else 0.0
-        p_s = np.linalg.solve(a, nu_s + r_s * interf_c)
-        p_s = np.maximum(p_s, 0.0)
+        # the right-hand side is >= nu_s > 0
+        p_s = m_matrix_solve(a, nu_s + r_s * interf_c)
+        if p_s is None:
+            return p_start, False
         p[s_idx] = p_s
         leftover = p_budget - p_s.sum()
         if c_idx.size:
@@ -312,20 +326,20 @@ def joint_opt_generic(
     rep = check_feasible(ds, p_budget)
     strategy = "satisset" if _surplus_equal else "joint_generic"
     if rep.feasible:
-        p = _surplus_with_demand_guard(H, W, qos, cfg, ds, rep.min_powers, c_up, _surplus_equal)
-        return _finish(H, W, cfg, qos, p, strategy, 0)
+        p, outcome = _surplus_with_demand_guard(H, W, qos, cfg, rep, c_up, _surplus_equal)
+        return _finish(H, W, cfg, qos, p, strategy, 0, outcome=outcome)
     # congestion: sum-rate initialization, then monotone set growth
     p = waterfill(c_up, p_budget)
     r = rates(H, W, p, cfg)
     mask = satisfied_mask(r, qos.demands)
     trace = [(int(mask.sum()), float(r.sum()))]
-    converged = True
+    outcome = "congested_growth"
     n = 0
     while n <= k:
         n += 1
         p_new, ok = _solve_pinned(ds, mask, p_budget, p)
         if not ok:
-            converged = False
+            outcome = "not_converged"
             break
         r_new = rates(H, W, p_new, cfg)
         mask_new = satisfied_mask(r_new, qos.demands)
@@ -354,7 +368,7 @@ def joint_opt_generic(
         trace.append((int(mask.sum()), float(r.sum())))
         if mask.all():
             break
-    return _finish(H, W, cfg, qos, p, strategy, n, trace=trace, converged=converged)
+    return _finish(H, W, cfg, qos, p, strategy, n, trace=trace, outcome=outcome)
 
 
 def satis_set_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:

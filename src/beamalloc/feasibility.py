@@ -5,7 +5,10 @@ For demands xi_k the SINR targets are alpha_k = 2^(xi_k/B) - 1.  Stacking the
 per-user SINR equalities gives (I - R Q) p = nu with
 R = diag(alpha_k / ((alpha_k+1) g_kk)), [Q]_kl = |h_k^H w_l|^2 and
 nu_k = alpha_k sigma^2 / ((alpha_k+1) g_kk).  All K users can be served at
-their demands iff rho(RQ) < 1 and 1^T (I - RQ)^{-1} nu <= P_max.
+their demands iff rho(RQ) < 1 and 1^T (I - RQ)^{-1} nu <= P_max.  I - RQ is
+a Z-matrix, so rho(RQ) < 1 iff it is a nonsingular M-matrix, iff (I - RQ) x = b
+has a strictly positive solution for a b > 0 (Berman & Plemmons, ch. 6, Thm
+2.3): the minimum-power solve certifies the radius condition itself.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ class DemandSystem:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    spectral_radius: float
     min_powers: np.ndarray | None  # None when the radius condition fails
     total_min_power: float  # inf when undefined
     radius_ok: bool
@@ -47,6 +49,12 @@ class FeasibilityReport:
     @property
     def feasible(self) -> bool:
         return self.radius_ok and self.budget_ok
+
+    @property
+    def spectral_radius(self) -> float:
+        """rho(RQ), by an eigenvalue solve on read."""
+        ds = self.system
+        return float(np.max(np.abs(np.linalg.eigvals(ds.R[:, None] * ds.Qm))))
 
     @property
     def lower_bound(self) -> float:
@@ -72,15 +80,22 @@ def build_demand_system(
     return DemandSystem(R=r_diag, Qm=gains, nu=nu, alpha=alpha, noise_power=noise_power)
 
 
+def m_matrix_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Solve a x = b for a Z-matrix `a` and b > 0; None unless the solution is
+    finite and strictly positive, i.e. unless `a` is a nonsingular M-matrix."""
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.all((x > 0) & (x < np.inf)) else None
+
+
 def check_feasible(ds: DemandSystem, p_max: float) -> FeasibilityReport:
     """Evaluate both serving conditions; infeasibility is reported, not raised."""
-    rq = ds.R[:, None] * ds.Qm
-    radius = float(np.max(np.abs(np.linalg.eigvals(rq))))
-    radius_ok = radius < 1.0
-    p_star = np.linalg.solve(np.eye(len(ds.nu)) - rq, ds.nu) if radius_ok else None
+    p_star = m_matrix_solve(np.eye(len(ds.nu)) - ds.R[:, None] * ds.Qm, ds.nu)
+    radius_ok = p_star is not None
     total = float(np.sum(p_star)) if radius_ok else np.inf
     return FeasibilityReport(
-        spectral_radius=radius,
         min_powers=p_star,
         total_min_power=total,
         radius_ok=radius_ok,

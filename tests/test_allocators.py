@@ -2,8 +2,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from beamalloc import QoSProfile, SystemConfig
+from beamalloc import QoSProfile, SystemConfig, allocators
 from beamalloc.allocators import (
     equal_power,
     joint_opt,
@@ -16,9 +17,9 @@ from beamalloc.allocators import (
 )
 from beamalloc.feasibility import sinr_targets
 from beamalloc.metrics import rates
-from beamalloc.precoding import make_rzf, make_zf
+from beamalloc.precoding import Precoder, PrecoderSingularError, make_rzf, make_zf
 from beamalloc.waterfill import waterfill
-from conftest import make_instance
+from conftest import make_instance, random_channel
 from oracles import simplex_grid_best, waterfill_objective
 
 B = 500.0
@@ -357,3 +358,88 @@ def test_qos_profile_validation():
         QoSProfile(demands=np.array([100.0]), tolerances=np.array([-1.0]))
     q = QoSProfile.uniform(250.0, 3)
     assert np.allclose(q.tolerances, 5.0)  # default 2% relaxation
+
+
+# ---------------------------------------------------------------------------
+# outcomes, and the congestion branch that joint and satisset share
+
+def _case(kind, k, extra, seed, p_max, xi, omega):
+    """Gaussian K-user channel with a ZF, RZF or matched-filter precoder (any
+    other kind, built directly and served by joint_opt_generic)."""
+    H = random_channel(k + extra, k, seed)
+    cfg = SystemConfig(n_beams=k + extra, n_users=k, p_max_w=p_max)
+    if kind == "zf":
+        W = make_zf(H)
+    elif kind == "rzf":
+        W = make_rzf(H, cfg.noise_power_w, p_max)
+    else:
+        norms = np.linalg.norm(H, axis=0)
+        W = Precoder(W=H / norms, raw_norms=norms, kind=kind, regularizer=0.0)
+    return H, W, QoSProfile.per_user(xi, omega), cfg
+
+
+def _seeded_case(seed, kind):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 8))
+    extra = int(rng.integers(0, 3))
+    p_max = float(np.exp(rng.uniform(np.log(0.5), np.log(50.0))))
+    xi = rng.uniform(50.0, 1500.0, size=k)
+    return _case(kind, k, extra, seed, p_max, xi, float(rng.choice([0.0, 0.02])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["zf", "rzf", "mrt"]),
+    k=st.integers(1, 7),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    p_max=st.floats(0.5, 50.0),
+    xi_frac=st.lists(st.floats(0.1, 3.0), min_size=7, max_size=7),
+    omega=st.sampled_from([0.0, 0.02]),
+)
+def test_satisset_returns_joint_powers_when_joint_is_congested(
+    kind, k, extra, seed, p_max, xi_frac, omega
+):
+    try:
+        H, W, qos, cfg = _case(kind, k, extra, seed, p_max, B * np.array(xi_frac[:k]), omega)
+    except PrecoderSingularError:
+        assume(False)
+    jo = joint_opt(H, W, qos, cfg)
+    ss = satis_set_opt(H, W, qos, cfg)
+    assert jo.outcome in (
+        "feasible_closed_form", "feasible_guard_repaired", "feasible_guard_scaled",
+        "congested_growth", "not_converged",
+    )
+    assert jo.converged == (jo.outcome != "not_converged")
+    if jo.outcome in allocators.CONGESTED_OUTCOMES:
+        assert np.array_equal(ss.powers, jo.powers)
+        assert (ss.outcome, ss.iterations, ss.trace) == (jo.outcome, jo.iterations, jo.trace)
+    else:
+        assert not jo.congested  # every feasible outcome serves all demands
+
+
+@pytest.mark.parametrize(
+    "kind, seed, outcome",
+    [
+        ("zf", 1, "feasible_closed_form"),
+        ("zf", 0, "congested_growth"),
+        ("rzf", 0, "congested_growth"),
+        ("rzf", 4, "feasible_guard_repaired"),
+        ("rzf", 418, "feasible_guard_scaled"),
+        ("mrt", 12, "feasible_guard_repaired"),
+        ("mrt", 1, "feasible_guard_scaled"),
+        ("mrt", 8, "not_converged"),
+    ],
+)
+def test_joint_reports_outcome(kind, seed, outcome):
+    res = joint_opt(*_seeded_case(seed, kind))
+    assert res.outcome == outcome
+    assert res.converged == (outcome != "not_converged")
+
+
+def test_rzf_iteration_cap_reports_not_converged(monkeypatch):
+    case = _seeded_case(0, "rzf")  # congested; the uncapped growth takes one round
+    monkeypatch.setattr(allocators, "_RZF_MAX_ITERS", 0)
+    res = joint_opt(*case)
+    assert (res.outcome, res.converged, res.iterations) == ("not_converged", False, 0)
+    assert np.array_equal(satis_set_opt(*case).powers, res.powers)

@@ -296,3 +296,38 @@ def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path, monkeypatch):
             fresh.iterations,
             fresh.converged,
         )
+
+
+def test_campaign_reuse_is_independent_of_order_and_company(tmp_path, monkeypatch):
+    from beamalloc import allocators
+
+    cfg = parse_config(_write_config(tmp_path))
+    satis_set_opt = allocators.satis_set_opt
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return satis_set_opt(*args)
+
+    monkeypatch.setattr(allocators, "satis_set_opt", spy)
+
+    def run(strategies):
+        cfg.strategies, cfg.out_dir = strategies, str(tmp_path / "-".join(strategies))
+        calls.clear()
+        return run_campaign(cfg)["records"], len(calls)
+
+    default, default_calls = run(("equal", "sumopt", "satisset", "joint"))
+    n_cells = cfg.n_trials * len(cfg.precoders) * len(cfg.qos_sweep)
+    # satisset is solved only where joint found the demands feasible
+    assert 0 < default_calls < n_cells
+    expected = {(r.trial, r.precoder, r.xi_mbps, r.strategy): r for r in default}
+    for strategies, expected_calls in (
+        (("joint", "satisset", "equal"), default_calls),
+        (("satisset",), n_cells),
+        (("equal",), 0),
+    ):
+        records, n_calls = run(strategies)
+        assert [r.strategy for r in records] == list(strategies) * n_cells
+        for r in records:
+            assert r == expected[(r.trial, r.precoder, r.xi_mbps, r.strategy)]
+        assert n_calls == expected_calls

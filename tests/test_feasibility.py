@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from beamalloc import SystemConfig
+from beamalloc.allocators import _solve_pinned
 from beamalloc.feasibility import (
     DegenerateChannelError,
+    DemandSystem,
     build_demand_system,
     check_feasible,
     sinr_targets,
@@ -192,3 +195,40 @@ def test_budget_verdict():
     need = check_feasible(ds, p_max=np.inf).total_min_power
     assert check_feasible(ds, p_max=need * 1.01).budget_ok
     assert not check_feasible(ds, p_max=need * 0.99).budget_ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    sparsity=st.floats(0.0, 0.8),
+    radius=st.one_of(
+        st.floats(0.2, 2.0), st.sampled_from([1 - 1e-8, 1 + 1e-8, 1 - 2e-9, 1 + 2e-9])
+    ),
+)
+def test_solve_certificate_agrees_with_eigvals_radius(k, seed, sparsity, radius):
+    # nonnegative Q with a positive diagonal, some entries zeroed (reducible
+    # RQ included), and R scaled so that rho(RQ) lands at `radius`
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.0, 1.0, (k, k)) * (rng.uniform(size=(k, k)) >= sparsity)
+    np.fill_diagonal(q, rng.uniform(0.5, 2.0, k))
+    r = rng.uniform(0.1, 1.0, k)
+    r *= radius / np.max(np.abs(np.linalg.eigvals(r[:, None] * q)))
+    rep = check_feasible(DemandSystem(R=r, Qm=q, nu=r, alpha=r, noise_power=1.0), np.inf)
+    rho = np.max(np.abs(np.linalg.eigvals(r[:, None] * q)))
+    assume(abs(rho - 1.0) >= 1e-9)
+    assert rep.spectral_radius == rho
+    assert rep.radius_ok == (rho < 1.0)
+    assert (rep.min_powers is not None) == rep.radius_ok
+
+
+def test_solve_pinned_rejects_pinned_radius_at_least_one():
+    # users 0 and 1 couple strongly (pinned block radius 1.23); user 2 is free
+    q = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.1], [0.1, 0.1, 1.0]])
+    H, W, ds = _system_from_gain_matrix(q, np.array([1.5 * B, 1.5 * B, 0.2 * B]))
+    pinned = np.array([True, True, False])
+    rq_ss = ds.R[:2, None] * q[:2, :2]
+    assert np.max(np.abs(np.linalg.eigvals(rq_ss))) >= 1.0
+    p_start = np.array([1.0, 2.0, 3.0])
+    p, ok = _solve_pinned(ds, pinned, 100.0, p_start)
+    assert p is p_start and not ok

@@ -1,28 +1,34 @@
 """User drops and LOS forward-link channel synthesis.
 
-The channel matrix is H = Hbar * Phi: a nonnegative gain part built from the
-beam pattern, path terms and receive gain, normalized by the thermal-noise
-amplitude, times a diagonal matrix of per-user random phases.  Optional rain
-and cloud attenuation rescales whole columns.
+The channel matrix H is real and nonnegative: beam pattern, path terms and
+receive gain, normalized by the thermal-noise amplitude.  Per-user phases are
+left out: ZF, RZF and the matched filter satisfy W(H Phi) = W(H) Phi, so
+|H^H W|^2 does not depend on them.  Optional rain and cloud attenuation
+rescales whole columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import j1, jv
+from scipy.special import j0, j1
 
 from .config import InvalidConfigError, SystemConfig
 
 # Independent RNG substreams per operation so each stays deterministic per
 # seed without coupling to the others.
 _STREAM_DROP = 101
-_STREAM_PHASE = 202
 _STREAM_ATMOS = 303
 
 # Half-power argument of the tapered-aperture pattern.
 _U_3DB = 2.07123
+
+# Coefficients 1/(m!(m+3)!) of J3(u)/(u/2)^3 as a polynomial in -(u/2)^2,
+# highest order first; at |u| = 4 the first omitted term is below 2e-24.
+_J3_SERIES = [1.0 / (math.factorial(m) * math.factorial(m + 3)) for m in range(17, -1, -1)]
 
 # Atmosphere: lognormal rain fade with this dB mean and dB^2 variance, and a
 # cloud of this integrated reduced liquid water content at this temperature.
@@ -50,9 +56,7 @@ class UserDrop:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    H: np.ndarray  # complex (N, K)
-    gain: np.ndarray  # nonnegative real (N, K), |H| columnwise
-    phases: np.ndarray  # (K,) radians
+    H: np.ndarray  # real nonnegative (N, K)
 
 
 @dataclass(frozen=True)
@@ -61,24 +65,24 @@ class AtmosphereState:
     cloud_attens_db: np.ndarray  # (K,)
 
 
+@lru_cache(maxsize=16)
 def hex_beam_centers(n_beams: int, spacing_km: float) -> np.ndarray:
     """Beam centers on a hexagonal grid: one at the origin plus concentric
-    rings, truncated to `n_beams` (ring 1 holds the classic 7-beam layout)."""
-    centers = [(0.0, 0.0)]
-    ring = 1
-    while len(centers) < n_beams:
-        # walk the hexagon ring corner to corner
-        angles = np.deg2rad(np.arange(0, 360, 60))
-        corners = [
-            ring * spacing_km * np.array([np.cos(a), np.sin(a)]) for a in angles
-        ]
-        for i in range(6):
-            start, stop = corners[i], corners[(i + 1) % 6]
-            for step in range(ring):
-                pt = start + (stop - start) * (step / ring)
-                centers.append((float(pt[0]), float(pt[1])))
-        ring += 1
-    return np.asarray(centers[:n_beams], dtype=float)
+    rings, truncated to `n_beams` (ring 1 holds the classic 7-beam layout).
+    Built once per (n_beams, spacing) and returned read-only."""
+    a = np.deg2rad(np.arange(0, 360, 60))
+    unit = np.stack([np.cos(a), np.sin(a)], axis=1)  # ring-1 hexagon corners
+    rings = [np.zeros((1, 2))]
+    while sum(map(len, rings)) < n_beams:
+        # ring r walks its hexagon corner to corner in r steps per side
+        r = len(rings)
+        start = r * spacing_km * unit
+        side = np.roll(start, -1, axis=0) - start
+        t = (np.arange(r) / r)[None, :, None]
+        rings.append((start[:, None] + side[:, None] * t).reshape(-1, 2))
+    grid = np.concatenate(rings)[:n_beams]
+    grid.flags.writeable = False
+    return grid
 
 
 def geometry_from_positions(
@@ -95,8 +99,6 @@ def geometry_from_positions(
 def drop_users(cfg: SystemConfig, seed: int) -> UserDrop:
     """Place one user uniformly inside each of K randomly chosen distinct
     beam discs. Deterministic for a fixed (cfg, seed)."""
-    if cfg.n_users > cfg.n_beams:
-        raise InvalidConfigError("cannot drop more users than beams")
     rng = np.random.default_rng([_STREAM_DROP, seed])
     spacing = cfg.beam_radius_km * np.sqrt(3.0)
     centers = hex_beam_centers(cfg.n_beams, spacing)
@@ -106,13 +108,8 @@ def drop_users(cfg: SystemConfig, seed: int) -> UserDrop:
     offsets = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
     positions = centers[chosen] + offsets
     d, elev = geometry_from_positions(positions, cfg)
-    return UserDrop(
-        positions=positions,
-        distances_km=d,
-        elevations_deg=elev,
-        beam_centers=centers,
-        beam_of_user=chosen,
-    )
+    return UserDrop(positions=positions, distances_km=d, elevations_deg=elev,
+                    beam_centers=centers, beam_of_user=chosen)
 
 
 def beam_gain(offset_angle: np.ndarray | float, cfg: SystemConfig) -> np.ndarray | float:
@@ -124,16 +121,27 @@ def beam_gain(offset_angle: np.ndarray | float, cfg: SystemConfig) -> np.ndarray
     `beam_radius_km`); only when it is None does it equal the disc radius,
     putting disc-edge users on the half-power contour.
     """
-    scalar_in = np.isscalar(offset_angle)
-    theta = np.atleast_1d(np.asarray(offset_angle, dtype=float))
+    theta = np.asarray(offset_angle, dtype=float)
     theta_3db = np.arctan2(cfg.pattern_3db_radius_km, cfg.sat_height_km)
     u = _U_3DB * np.sin(theta) / np.sin(theta_3db)
     out = np.ones_like(u)
     nz = np.abs(u) > 1e-9
     un = u[nz]
-    out[nz] = (j1(un) / (2.0 * un) + 36.0 * jv(3, un) / un**3) ** 2
-    result = cfg.peak_beam_gain * out.reshape(np.shape(offset_angle))
-    return float(result) if scalar_in else result
+    j1_u = j1(un)
+    out[nz] = (j1_u / (2.0 * un) + 36.0 * _j3(un, j1_u) / un**3) ** 2
+    result = cfg.peak_beam_gain * out
+    return float(result) if np.ndim(result) == 0 else result
+
+
+def _j3(u: np.ndarray, j1_u: np.ndarray) -> np.ndarray:
+    """Bessel J3 of a nonzero float array, given j1_u = J1(u).  The upward
+    recurrence J3 = 4(2 J1/u - J0)/u - J1 cancels badly for small u (it is
+    unusable below u ~ 0.01), so |u| < 4 uses the power series instead."""
+    out = 4.0 * (2.0 * j1_u / u - j0(u)) / u - j1_u
+    small = np.abs(u) < 4.0
+    us = u[small]
+    out[small] = (0.5 * us) ** 3 * np.polyval(_J3_SERIES, -0.25 * us * us)
+    return out
 
 
 def _boresight_angles(drop: UserDrop, cfg: SystemConfig) -> np.ndarray:
@@ -149,21 +157,14 @@ def _boresight_angles(drop: UserDrop, cfg: SystemConfig) -> np.ndarray:
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def build_channel(drop: UserDrop, cfg: SystemConfig, seed: int) -> ChannelMatrix:
-    """Gain part [Hbar]_nk = lambda*sqrt(G_R*G_nk) / (4*pi*d_k*sqrt(K_B*T*B)),
-    times i.i.d. uniform column phases."""
-    rng = np.random.default_rng([_STREAM_PHASE, seed])
+def build_channel(drop: UserDrop, cfg: SystemConfig) -> ChannelMatrix:
+    """[H]_nk = lambda*sqrt(G_R*G_nk) / (4*pi*d_k*sqrt(K_B*T*B)); deterministic
+    in the drop."""
     angles = _boresight_angles(drop, cfg)
     gains = beam_gain(angles, cfg)  # (N, K)
     d_m = drop.distances_km[None, :] * 1e3
-    amp = (
-        cfg.wavelength_m
-        * np.sqrt(cfg.rx_gain * gains)
-        / (4.0 * np.pi * d_m * np.sqrt(cfg.noise_norm))
-    )
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=cfg.n_users)
-    H = amp * np.exp(1j * phases)[None, :]
-    return ChannelMatrix(H=H, gain=amp, phases=phases)
+    amp = cfg.wavelength_m * np.sqrt(cfg.rx_gain * gains)
+    return ChannelMatrix(H=amp / (4.0 * np.pi * d_m * np.sqrt(cfg.noise_norm)))
 
 
 def _water_permittivity(f_ghz: float, temp_k: float) -> tuple[float, float]:
@@ -213,9 +214,4 @@ def apply_atmosphere(
     cloud_lin = 10.0 ** (cloud_db / 10.0)
     scale = np.sqrt(rain) / np.sqrt(cloud_lin)
     state = AtmosphereState(rain_fades=rain, cloud_attens_db=cloud_db)
-    scaled = ChannelMatrix(
-        H=channel.H * scale[None, :],
-        gain=channel.gain * scale[None, :],
-        phases=channel.phases,
-    )
-    return scaled, state
+    return ChannelMatrix(H=channel.H * scale[None, :]), state

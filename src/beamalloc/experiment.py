@@ -19,7 +19,7 @@ import numpy as np
 from . import allocators, metrics, surrogate
 from .channel import ChannelMatrix, UserDrop, apply_atmosphere, build_channel, drop_users
 from .config import InvalidConfigError, SystemConfig
-from .precoding import Precoder, make_rzf, make_zf
+from .precoding import Precoder, PrecoderSingularError, make_rzf, make_zf
 
 _REDRAW_STRIDE = 2654435761  # seed offset per conditioning redraw
 _MAX_REDRAWS = 64
@@ -211,27 +211,32 @@ class Trial:
     drop: UserDrop
     channel: ChannelMatrix
     redraws: int
+    zf: Precoder  # the ZF precoder whose construction passed the conditioning test
 
 
 def make_trial(system: SystemConfig, seed: int) -> Trial:
-    """Drop users and build the channel, redrawing deterministically when the
-    channel is too ill-conditioned for zero forcing (same Gram-matrix test as
-    the ZF precoder, so both precoders always see the same channels)."""
+    """Drop users and build the channel, redrawing deterministically until the
+    ZF construction passes its conditioning test; both precoders then see the
+    same channels, and the trial keeps that ZF precoder."""
     for attempt in range(_MAX_REDRAWS):
         eff_seed = seed + attempt * _REDRAW_STRIDE
         drop = drop_users(system, eff_seed)
-        chan = build_channel(drop, system, eff_seed)
+        chan = build_channel(drop, system)
         if system.atmospherics_enabled:
             chan, _ = apply_atmosphere(chan, drop, system, eff_seed)
-        gram = chan.H.conj().T @ chan.H
-        if np.linalg.cond(gram) <= system.cond_cap:
-            return Trial(seed=seed, drop=drop, channel=chan, redraws=attempt)
-    raise RuntimeError(f"no well-conditioned drop after {_MAX_REDRAWS} redraws (seed {seed})")
+        try:
+            zf = make_zf(chan, cond_cap=system.cond_cap)
+        except PrecoderSingularError:
+            continue
+        return Trial(seed=seed, drop=drop, channel=chan, redraws=attempt, zf=zf)
+    raise ConfigError(
+        f"no drop meets system.cond_cap = {system.cond_cap:g} in {_MAX_REDRAWS} redraws (seed {seed})"
+    )
 
 
 def build_precoder(trial: Trial, system: SystemConfig, kind: str) -> Precoder:
     if kind == "zf":
-        return make_zf(trial.channel, cond_cap=system.cond_cap)
+        return trial.zf
     if kind == "rzf":
         return make_rzf(trial.channel, system.noise_power_w, system.p_max_w)
     raise ConfigError(f"unknown precoder {kind!r}")

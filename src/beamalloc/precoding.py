@@ -16,7 +16,7 @@ class PrecoderSingularError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class Precoder:
-    W: np.ndarray  # complex (N, K), unit-norm columns
+    W: np.ndarray  # (N, K), unit-norm columns; real when H is real
     raw_norms: np.ndarray  # (K,) pre-normalization column norms
     kind: str  # "zf" | "rzf"
     regularizer: float  # K*sigma^2/P_max for RZF, 0 for ZF
@@ -26,7 +26,9 @@ def _as_matrix(H) -> np.ndarray:
     return H.H if isinstance(H, ChannelMatrix) else np.asarray(H)
 
 
-def _normalize_columns(W_raw: np.ndarray, kind: str, rho: float) -> Precoder:
+def _solve_normalized(Hm: np.ndarray, gram: np.ndarray, kind: str, rho: float) -> Precoder:
+    """W = H gram^{-1} by Cholesky, with unit-norm columns."""
+    W_raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), Hm.conj().T).conj().T
     norms = np.linalg.norm(W_raw, axis=0)
     if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
         raise PrecoderSingularError("precoding column norm vanished")
@@ -45,9 +47,7 @@ def make_zf(H, cond_cap: float = 1e8) -> Precoder:
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > cond_cap:
         raise PrecoderSingularError(f"Gram condition number {cond:.3e} exceeds cap")
-    cho = scipy.linalg.cho_factor(gram)
-    W_raw = scipy.linalg.cho_solve(cho, Hm.conj().T).conj().T
-    return _normalize_columns(W_raw, "zf", 0.0)
+    return _solve_normalized(Hm, gram, "zf", 0.0)
 
 
 def make_rzf(H, noise_power: float, p_max: float) -> Precoder:
@@ -58,9 +58,7 @@ def make_rzf(H, noise_power: float, p_max: float) -> Precoder:
     k = Hm.shape[1]
     rho = k * noise_power / p_max
     gram = Hm.conj().T @ Hm + rho * np.eye(k)
-    cho = scipy.linalg.cho_factor(gram)
-    W_raw = scipy.linalg.cho_solve(cho, Hm.conj().T).conj().T
-    return _normalize_columns(W_raw, "rzf", rho)
+    return _solve_normalized(Hm, gram, "rzf", rho)
 
 
 def effective_gains(H, precoder: Precoder) -> np.ndarray:

@@ -79,8 +79,8 @@ class TrainingReport:
 
 
 def gains_vector(channel) -> np.ndarray:
-    """Stack per-user gain magnitudes |h_kn|, user-major (K blocks of N)."""
-    return np.abs(channel.H).T.reshape(-1)
+    """The whole channel, user-major (K blocks of N): H = x.reshape(K, N).T."""
+    return channel.H.T.reshape(-1)
 
 
 def fit_norm_stats(x: np.ndarray, p: np.ndarray) -> NormStats:

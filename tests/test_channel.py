@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import j1, jv
 
-from beamalloc import InvalidConfigError, SystemConfig
+from beamalloc import InvalidConfigError, SystemConfig, allocators
 from beamalloc.channel import (
     AttenuationOverflowError,
     UserDrop,
@@ -16,6 +17,8 @@ from beamalloc.channel import (
     geometry_from_positions,
     hex_beam_centers,
 )
+from beamalloc.experiment import make_trial
+from beamalloc.precoding import effective_gains, make_rzf, make_zf
 
 
 def test_hex_grid_seven_beams(cfg):
@@ -33,6 +36,31 @@ def test_hex_grid_second_ring():
     assert np.allclose(dists[1:7], 1.0)
     # ring 2 mixes corners (2.0) and edge midpoints (sqrt(3))
     assert np.allclose(np.sort(np.unique(np.round(dists[7:], 9))), [np.sqrt(3.0), 2.0])
+
+
+def _hex_loop_reference(n_beams, spacing_km):
+    centers = [(0.0, 0.0)]
+    ring = 1
+    while len(centers) < n_beams:
+        angles = np.deg2rad(np.arange(0, 360, 60))
+        corners = [ring * spacing_km * np.array([np.cos(a), np.sin(a)]) for a in angles]
+        for i in range(6):
+            start, stop = corners[i], corners[(i + 1) % 6]
+            for step in range(ring):
+                pt = start + (stop - start) * (step / ring)
+                centers.append((float(pt[0]), float(pt[1])))
+        ring += 1
+    return np.asarray(centers[:n_beams], dtype=float)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 150.0 * np.sqrt(3.0), 0.37])
+def test_hex_grid_matches_loop_reference_and_is_shared_read_only(spacing):
+    for n in range(1, 92):
+        assert np.array_equal(hex_beam_centers(n, spacing), _hex_loop_reference(n, spacing))
+    grid = hex_beam_centers(37, spacing)
+    assert hex_beam_centers(37, spacing) is grid
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1.0
 
 
 def test_zero_offset_geometry(cfg):
@@ -104,6 +132,22 @@ def test_beam_gain_non_increasing_inside_first_null(cfg):
     assert np.all(g <= cfg.peak_beam_gain * (1 + 1e-12))
 
 
+def test_beam_gain_matches_scipy_pattern(cfg):
+    u = np.concatenate([
+        np.geomspace(1e-9, 1e-2, 300),
+        np.linspace(1e-2, 60.0, 3001),
+        4.0 + np.linspace(-1e-3, 1e-3, 201),  # series/recurrence switch
+        np.nextafter(4.0, [0.0, 8.0]),
+    ])
+    theta_3db = np.arctan2(cfg.pattern_3db_radius_km, cfg.sat_height_km)
+    theta = np.arcsin(u / 2.07123 * np.sin(theta_3db))
+    u = 2.07123 * np.sin(theta) / np.sin(theta_3db)  # the u beam_gain sees
+    oracle = cfg.peak_beam_gain * (j1(u) / (2.0 * u) + 36.0 * jv(3, u) / u**3) ** 2
+    assert np.max(np.abs(beam_gain(theta, cfg) - oracle)) <= 1e-13 * cfg.peak_beam_gain
+    assert beam_gain(0.0, cfg) == cfg.peak_beam_gain
+    assert beam_gain(np.zeros(3), cfg).tolist() == [cfg.peak_beam_gain] * 3
+
+
 def _single_user_drop(cfg, distance_km):
     centers = hex_beam_centers(cfg.n_beams, cfg.beam_radius_km * np.sqrt(3.0))
     return UserDrop(
@@ -117,38 +161,51 @@ def _single_user_drop(cfg, distance_km):
 
 def test_channel_entry_matches_link_formula():
     cfg = SystemConfig(n_beams=1, n_users=1)
-    chan = build_channel(_single_user_drop(cfg, cfg.sat_height_km), cfg, 7)
+    chan = build_channel(_single_user_drop(cfg, cfg.sat_height_km), cfg)
     expected = (
         cfg.wavelength_m
         * np.sqrt(cfg.rx_gain * cfg.peak_beam_gain)
         / (4.0 * np.pi * cfg.sat_height_km * 1e3 * np.sqrt(cfg.noise_norm))
     )
-    assert chan.gain[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert chan.H[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_channel_inverse_distance_law():
     cfg = SystemConfig(n_beams=1, n_users=1)
-    near = build_channel(_single_user_drop(cfg, 20000.0), cfg, 7)
-    far = build_channel(_single_user_drop(cfg, 40000.0), cfg, 7)
-    assert far.gain[0, 0] == pytest.approx(0.5 * near.gain[0, 0], rel=1e-12)
+    near = build_channel(_single_user_drop(cfg, 20000.0), cfg)
+    far = build_channel(_single_user_drop(cfg, 40000.0), cfg)
+    assert far.H[0, 0] == pytest.approx(0.5 * near.H[0, 0], rel=1e-12)
 
 
 def test_channel_scales_with_sqrt_gain():
     cfg = SystemConfig(n_beams=1, n_users=1)
     weak = dataclasses.replace(cfg, peak_beam_gain=cfg.peak_beam_gain * 1e-6)
-    strong = build_channel(_single_user_drop(cfg, cfg.sat_height_km), cfg, 7)
-    faded = build_channel(_single_user_drop(weak, weak.sat_height_km), weak, 7)
-    assert faded.gain[0, 0] == pytest.approx(1e-3 * strong.gain[0, 0], rel=1e-12)
+    strong = build_channel(_single_user_drop(cfg, cfg.sat_height_km), cfg)
+    faded = build_channel(_single_user_drop(weak, weak.sat_height_km), weak)
+    assert faded.H[0, 0] == pytest.approx(1e-3 * strong.H[0, 0], rel=1e-12)
 
 
-def test_channel_phase_structure(cfg):
-    drop = drop_users(cfg, 11)
-    chan = build_channel(drop, cfg, 11)
-    assert np.allclose(np.abs(chan.H), chan.gain, rtol=1e-14, atol=0.0)
-    assert np.allclose(chan.H, chan.gain * np.exp(1j * chan.phases)[None, :])
-    assert np.all(chan.gain > 0)
-    again = build_channel(drop, cfg, 11)
-    assert np.array_equal(chan.H, again.H)
+@pytest.mark.parametrize("n, seed", [(7, 1), (7, 8), (7, 23), (19, 4), (19, 31)])
+def test_column_phases_change_no_gain_or_power(n, seed):
+    # W(H Phi) = W(H) Phi for ZF and RZF, so a real channel loses nothing
+    system = SystemConfig(n_beams=n, n_users=n)
+    H = make_trial(system, seed).channel.H
+    assert np.isrealobj(H) and np.all(H >= 0)
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n))
+    H_phi = H * phases[None, :]
+    allocs = (allocators.equal_power, allocators.sum_opt, allocators.joint_opt,
+              allocators.satis_set_opt)
+    for make in (lambda h: make_zf(h, cond_cap=system.cond_cap),
+                 lambda h: make_rzf(h, system.noise_power_w, system.p_max_w)):
+        W, W_phi = make(H), make(H_phi)
+        q, q_phi = effective_gains(H, W), effective_gains(H_phi, W_phi)
+        np.testing.assert_allclose(q_phi, q, rtol=1e-12, atol=1e-12 * q.max())
+        for xi in (300.0, 700.0, 1100.0):  # crosses feasible and congested branches
+            qos = allocators.QoSProfile.uniform(xi, n)
+            for alloc in allocs:
+                p = alloc(H, W, qos, system).powers
+                p_phi = alloc(H_phi, W_phi, qos, system).powers
+                np.testing.assert_allclose(p_phi, p, rtol=1e-12, atol=1e-12 * system.p_max_w)
 
 
 def test_permittivity_frozen_values():
@@ -168,11 +225,11 @@ def test_cloud_attenuation_elevation_law():
 def test_apply_atmosphere_column_scaling():
     cfg = SystemConfig(atmospherics_enabled=True)
     drop = drop_users(cfg, 21)
-    chan = build_channel(drop, cfg, 21)
+    chan = build_channel(drop, cfg)
     out, state = apply_atmosphere(chan, drop, cfg, 21)
     scale = np.sqrt(state.rain_fades) / np.sqrt(10.0 ** (state.cloud_attens_db / 10.0))
     assert np.allclose(out.H, chan.H * scale[None, :])
-    assert np.allclose(np.abs(out.H), out.gain, rtol=1e-14, atol=0.0)
+    assert np.allclose(np.abs(out.H), out.H, rtol=1e-14, atol=0.0)
     assert np.all(state.rain_fades > 0)
     assert np.all(state.cloud_attens_db >= 0)
     # identity attenuation leaves a column untouched
@@ -184,6 +241,6 @@ def test_apply_atmosphere_column_scaling():
 
 def test_apply_atmosphere_requires_flag(cfg):
     drop = drop_users(cfg, 3)
-    chan = build_channel(drop, cfg, 3)
+    chan = build_channel(drop, cfg)
     with pytest.raises(InvalidConfigError):
         apply_atmosphere(chan, drop, cfg, 3)

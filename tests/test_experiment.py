@@ -254,6 +254,24 @@ def test_cli_rejects_unrunnable_config_at_parse_time(tmp_path, capsys, line):
     assert not (tmp_path / "out" / "per_trial.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["system.cond_cap = 1.5", "system.beam_3db_radius_km = 100000"])
+def test_cli_rejects_config_with_no_well_conditioned_drop(tmp_path, capsys, line):
+    # both parse, but no drop passes the conditioning test
+    cfg_path = _write_config(tmp_path, SMALL_CONFIG + line + "\n")
+    assert main(["run", "--config", cfg_path, "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "system.cond_cap" in err and "(seed 11)" in err
+    assert not (tmp_path / "out" / "per_trial.csv").exists()
+
+
+def test_dataset_x_is_the_whole_channel(tmp_path):
+    cfg = parse_config(_write_config(tmp_path, SMALL_CONFIG + "system.atmospherics = true\n"))
+    cfg.surrogate.n_train, cfg.surrogate.n_test = 3, 1
+    k, n = cfg.system.n_users, cfg.system.n_beams
+    for rec in load_dataset(gen_dataset(cfg)):
+        assert np.array_equal(rec.x.reshape(k, n).T, make_trial(cfg.system, rec.seed).channel.H)
+
+
 def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path, monkeypatch):
     from beamalloc import allocators
     from beamalloc.experiment import build_precoder

@@ -4,6 +4,7 @@ joint satisfied-set / sum-rate optimizers (generic, ZF and RZF variants).
 The joint optimizers prioritize the number of satisfied users over the sum
 rate (lexicographic weighting): satisfied users are pinned at exactly their
 demands and every remaining watt goes to the rest through water-filling.
+Every allocator takes the channel or its prebuilt Link for the precoder W.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def score_allocation(
 ) -> AllocationResult:
     """Score powers `p` with served rates `r` [Mbps] against the demands of
     `qos`; without a trace, the single entry is (|Q|, sum rate)."""
-    q = frozenset(int(i) for i in np.nonzero(satisfied_mask(r, qos.demands))[0])
+    q = frozenset(np.flatnonzero(satisfied_mask(r, qos.demands)).tolist())
     return AllocationResult(
         powers=p,
         satisfied=q,
@@ -103,30 +104,31 @@ def score_allocation(
     )
 
 
-def _finish(H, W, cfg, qos, p, strategy, iterations, trace=None, outcome=None):
-    return score_allocation(p, rates(H, W, p, cfg), qos, strategy, iterations, trace, outcome)
+def _finish(link, W, cfg, qos, p, strategy, iterations, trace=None, outcome=None):
+    return score_allocation(p, rates(link, W, p, cfg), qos, strategy, iterations, trace, outcome)
 
 
 def equal_power(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
     """Baseline: P_max/K to every user, no demand awareness."""
     k = len(qos.demands)
     p = np.full(k, cfg.p_max_w / k)
-    return _finish(H, W, cfg, qos, p, "equal", 0)
+    return _finish(effective_gains(H, W), W, cfg, qos, p, "equal", 0)
 
 
 def sum_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
     """Sum-rate maximization without demand constraints: water-filling on the
     interference-free rates (exact for ZF, an upper-bound heuristic for RZF;
     served rates are always re-evaluated with full interference)."""
-    gains = effective_gains(H, W)
-    c = cfg.noise_power_w / np.diag(gains)
+    link = effective_gains(H, W)
+    c = cfg.noise_power_w / link.g
     p = waterfill(c, cfg.p_max_w) if cfg.p_max_w > 0 else np.zeros_like(c)
-    return _finish(H, W, cfg, qos, p, "sumopt", 0)
+    return _finish(link, W, cfg, qos, p, "sumopt", 0)
 
 
 def _joint_zf(H, W, qos, cfg, strategy, surplus_equal):
     if W.kind != "zf":
         raise ValueError("ZF allocator requires a ZF precoder")
+    link = effective_gains(H, W)
     k = len(qos.demands)
     p_budget = cfg.p_max_w
     c = W.raw_norms**2 * cfg.noise_power_w
@@ -138,7 +140,7 @@ def _joint_zf(H, W, qos, cfg, strategy, surplus_equal):
             p = p_min + surplus / k
         else:
             p = p_min + waterfill(c, surplus)
-        return _finish(H, W, cfg, qos, p, strategy, 0, outcome="feasible_closed_form")
+        return _finish(link, W, cfg, qos, p, strategy, 0, outcome="feasible_closed_form")
     # congestion: largest ascending-cost prefix that fits the budget, ties
     # broken by user index
     order = np.argsort(p_min, kind="stable")
@@ -151,7 +153,7 @@ def _joint_zf(H, W, qos, cfg, strategy, surplus_equal):
     leftover = p_budget - p[members].sum()
     if rest.size:
         p[rest] = waterfill(c[rest], leftover)
-    return _finish(H, W, cfg, qos, p, strategy, 0, outcome="congested_growth")
+    return _finish(link, W, cfg, qos, p, strategy, 0, outcome="congested_growth")
 
 
 def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -162,7 +164,7 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
     return _joint_zf(H, W, qos, cfg, "joint", surplus_equal=False)
 
 
-def _surplus_with_demand_guard(H, W, qos, cfg, rep, c, surplus_equal):
+def _surplus_with_demand_guard(link, W, qos, cfg, rep, c, surplus_equal):
     """Top up the exact minimum-power solution of a feasible `rep` with the surplus.
 
     Water-filling (or equal-splitting) the surplus can push a user below its
@@ -179,7 +181,7 @@ def _surplus_with_demand_guard(H, W, qos, cfg, rep, c, surplus_equal):
     if surplus <= 0:
         return p_base, "feasible_closed_form"
     p = p_base + (surplus / k if surplus_equal else waterfill(c, surplus))
-    r = rates(H, W, p, cfg)
+    r = rates(link, W, p, cfg)
     violated = ~satisfied_mask(r, qos.demands)
     if not violated.any():
         return p, "feasible_closed_form"
@@ -189,7 +191,7 @@ def _surplus_with_demand_guard(H, W, qos, cfg, rep, c, surplus_equal):
             p_fix, ok = _solve_pinned(ds, pinned, p_budget, p)
             if not ok:
                 break
-            r_fix = rates(H, W, p_fix, cfg)
+            r_fix = rates(link, W, p_fix, cfg)
             still = ~satisfied_mask(r_fix, qos.demands)
             if not still.any():
                 return p_fix, "feasible_guard_repaired"
@@ -205,20 +207,21 @@ def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
     sigma2 = cfg.noise_power_w
     p_budget = cfg.p_max_w
     relaxed = qos.demands + qos.tolerances
-    ds = build_demand_system(H, W, relaxed, sigma2, cfg.bandwidth_mhz)
-    gains, alpha_rel = ds.Qm, ds.alpha
-    c = sigma2 / np.diag(gains)
+    link = effective_gains(H, W)
+    ds = build_demand_system(link, W, relaxed, sigma2, cfg.bandwidth_mhz)
+    gains, alpha_rel = link.Q, ds.alpha
+    c = sigma2 / link.g
     rep = check_feasible(ds, p_budget)
     if rep.feasible:
         # exact joint minimum powers for the relaxed demands (true rates hit
         # xi_k + omega_k, so the omega margin absorbs the surplus top-up)
-        p, outcome = _surplus_with_demand_guard(H, W, qos, cfg, rep, c, surplus_equal)
-        return _finish(H, W, cfg, qos, p, strategy, 0, outcome=outcome)
+        p, outcome = _surplus_with_demand_guard(link, W, qos, cfg, rep, c, surplus_equal)
+        return _finish(link, W, cfg, qos, p, strategy, 0, outcome=outcome)
     # congestion: grow the relaxed satisfied set, truncating each new member
     # to exactly its relaxed demand against the current interference; keep the
     # lexicographically best iterate (|Q| first, then sum rate) seen
     p = waterfill(c, p_budget)
-    r = rates(H, W, p, cfg)
+    r = rates(link, W, p, cfg)
     in_set = satisfied_mask(r, relaxed)
     newly = in_set.copy()
     trace = [(int(in_set.sum()), float(r.sum()))]
@@ -243,14 +246,14 @@ def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
         if not comp.any():
             break
         p[comp] = waterfill(c[comp], leftover) if leftover > 0 else 0.0
-        r = rates(H, W, p, cfg)
+        r = rates(link, W, p, cfg)
         if score(r) > best_score:
             best_p, best_score = p.copy(), score(r)
         joiners = comp & satisfied_mask(r, relaxed)
         in_set = in_set | joiners
         newly = joiners
         trace.append((int(in_set.sum()), float(r.sum())))
-    return _finish(H, W, cfg, qos, best_p, strategy, n, trace=trace, outcome=outcome)
+    return _finish(link, W, cfg, qos, best_p, strategy, n, trace=trace, outcome=outcome)
 
 
 def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -281,10 +284,11 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
     nu_s = ds.nu[s_idx]
     rq_ss = r_s[:, None] * gains[np.ix_(s_idx, s_idx)]
     a = np.eye(len(s_idx)) - rq_ss
+    q_sc, q_c, g_c = gains[np.ix_(s_idx, c_idx)], gains[c_idx], g_kk[c_idx]
     p = p_start.copy()
     for _ in range(_PINNED_MAX_INNER):
         p_old = p.copy()
-        interf_c = gains[np.ix_(s_idx, c_idx)] @ p[c_idx] if c_idx.size else 0.0
+        interf_c = q_sc @ p[c_idx] if c_idx.size else 0.0
         # the right-hand side is >= nu_s > 0
         p_s = m_matrix_solve(a, nu_s + r_s * interf_c)
         if p_s is None:
@@ -293,8 +297,8 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
         leftover = p_budget - p_s.sum()
         if c_idx.size:
             if leftover > 0:
-                interf = gains[c_idx] @ p - g_kk[c_idx] * p[c_idx]
-                p[c_idx] = waterfill((sigma2 + interf) / g_kk[c_idx], leftover)
+                interf = q_c @ p - g_c * p[c_idx]
+                p[c_idx] = waterfill((sigma2 + interf) / g_c, leftover)
             else:
                 p[c_idx] = 0.0
         if np.max(np.abs(p - p_old)) <= _PINNED_TOL * max(1.0, p_budget):
@@ -321,16 +325,17 @@ def joint_opt_generic(
     """
     k = len(qos.demands)
     p_budget = cfg.p_max_w
-    ds = build_demand_system(H, W, qos.demands, cfg.noise_power_w, cfg.bandwidth_mhz)
-    c_up = cfg.noise_power_w / np.diag(ds.Qm)
+    link = effective_gains(H, W)
+    ds = build_demand_system(link, W, qos.demands, cfg.noise_power_w, cfg.bandwidth_mhz)
+    c_up = cfg.noise_power_w / link.g
     rep = check_feasible(ds, p_budget)
     strategy = "satisset" if _surplus_equal else "joint_generic"
     if rep.feasible:
-        p, outcome = _surplus_with_demand_guard(H, W, qos, cfg, rep, c_up, _surplus_equal)
-        return _finish(H, W, cfg, qos, p, strategy, 0, outcome=outcome)
+        p, outcome = _surplus_with_demand_guard(link, W, qos, cfg, rep, c_up, _surplus_equal)
+        return _finish(link, W, cfg, qos, p, strategy, 0, outcome=outcome)
     # congestion: sum-rate initialization, then monotone set growth
     p = waterfill(c_up, p_budget)
-    r = rates(H, W, p, cfg)
+    r = rates(link, W, p, cfg)
     mask = satisfied_mask(r, qos.demands)
     trace = [(int(mask.sum()), float(r.sum()))]
     outcome = "congested_growth"
@@ -341,7 +346,7 @@ def joint_opt_generic(
         if not ok:
             outcome = "not_converged"
             break
-        r_new = rates(H, W, p_new, cfg)
+        r_new = rates(link, W, p_new, cfg)
         mask_new = satisfied_mask(r_new, qos.demands)
         if mask_new.sum() <= mask.sum():
             # rate crossings stalled; admit the cheapest affordable candidate
@@ -362,13 +367,13 @@ def joint_opt_generic(
                 trace.append((int(mask.sum()), float(r.sum())))
                 break
             p_new = best
-            r_new = rates(H, W, p_new, cfg)
+            r_new = rates(link, W, p_new, cfg)
             mask_new = satisfied_mask(r_new, qos.demands)
         p, r, mask = p_new, r_new, mask_new
         trace.append((int(mask.sum()), float(r.sum())))
         if mask.all():
             break
-    return _finish(H, W, cfg, qos, p, strategy, n, trace=trace, outcome=outcome)
+    return _finish(link, W, cfg, qos, p, strategy, n, trace=trace, outcome=outcome)
 
 
 def satis_set_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:

@@ -19,7 +19,7 @@ import numpy as np
 from . import allocators, metrics, surrogate
 from .channel import ChannelMatrix, UserDrop, apply_atmosphere, build_channel, drop_users
 from .config import InvalidConfigError, SystemConfig
-from .precoding import Precoder, PrecoderSingularError, make_rzf, make_zf
+from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
 
 _REDRAW_STRIDE = 2654435761  # seed offset per conditioning redraw
 _MAX_REDRAWS = 64
@@ -109,6 +109,10 @@ class ExperimentConfig:
             raise ConfigError("qos.sweep and qos.per_user demands must be > 0")
         if self.omega_frac < 0:
             raise ConfigError("qos.omega_frac must be >= 0")
+        xis = [xi for _, xi in self.demand_points()]
+        for key, xs in (("qos.sweep", xis[: len(self.qos_sweep)]), ("qos.per_user", xis)):
+            if len(set(xs)) < len(xs):
+                raise ConfigError(f"{key}: two demand points share a mean demand; their aggregate rows would merge")
         s = self.surrogate
         for ok, msg in (
             (s.n_train >= 1, "n_train must be >= 1"),
@@ -124,6 +128,14 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ConfigError(f"surrogate.{msg}")
+
+    def demand_points(self) -> list:
+        """(QoSProfile, mean demand xi_mbps) per qos.sweep value, then qos.per_user."""
+        qoss = [allocators.QoSProfile.uniform(xi, self.system.n_users, self.omega_frac)
+                for xi in self.qos_sweep]
+        if self.qos_per_user is not None:
+            qoss.append(allocators.QoSProfile.per_user(self.qos_per_user, self.omega_frac))
+        return [(qos, float(np.mean(qos.demands))) for qos in qoss]
 
 
 def _bool(text: str) -> bool:
@@ -253,28 +265,50 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _solve(strategy, trial, W, qos, system):
+def _solve(strategy, link, W, qos, system):
     """(result, wall ms) of one allocator call, looked up at call time."""
     allocate = getattr(allocators, KNOWN_STRATEGIES[strategy])
     t0 = time.perf_counter()
-    res = allocate(trial.channel, W, qos, system)
+    res = allocate(link, W, qos, system)
     return res, (time.perf_counter() - t0) * 1e3
+
+
+def _block_records(t, seed, pk, rows, sumopt_rates, record_timing):
+    """TrialRecords of one (trial, precoder) block from its rows of (strategy,
+    qos, xi_mbps, result, ms): sum rate, Jain and Lambda are reductions along
+    the last axis of the stacked (rows, K) rates."""
+    r = np.array([row[3].rates_mbps for row in rows])
+    sat = np.zeros(r.shape, dtype=bool)
+    for i, row in enumerate(rows):
+        sat[i, list(row[3].satisfied)] = True
+    sum_rate = r.sum(axis=-1)
+    jain = metrics.jain(r / np.array([row[1].demands for row in rows]))
+    lam = metrics.lambda_objective(r, sat.sum(axis=-1), sumopt_rates)
+    return [
+        metrics.TrialRecord(
+            t, seed, pk, strategy, xi, float(sum_rate[i]),
+            # compacted split sums: a masked row sum groups K >= 8 terms differently
+            float(r[i][sat[i]].sum()), float(r[i][~sat[i]].sum()),
+            len(res.satisfied), r.shape[1], res.congested, float(jain[i]), float(lam[i]),
+            ms if record_timing else 0.0,
+        )
+        for i, (strategy, _, xi, res, ms) in enumerate(rows)
+    ]
 
 
 def run_campaign(cfg: ExperimentConfig) -> dict:
     """Full Monte-Carlo sweep; writes the per-trial and aggregated CSVs and
-    returns their paths plus the in-memory records.  Demand-free strategies
+    returns their paths plus the in-memory records.  Each (trial, precoder)
+    builds its Link once and is scored as one block.  Demand-free strategies
     are solved once per (trial, precoder) and rescored per demand point, and
     satisset reuses joint's allocation when joint ran the congestion branch
     the two share; a reused row's runtime_ms is that of the solve it reuses."""
     cfg.validate()
     system = cfg.system
     os.makedirs(cfg.out_dir, exist_ok=True)
-    demand_points = [("uniform", xi) for xi in cfg.qos_sweep]
-    if cfg.qos_per_user is not None:
-        demand_points.append(("per_user", cfg.qos_per_user))
+    points = cfg.demand_points()
+    ref_qos = allocators.QoSProfile.uniform(1.0, system.n_users, cfg.omega_frac)
     records: list[metrics.TrialRecord] = []
-    k = system.n_users
     solve_order = sorted(cfg.strategies, key=lambda s: s != "joint")  # joint first
     shared = [s for s in DEMAND_FREE_STRATEGIES if s == "sumopt" or s in cfg.strategies]
     for t in range(cfg.n_trials):
@@ -282,14 +316,10 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
         trial = make_trial(system, seed)
         for pk in cfg.precoders:
             W = build_precoder(trial, system, pk)
-            ref_qos = allocators.QoSProfile.uniform(1.0, k, cfg.omega_frac)
-            fixed = {s: _solve(s, trial, W, ref_qos, system) for s in shared}
-            sumopt_res = fixed["sumopt"][0]
-            for kind, point in demand_points:
-                if kind == "uniform":
-                    qos = allocators.QoSProfile.uniform(point, k, cfg.omega_frac)
-                else:
-                    qos = allocators.QoSProfile.per_user(point, cfg.omega_frac)
+            link = effective_gains(trial.channel, W)
+            fixed = {s: _solve(s, link, W, ref_qos, system) for s in shared}
+            rows = []
+            for qos, xi in points:
                 cell = {}
                 for strategy in solve_order:
                     joint, joint_ms = cell.get("joint", (None, 0.0))
@@ -300,30 +330,10 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
                             and joint.outcome in allocators.CONGESTED_OUTCOMES:
                         res, ms = replace(joint, strategy=strategy), joint_ms
                     else:
-                        res, ms = _solve(strategy, trial, W, qos, system)
+                        res, ms = _solve(strategy, link, W, qos, system)
                     cell[strategy] = res, ms
-                for strategy in cfg.strategies:
-                    res, elapsed_ms = cell[strategy]
-                    sat = sorted(res.satisfied)
-                    unsat = [i for i in range(k) if i not in res.satisfied]
-                    records.append(
-                        metrics.TrialRecord(
-                            trial=t,
-                            seed=seed,
-                            precoder=pk,
-                            strategy=strategy,
-                            xi_mbps=float(np.mean(qos.demands)),
-                            sum_rate_mbps=float(res.rates_mbps.sum()),
-                            sum_rate_satisfied_mbps=float(res.rates_mbps[sat].sum()),
-                            sum_rate_unsatisfied_mbps=float(res.rates_mbps[unsat].sum()),
-                            n_satisfied=len(res.satisfied),
-                            n_users=k,
-                            congested=res.congested,
-                            jain=metrics.jain(res.rates_mbps / qos.demands),
-                            lambda_obj=metrics.lambda_objective(res, sumopt_res.rates_mbps),
-                            runtime_ms=elapsed_ms if cfg.record_timing else 0.0,
-                        )
-                    )
+                rows += [(s, qos, xi, *cell[s]) for s in cfg.strategies]
+            records += _block_records(t, seed, pk, rows, fixed["sumopt"][0].rates_mbps, cfg.record_timing)
     per_trial_path = os.path.join(cfg.out_dir, "per_trial.csv")
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
     _write_per_trial(per_trial_path, records)
@@ -368,10 +378,6 @@ def _write_aggregate(path, records):
 # ---------------------------------------------------------------------------
 # surrogate dataset / training / evaluation
 
-def _label_strategy(pk: str) -> str:
-    return f"joint_{pk}"
-
-
 def gen_dataset(cfg: ExperimentConfig) -> str:
     """Label (gain vector -> joint-optimizer powers) pairs, one trial per
     seed, for every configured precoder."""
@@ -380,11 +386,11 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     surr = cfg.surrogate
     n_total = surr.n_train + surr.n_test
     k = system.n_users
+    qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
     records = []
     for i in range(n_total):
         seed = cfg.base_seed + i
         trial = make_trial(system, seed)
-        qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
         for pk in cfg.precoders:
             W = build_precoder(trial, system, pk)
             res = allocators.joint_opt(trial.channel, W, qos, system)
@@ -393,7 +399,7 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
                     x=surrogate.gains_vector(trial.channel),
                     p_star=res.powers,
                     seed=seed,
-                    strategy=_label_strategy(pk),
+                    strategy=f"joint_{pk}",
                     xi=qos.demands,
                 )
             )
@@ -457,22 +463,23 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     model_sat = 0
     surro_rates = []
     surro_sat = 0
-    trials = []
+    links = []
     for rec in test_split:
         trial = make_trial(system, rec.seed)
         W = build_precoder(trial, system, pk)
-        trials.append((trial, W))
         t0 = time.perf_counter()
-        res = allocators.joint_opt(trial.channel, W, qos, system)
+        link = effective_gains(trial.channel, W)
+        res = allocators.joint_opt(link, W, qos, system)
         model_ms += (time.perf_counter() - t0) * 1e3
         model_rates.append(res.rates_mbps.sum())
         model_sat += len(res.satisfied)
+        links.append((link, W))
     gains = np.stack([rec.x for rec in test_split])
     t0 = time.perf_counter()
     powers = surrogate.predict_powers(model, gains, system.p_max_w)
     surro_ms_total = (time.perf_counter() - t0) * 1e3
-    for (trial, W), p in zip(trials, powers):
-        r = metrics.rates(trial.channel, W, p, system)
+    for (link, W), p in zip(links, powers):
+        r = metrics.rates(link, W, p, system)
         surro_rates.append(r.sum())
         surro_sat += int(allocators.satisfied_mask(r, qos.demands).sum())
 

@@ -67,17 +67,17 @@ class FeasibilityReport:
 def build_demand_system(
     H, precoder: Precoder, demands_mbps: np.ndarray, noise_power: float, bandwidth_mhz: float
 ) -> DemandSystem:
+    """(I - RQ) p = nu for the demands; `H` is a channel or the Link of `precoder`."""
     demands = np.asarray(demands_mbps, dtype=float)
     if np.any(demands <= 0):
         raise ValueError("demands must be strictly positive")
-    gains = effective_gains(H, precoder)
-    g_kk = np.diag(gains)
-    if np.any(g_kk <= 0):
+    link = effective_gains(H, precoder)
+    if np.any(link.g <= 0):
         raise DegenerateChannelError("zero effective gain |h_k^H w_k|^2")
     alpha = sinr_targets(demands, bandwidth_mhz)
-    r_diag = alpha / ((alpha + 1.0) * g_kk)
-    nu = alpha * noise_power / ((alpha + 1.0) * g_kk)
-    return DemandSystem(R=r_diag, Qm=gains, nu=nu, alpha=alpha, noise_power=noise_power)
+    r_diag = alpha / ((alpha + 1.0) * link.g)
+    nu = alpha * noise_power / ((alpha + 1.0) * link.g)
+    return DemandSystem(R=r_diag, Qm=link.Q, nu=nu, alpha=alpha, noise_power=noise_power)
 
 
 def m_matrix_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

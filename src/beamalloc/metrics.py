@@ -11,11 +11,11 @@ from .precoding import Precoder, effective_gains
 
 
 def sinr(H, precoder: Precoder, powers: np.ndarray, noise_power: float) -> np.ndarray:
-    """Per-user SINR with full mutual interference."""
+    """Per-user SINR with full mutual interference; `H` may be a Link."""
+    link = effective_gains(H, precoder)
     p = np.asarray(powers, dtype=float)
-    gains = effective_gains(H, precoder)
-    signal = p * np.diag(gains)
-    interference = gains @ p - signal
+    signal = p * link.g
+    interference = link.Q @ p - signal
     return signal / (interference + noise_power)
 
 
@@ -25,26 +25,28 @@ def rates(H, precoder: Precoder, powers: np.ndarray, cfg: SystemConfig) -> np.nd
     return cfg.bandwidth_mhz * np.log2(1.0 + g)
 
 
-def jain(satisfaction_ratios: np.ndarray) -> float:
-    """Jain's fairness index (sum o)^2 / (K sum o^2) over ratios o_k >= 0."""
+def jain(satisfaction_ratios: np.ndarray) -> np.ndarray:
+    """Jain's fairness index (sum o)^2 / (K sum o^2) over ratios o_k >= 0 along
+    the last axis: one value per row of a (rows, K) block, a scalar for (K,)."""
     o = np.asarray(satisfaction_ratios, dtype=float)
     if np.any(o < 0):
         raise ValueError("satisfaction ratios must be nonnegative")
-    s2 = float(np.sum(o**2))
-    if s2 == 0.0:
+    s2 = np.sum(o**2, axis=-1)
+    if np.any(s2 == 0.0):
         raise ValueError("Jain's index undefined for all-zero ratios")
-    return float(np.sum(o)) ** 2 / (o.size * s2)
+    return np.float_power(np.sum(o, axis=-1), 2) / (o.shape[-1] * s2)  # libm pow, as float ** 2
 
 
-def lambda_objective(result, sumopt_rates_mbps: np.ndarray) -> float:
+def lambda_objective(rates_mbps: np.ndarray, n_satisfied, sumopt_rates_mbps: np.ndarray):
     """Normalized joint objective against a paired sum-rate-optimal run:
-    Lambda = Omega*(|Q|/K + sum(R)/S), Omega = K*S/(K+S), S = sum-opt rate."""
+    Lambda = Omega*(|Q|/K + sum(R)/S), Omega = K*S/(K+S), S = sum-opt rate.
+    Rates along the last axis; one row per entry of `n_satisfied` (= |Q|)."""
     s = float(np.sum(sumopt_rates_mbps))
     if s <= 0:
         raise ValueError("sum-rate reference is zero; objective undefined")
-    k = len(result.rates_mbps)
+    k = np.shape(rates_mbps)[-1]
     omega = k * s / (k + s)
-    return omega * (len(result.satisfied) / k + float(np.sum(result.rates_mbps)) / s)
+    return omega * (np.asarray(n_satisfied) / k + np.sum(rates_mbps, axis=-1) / s)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,23 @@ def make_rzf(H, noise_power: float, p_max: float) -> Precoder:
     return _solve_normalized(Hm, gram, "rzf", rho)
 
 
-def effective_gains(H, precoder: Precoder) -> np.ndarray:
-    """(K, K) matrix of |h_k^H w_l|^2; diagonal holds the useful gains."""
+@dataclass(frozen=True)
+class Link:
+    """Effective gains of one channel under `precoder`: Q[k, l] = |h_k^H w_l|^2
+    (read-only) and the useful gains g = diag Q."""
+
+    precoder: Precoder
+    Q: np.ndarray
+    g: np.ndarray
+
+
+def effective_gains(H, precoder: Precoder) -> Link:
+    """The Link of channel `H` under `precoder`; a Link for it passes through."""
+    if isinstance(H, Link):
+        if H.precoder is not precoder:
+            raise ValueError("Link was built for a different precoder")
+        return H
     Hm = _as_matrix(H)
-    return np.abs(Hm.conj().T @ precoder.W) ** 2
+    Q = np.abs(Hm.conj().T @ precoder.W) ** 2
+    Q.flags.writeable = False
+    return Link(precoder=precoder, Q=Q, g=np.diag(Q))

@@ -40,7 +40,7 @@ class NormStats:
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    x: np.ndarray  # stacked |h_kn| gains, length K*N
+    x: np.ndarray  # the whole channel, user-major: x.reshape(K, N).T == H
     p_star: np.ndarray  # label powers, length K
     seed: int
     strategy: str

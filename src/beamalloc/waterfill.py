@@ -16,7 +16,7 @@ def waterfill(inverse_gains: np.ndarray, budget: float) -> np.ndarray:
     c = np.asarray(inverse_gains, dtype=float)
     if c.size == 0:
         raise ValueError("water-filling needs at least one channel")
-    if np.any(c <= 0) or not np.all(np.isfinite(c)):
+    if not (c.min() > 0 and c.max() < np.inf):  # NaN fails both
         raise ValueError("inverse gains must be finite and strictly positive")
     P = float(budget)
     if not 0.0 <= P < np.inf:

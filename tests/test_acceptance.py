@@ -275,7 +275,7 @@ def test_criterion_07_trend_reproduction():
                     cong += int(not mask.all())
                     sat += int(mask.sum())
                     jains.append(jain(res.rates_mbps / qos.demands))
-                    lams.append(lambda_objective(res, so_rates))
+                    lams.append(lambda_objective(res.rates_mbps, len(res.satisfied), so_rates))
                 stats[(kind, strategy, xi)] = (
                     cong / n_trials,
                     sat / (n_trials * k),

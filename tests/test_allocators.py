@@ -15,9 +15,11 @@ from beamalloc.allocators import (
     satisfied_mask,
     sum_opt,
 )
-from beamalloc.feasibility import sinr_targets
+from beamalloc.feasibility import build_demand_system, sinr_targets
 from beamalloc.metrics import rates
-from beamalloc.precoding import Precoder, PrecoderSingularError, make_rzf, make_zf
+from beamalloc.precoding import (
+    Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
+)
 from beamalloc.waterfill import waterfill
 from conftest import make_instance, random_channel
 from oracles import simplex_grid_best, waterfill_objective
@@ -443,3 +445,50 @@ def test_rzf_iteration_cap_reports_not_converged(monkeypatch):
     res = joint_opt(*case)
     assert (res.outcome, res.converged, res.iterations) == ("not_converged", False, 0)
     assert np.array_equal(satis_set_opt(*case).powers, res.powers)
+
+
+# seeds from test_joint_reports_outcome, so every joint branch runs on a Link
+@pytest.mark.parametrize(
+    "kind, seeds",
+    [("zf", (0, 1, 5)), ("rzf", (0, 4, 418)), ("mrt", (1, 8, 12))],
+)
+def test_prebuilt_link_gives_the_channel_results(kind, seeds):
+    for seed in seeds:
+        H, W, qos, cfg = _seeded_case(seed, kind)
+        link = effective_gains(H, W)
+        allocs = [equal_power, sum_opt, joint_opt, joint_opt_generic, satis_set_opt]
+        allocs += {"zf": [joint_opt_zf], "rzf": [joint_opt_rzf]}.get(kind, [])
+        for alloc in allocs:
+            a, b = alloc(H, W, qos, cfg), alloc(link, W, qos, cfg)
+            assert np.array_equal(a.powers, b.powers) and np.array_equal(a.rates_mbps, b.rates_mbps)
+            assert (a.satisfied, a.trace, a.iterations, a.outcome) == (
+                b.satisfied, b.trace, b.iterations, b.outcome
+            )
+        p = np.random.default_rng(seed).uniform(0.0, cfg.p_max_w, size=len(qos.demands))
+        assert np.array_equal(rates(H, W, p, cfg), rates(link, W, p, cfg))
+        ds_h = build_demand_system(H, W, qos.demands, cfg.noise_power_w, cfg.bandwidth_mhz)
+        ds_l = build_demand_system(link, W, qos.demands, cfg.noise_power_w, cfg.bandwidth_mhz)
+        for name in ("R", "Qm", "nu", "alpha"):
+            assert np.array_equal(getattr(ds_h, name), getattr(ds_l, name))
+
+
+def test_link_is_read_only_and_bound_to_its_precoder():
+    H, W, qos, cfg = _seeded_case(0, "zf")
+    link = effective_gains(H, W)
+    assert np.array_equal(link.g, np.diag(link.Q))
+    with pytest.raises(ValueError):
+        link.Q[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        link.g[0] = 1.0
+    other = make_rzf(H, cfg.noise_power_w, cfg.p_max_w)
+    assert effective_gains(link, W) is link
+    with pytest.raises(ValueError, match="different precoder"):
+        effective_gains(link, other)
+    for call in (
+        lambda: joint_opt(link, other, qos, cfg),
+        lambda: equal_power(link, other, qos, cfg),
+        lambda: rates(link, other, np.ones(len(qos.demands)), cfg),
+        lambda: build_demand_system(link, other, qos.demands, 1.0, cfg.bandwidth_mhz),
+    ):
+        with pytest.raises(ValueError, match="different precoder"):
+            call()

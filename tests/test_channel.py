@@ -198,7 +198,7 @@ def test_column_phases_change_no_gain_or_power(n, seed):
     for make in (lambda h: make_zf(h, cond_cap=system.cond_cap),
                  lambda h: make_rzf(h, system.noise_power_w, system.p_max_w)):
         W, W_phi = make(H), make(H_phi)
-        q, q_phi = effective_gains(H, W), effective_gains(H_phi, W_phi)
+        q, q_phi = effective_gains(H, W).Q, effective_gains(H_phi, W_phi).Q
         np.testing.assert_allclose(q_phi, q, rtol=1e-12, atol=1e-12 * q.max())
         for xi in (300.0, 700.0, 1100.0):  # crosses feasible and congested branches
             qos = allocators.QoSProfile.uniform(xi, n)

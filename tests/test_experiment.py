@@ -245,6 +245,9 @@ def test_sum_rate_split_adds_up(tmp_path):
         "surrogate.val_fraction = 0.99",  # 40 samples, all of them for validation
         "surrogate.seed = -1",
         "base_seed = -3",
+        # two demand points with one mean demand would merge into one aggregate row
+        "qos.sweep = 300, 900, 300",
+        "qos.per_user = 100, 200, 300, 400, 500, 300, 300",  # mean 300, a sweep value
     ],
 )
 def test_cli_rejects_unrunnable_config_at_parse_time(tmp_path, capsys, line):
@@ -252,6 +255,27 @@ def test_cli_rejects_unrunnable_config_at_parse_time(tmp_path, capsys, line):
     assert main(["run", "--config", cfg_path, "--trials", "1"]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "per_trial.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        ("qos.sweep = 300, 900, 300", "qos.sweep"),
+        ("qos.sweep = 200, 400\nqos.per_user = 100, 200, 300, 400, 500, 600, 700", "qos.per_user"),
+    ],
+)
+def test_colliding_demand_points_name_their_key(tmp_path, lines, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(_write_config(tmp_path, SMALL_CONFIG + lines + "\n"))
+    # distinct mean demands run, one aggregate row per demand point
+    text = SMALL_CONFIG + "qos.sweep = 200, 400\nqos.per_user = 100, 200, 300, 400, 500, 600, 800\n"
+    cfg = parse_config(_write_config(tmp_path, text))
+    cfg.n_trials = 2
+    run_campaign(cfg)
+    with open(tmp_path / "out" / "aggregate.csv") as fh:
+        rows = fh.read().splitlines()[1:]
+    assert len(rows) == 3 * len(cfg.precoders) * len(cfg.strategies)
+    assert all(row.split(",")[3] == "2" for row in rows)
 
 
 @pytest.mark.parametrize("line", ["system.cond_cap = 1.5", "system.beam_3db_radius_km = 100000"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from beamalloc import QoSProfile, SystemConfig
-from beamalloc.allocators import sum_opt
+from beamalloc.allocators import AllocationResult, sum_opt
+from beamalloc.experiment import _block_records
 from beamalloc.metrics import (
     TrialRecord,
     aggregate,
@@ -82,46 +84,37 @@ def test_jain_rejects_degenerate():
         jain(np.array([1.0, -0.1]))
 
 
-class _FakeResult:
-    def __init__(self, rates_mbps, satisfied):
-        self.rates_mbps = np.asarray(rates_mbps, dtype=float)
-        self.satisfied = frozenset(satisfied)
-
-
 def test_lambda_for_sum_opt_itself_with_all_satisfied(cfg):
     H, W = make_instance(cfg, 3)
     res = sum_opt(H, W, QoSProfile.uniform(100.0, 7), cfg)
     assert res.satisfied == frozenset(range(7))
     s = res.rates_mbps.sum()
     omega = 7 * s / (7 + s)
-    assert lambda_objective(res, res.rates_mbps) == pytest.approx(2 * omega)
+    assert lambda_objective(res.rates_mbps, len(res.satisfied), res.rates_mbps) == pytest.approx(2 * omega)
 
 
 def test_lambda_zero_when_nothing_served():
     ref = np.array([100.0, 200.0])
-    assert lambda_objective(_FakeResult([0.0, 0.0], []), ref) == 0.0
+    assert lambda_objective(np.array([0.0, 0.0]), 0, ref) == 0.0
 
 
 def test_lambda_mixed_case_formula():
-    res = _FakeResult([150.0, 80.0, 40.0], [0])
     ref = np.array([200.0, 90.0, 60.0])
     s = ref.sum()
     omega = 3 * s / (3 + s)
     expect = omega * (1.0 / 3.0 + 270.0 / s)
-    assert lambda_objective(res, ref) == pytest.approx(expect, rel=1e-12)
+    assert lambda_objective(np.array([150.0, 80.0, 40.0]), 1, ref) == pytest.approx(expect, rel=1e-12)
 
 
 def test_lambda_requires_nonzero_reference():
     with pytest.raises(ValueError):
-        lambda_objective(_FakeResult([1.0], [0]), np.zeros(1))
+        lambda_objective(np.array([1.0]), 1, np.zeros(1))
 
 
 def test_lambda_ratio_terms_scale_invariant():
-    res = _FakeResult([150.0, 80.0], [0])
     ref = np.array([200.0, 90.0])
-    a = lambda_objective(res, ref)
-    res2 = _FakeResult([300.0, 160.0], [0])
-    b = lambda_objective(res2, ref * 2)
+    a = lambda_objective(np.array([150.0, 80.0]), 1, ref)
+    b = lambda_objective(np.array([300.0, 160.0]), 1, ref * 2)
     s1, s2 = ref.sum(), 2 * ref.sum()
     # Omega changes with the scale but the bracketed terms do not
     assert a / (2 * s1 / (2 + s1)) == pytest.approx(b / (2 * s2 / (2 + s2)))
@@ -169,3 +162,69 @@ def test_aggregate_means():
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
         aggregate([])
+
+
+def _per_record_reference(r, demands, satisfied, sumopt_rates):
+    """The scalar per-record formulas the block scoring replaces:
+    (sum rate, satisfied and unsatisfied sums, Jain, Lambda)."""
+    k = r.size
+    o = r / demands
+    jain_ref = float(np.sum(o)) ** 2 / (o.size * float(np.sum(o**2)))
+    s = float(np.sum(sumopt_rates))
+    lam_ref = k * s / (k + s) * (len(satisfied) / k + float(np.sum(r)) / s)
+    sat = sorted(satisfied)
+    unsat = [i for i in range(k) if i not in satisfied]
+    return float(r.sum()), float(r[sat].sum()), float(r[unsat].sum()), jain_ref, lam_ref
+
+
+def _check_block(rng, n_rows, k):
+    r = rng.uniform(0.0, 3000.0, size=(n_rows, k)) * (rng.random((n_rows, k)) < 0.9)
+    r[:, 0] += 1e-3  # Jain needs a nonzero ratio per row
+    demands = rng.uniform(50.0, 1500.0, size=(n_rows, k))
+    masks = rng.random((n_rows, k)) < rng.random((n_rows, 1))
+    sumopt_rates = rng.uniform(1.0, 3000.0, size=k)
+    rows = []
+    for i in range(n_rows):
+        sat = frozenset(np.flatnonzero(masks[i]).tolist())
+        res = AllocationResult(
+            powers=np.zeros(k), satisfied=sat, rates_mbps=r[i].copy(), iterations=0,
+            trace=(), strategy="joint", congested=len(sat) < k,
+        )
+        rows.append(("joint", QoSProfile.per_user(demands[i]), 1.0, res, 0.0))
+    records = _block_records(0, 1, "zf", rows, sumopt_rates, False)
+    jains = jain(r / demands)
+    lams = lambda_objective(r, masks.sum(axis=-1), sumopt_rates)
+    for i, rec in enumerate(records):
+        ref = _per_record_reference(r[i], demands[i], rows[i][3].satisfied, sumopt_rates)
+        got = (rec.sum_rate_mbps, rec.sum_rate_satisfied_mbps, rec.sum_rate_unsatisfied_mbps,
+               rec.jain, rec.lambda_obj)
+        assert got == ref
+        # one row is the scalar case, equal to its row of the block
+        assert jain(r[i] / demands[i]) == jains[i] == ref[3]
+        assert lambda_objective(r[i], int(masks[i].sum()), sumopt_rates) == lams[i] == ref[4]
+        assert rec.n_satisfied == len(rows[i][3].satisfied)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 40), n_rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@example(k=8, n_rows=30, seed=0)
+@example(k=37, n_rows=30, seed=1)
+def test_block_scoring_equals_per_record_scoring(k, n_rows, seed):
+    _check_block(np.random.default_rng(seed), n_rows, k)
+
+
+def test_block_scoring_is_bit_equal_on_many_rows():
+    # a masked row sum (K >= 8) or x * x in place of libm pow in Jain each
+    # differ from the per-record results in the last bit on some of these rows
+    rng = np.random.default_rng(2024)
+    for k in (7, 19, 37):
+        _check_block(rng, 4000, k)
+
+
+def test_jain_and_lambda_check_every_row():
+    with pytest.raises(ValueError):
+        jain(np.array([[1.0, 2.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        jain(np.array([[1.0, 2.0], [1.0, -0.5]]))
+    with pytest.raises(ValueError):
+        lambda_objective(np.ones((2, 3)), np.array([1, 2]), np.zeros(3))

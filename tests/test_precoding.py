@@ -86,8 +86,8 @@ def test_phase_rotation_leaves_gains_invariant():
     H2 = H.copy()
     H2[:, 2] *= np.exp(1j * 0.7)
     for make in (make_zf, lambda h: make_rzf(h, 1.0, 10.0)):
-        g1 = effective_gains(H, make(H))
-        g2 = effective_gains(H2, make(H2))
+        g1 = effective_gains(H, make(H)).Q
+        g2 = effective_gains(H2, make(H2)).Q
         assert np.allclose(g1, g2, rtol=1e-10)
 
 

@@ -25,8 +25,11 @@ def test_zero_budget():
 def test_bad_inputs():
     with pytest.raises(ValueError):
         waterfill(np.array([]), 1.0)
-    with pytest.raises(ValueError):
-        waterfill(np.array([1.0, -1.0]), 1.0)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="inverse gains must be finite and strictly positive"):
+            waterfill(np.array([1.0, bad, 2.0]), 1.0)
+        with pytest.raises(ValueError, match="inverse gains must be finite and strictly positive"):
+            waterfill(np.array([bad]), 1.0)
     with pytest.raises(ValueError):
         waterfill(np.array([1.0]), -0.5)
     with pytest.raises(ValueError):

@@ -44,10 +44,10 @@ class QoSProfile:
     def __post_init__(self):
         d = np.asarray(self.demands, dtype=float)
         t = np.asarray(self.tolerances, dtype=float)
-        if np.any(d <= 0):
-            raise ValueError("demands must be strictly positive")
-        if np.any(t < 0):
-            raise ValueError("tolerances must be nonnegative")
+        if not np.all(np.isfinite(d) & (d > 0)):
+            raise ValueError("demands must be finite and strictly positive")
+        if not np.all(np.isfinite(t) & (t >= 0)):
+            raise ValueError("tolerances must be finite and nonnegative")
         if d.shape != t.shape:
             raise ValueError("demands and tolerances must have equal length")
         object.__setattr__(self, "demands", d)
@@ -72,7 +72,6 @@ class AllocationResult:
     iterations: int
     trace: tuple  # ((|Q|, sum rate) per iterate)
     strategy: str
-    congested: bool
     # joint and satisset only: feasible_closed_form, feasible_guard_repaired,
     # feasible_guard_scaled, congested_growth or not_converged
     outcome: str | None = None
@@ -81,16 +80,19 @@ class AllocationResult:
     def converged(self) -> bool:
         return self.outcome != "not_converged"
 
+    @property
+    def congested(self) -> bool:
+        return len(self.satisfied) < len(self.rates_mbps)
+
 
 def satisfied_mask(rates_mbps: np.ndarray, demands: np.ndarray) -> np.ndarray:
     return rates_mbps >= demands * (1.0 - RATE_REL_TOL)
 
 
-def score_allocation(
-    p, r, qos: QoSProfile, strategy, iterations=0, trace=None, outcome=None
-) -> AllocationResult:
-    """Score powers `p` with served rates `r` [Mbps] against the demands of
-    `qos`; without a trace, the single entry is (|Q|, sum rate)."""
+def _finish(link, W, cfg, qos, p, strategy, iterations, trace=None, outcome=None):
+    """Score powers `p` against the demands of `qos` on served rates with full
+    interference; without a trace, the single entry is (|Q|, sum rate)."""
+    r = rates(link, W, p, cfg)
     q = frozenset(np.flatnonzero(satisfied_mask(r, qos.demands)).tolist())
     return AllocationResult(
         powers=p,
@@ -99,13 +101,8 @@ def score_allocation(
         iterations=iterations,
         trace=tuple(trace) if trace else ((len(q), float(r.sum())),),
         strategy=strategy,
-        congested=len(q) < len(qos.demands),
         outcome=outcome,
     )
-
-
-def _finish(link, W, cfg, qos, p, strategy, iterations, trace=None, outcome=None):
-    return score_allocation(p, rates(link, W, p, cfg), qos, strategy, iterations, trace, outcome)
 
 
 def equal_power(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -121,7 +118,7 @@ def sum_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationRes
     served rates are always re-evaluated with full interference)."""
     link = effective_gains(H, W)
     c = cfg.noise_power_w / link.g
-    p = waterfill(c, cfg.p_max_w) if cfg.p_max_w > 0 else np.zeros_like(c)
+    p = waterfill(c, cfg.p_max_w)
     return _finish(link, W, cfg, qos, p, "sumopt", 0)
 
 
@@ -245,7 +242,7 @@ def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
         comp = ~in_set
         if not comp.any():
             break
-        p[comp] = waterfill(c[comp], leftover) if leftover > 0 else 0.0
+        p[comp] = waterfill(c[comp], leftover)
         r = rates(link, W, p, cfg)
         if score(r) > best_score:
             best_p, best_score = p.copy(), score(r)

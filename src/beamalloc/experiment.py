@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -52,19 +52,14 @@ class ConfigError(InvalidConfigError):
 
 
 @dataclass
-class SurrogateSection:
+class SurrogateSection(surrogate.TrainingConfig):
+    """The `surrogate.*` keys: the training settings plus the dataset split."""
+
     n_train: int = 5000
     n_test: int = 1000
     xi_mbps: float = 250.0
     dataset_path: str = "dataset.jsonl"
     model_dir: str = "."
-    hidden: tuple = (128, 64)
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    epochs: int = 200
-    patience: int = 10
-    val_fraction: float = 0.1
-    seed: int = 0
 
 
 @dataclass
@@ -116,8 +111,10 @@ class ExperimentConfig:
         s = self.surrogate
         for ok, msg in (
             (s.n_train >= 1, "n_train must be >= 1"),
+            (s.n_test >= 0, "n_test must be >= 0"),
             (s.batch_size >= 1, "batch_size must be >= 1"),
             (s.epochs >= 1, "epochs must be >= 1"),
+            (s.patience >= 1, "patience must be >= 1"),
             (all(h >= 1 for h in s.hidden), "hidden widths must be >= 1"),
             (0 <= s.val_fraction < 1, "val_fraction must be in [0, 1)"),
             (s.n_train < 2 or round(s.val_fraction * s.n_train) < s.n_train,
@@ -275,34 +272,37 @@ def _solve(strategy, link, W, qos, system):
 
 def _block_records(t, seed, pk, rows, sumopt_rates, record_timing):
     """TrialRecords of one (trial, precoder) block from its rows of (strategy,
-    qos, xi_mbps, result, ms): sum rate, Jain and Lambda are reductions along
-    the last axis of the stacked (rows, K) rates."""
+    qos, xi_mbps, result, ms): the satisfied mask, sum rate, Jain and Lambda
+    are computed along the last axis of the stacked (rows, K) rates."""
     r = np.array([row[3].rates_mbps for row in rows])
-    sat = np.zeros(r.shape, dtype=bool)
-    for i, row in enumerate(rows):
-        sat[i, list(row[3].satisfied)] = True
+    demands = np.array([row[1].demands for row in rows])
+    sat = allocators.satisfied_mask(r, demands)
+    n_sat = sat.sum(axis=-1)
     sum_rate = r.sum(axis=-1)
-    jain = metrics.jain(r / np.array([row[1].demands for row in rows]))
-    lam = metrics.lambda_objective(r, sat.sum(axis=-1), sumopt_rates)
+    jain = metrics.jain(r / demands)
+    lam = metrics.lambda_objective(r, n_sat, sumopt_rates)
+    k = r.shape[1]
     return [
         metrics.TrialRecord(
             t, seed, pk, strategy, xi, float(sum_rate[i]),
             # compacted split sums: a masked row sum groups K >= 8 terms differently
             float(r[i][sat[i]].sum()), float(r[i][~sat[i]].sum()),
-            len(res.satisfied), r.shape[1], res.congested, float(jain[i]), float(lam[i]),
+            int(n_sat[i]), k, bool(n_sat[i] < k), float(jain[i]), float(lam[i]),
             ms if record_timing else 0.0,
         )
-        for i, (strategy, _, xi, res, ms) in enumerate(rows)
+        for i, (strategy, _, xi, _, ms) in enumerate(rows)
     ]
 
 
 def run_campaign(cfg: ExperimentConfig) -> dict:
     """Full Monte-Carlo sweep; writes the per-trial and aggregated CSVs and
     returns their paths plus the in-memory records.  Each (trial, precoder)
-    builds its Link once and is scored as one block.  Demand-free strategies
-    are solved once per (trial, precoder) and rescored per demand point, and
-    satisset reuses joint's allocation when joint ran the congestion branch
-    the two share; a reused row's runtime_ms is that of the solve it reuses."""
+    builds its Link once and is scored as one block.  A row keeps the
+    (result, ms) of the solve that produced its powers: demand-free
+    strategies are solved once per (trial, precoder) and that solve serves
+    every demand point, and satisset reuses joint's solve when joint ran the
+    congestion branch the two share.  Rows are scored against their own
+    demands, so a reused result's satisfied set is never read."""
     cfg.validate()
     system = cfg.system
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -320,18 +320,14 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
             fixed = {s: _solve(s, link, W, ref_qos, system) for s in shared}
             rows = []
             for qos, xi in points:
-                cell = {}
+                cell = dict(fixed)
                 for strategy in solve_order:
-                    joint, joint_ms = cell.get("joint", (None, 0.0))
-                    if strategy in fixed:
-                        base, ms = fixed[strategy]
-                        res = allocators.score_allocation(base.powers, base.rates_mbps, qos, strategy)
-                    elif strategy == "satisset" and joint is not None \
-                            and joint.outcome in allocators.CONGESTED_OUTCOMES:
-                        res, ms = replace(joint, strategy=strategy), joint_ms
-                    else:
-                        res, ms = _solve(strategy, link, W, qos, system)
-                    cell[strategy] = res, ms
+                    joint = cell.get("joint")
+                    if strategy == "satisset" and joint is not None \
+                            and joint[0].outcome in allocators.CONGESTED_OUTCOMES:
+                        cell[strategy] = joint
+                    elif strategy not in cell:
+                        cell[strategy] = _solve(strategy, link, W, qos, system)
                 rows += [(s, qos, xi, *cell[s]) for s in cfg.strategies]
             records += _block_records(t, seed, pk, rows, fixed["sumopt"][0].rates_mbps, cfg.record_timing)
     per_trial_path = os.path.join(cfg.out_dir, "per_trial.csv")
@@ -417,21 +413,12 @@ def train_models(cfg: ExperimentConfig) -> dict:
     records = surrogate.load_dataset(path)
     if not records:
         raise ConfigError(f"{path}: dataset is empty")
-    tcfg = surrogate.TrainingConfig(
-        hidden=surr.hidden,
-        batch_size=surr.batch_size,
-        learning_rate=surr.learning_rate,
-        max_epochs=surr.epochs,
-        patience=surr.patience,
-        val_fraction=surr.val_fraction,
-        seed=surr.seed,
-    )
     out = {}
     os.makedirs(os.path.join(cfg.out_dir, surr.model_dir), exist_ok=True)
     for strategy in sorted({r.strategy for r in records}):
         group = [r for r in records if r.strategy == strategy]
         train_split = group[: surr.n_train]
-        model, report = surrogate.train(train_split, tcfg)
+        model, report = surrogate.train(train_split, surr)
         model_path = os.path.normpath(
             os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.json")
         )
@@ -495,16 +482,3 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     path = os.path.join(cfg.out_dir, f"eval_{pk}.csv")
     _write_csv(path, EVAL_COLUMNS, rows)
     return path
-
-
-def train_and_eval(cfg: ExperimentConfig) -> dict:
-    """Dataset -> trained model(s) -> eval CSV(s)."""
-    trained = train_models(cfg)
-    out = {}
-    for strategy, (model_path, report) in trained.items():
-        out[strategy] = {
-            "model": model_path,
-            "eval": eval_model(cfg, model_path),
-            "report": report,
-        }
-    return out

@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocators import score_allocation
-from .config import SystemConfig
-from .metrics import rates
-from .precoding import Precoder
-
 MODEL_FORMAT_VERSION = 1
 
 # Adam moment decay rates and denominator guard
@@ -64,7 +59,7 @@ class TrainingConfig:
     hidden: tuple = (128, 64)
     batch_size: int = 256
     learning_rate: float = 1e-3
-    max_epochs: int = 200
+    epochs: int = 200
     patience: int = 10
     val_fraction: float = 0.1
     seed: int = 0
@@ -228,7 +223,7 @@ def train(
     stale = 0
     step = 0
     n_tr = len(train_idx)
-    for epoch in range(tcfg.max_epochs):
+    for epoch in range(tcfg.epochs):
         order = rng.permutation(n_tr)
         epoch_loss = 0.0
         for lo in range(0, n_tr, tcfg.batch_size):
@@ -273,12 +268,6 @@ def predict_powers(model: SurrogateModel, gains: np.ndarray, p_max_total: float)
     """Gain vector(s) -> budget-tight power vector(s)."""
     raw = forward(model, normalize(gains, model.norm_stats))
     return project_budget(denormalize_powers(raw, model.norm_stats), p_max_total)[0]
-
-
-def predict(model: SurrogateModel, channel, W: Precoder, qos, cfg: SystemConfig):
-    """Full pipeline to an AllocationResult (rates use true interference)."""
-    p = predict_powers(model, gains_vector(channel), cfg.p_max_w)
-    return score_allocation(p, rates(channel, W, p, cfg), qos, "surrogate")
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def test_criterion_08_surrogate_quality():
         )
     model, _ = train(
         records[:n_train],
-        TrainingConfig(hidden=(128, 64), max_epochs=150, patience=10, seed=7),
+        TrainingConfig(hidden=(128, 64), epochs=150, patience=10, seed=7),
     )
     test = records[n_train:]
     x_te = np.stack([r.x for r in test])

@@ -358,6 +358,13 @@ def test_qos_profile_validation():
         QoSProfile(demands=np.array([100.0, 0.0]), tolerances=np.zeros(2))
     with pytest.raises(ValueError):
         QoSProfile(demands=np.array([100.0]), tolerances=np.array([-1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            QoSProfile.uniform(bad, 7)
+        with pytest.raises(ValueError, match="finite"):
+            QoSProfile.per_user([100.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            QoSProfile(demands=np.array([100.0]), tolerances=np.array([bad]))
     q = QoSProfile.uniform(250.0, 3)
     assert np.allclose(q.tolerances, 5.0)  # default 2% relaxation
 

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from beamalloc.experiment import (
     make_trial,
     parse_config,
     run_campaign,
-    train_and_eval,
     train_models,
 )
 from beamalloc.config import SystemConfig
@@ -141,19 +142,22 @@ def test_gen_dataset_and_labels(tmp_path):
     assert all(np.array_equal(a.x, b.x) for a, b in zip(records, again))
 
 
-def test_train_and_eval_pipeline(tmp_path):
-    text = SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = zf")
+@pytest.mark.parametrize("pk", ["zf", "rzf"])
+def test_train_and_eval_pipeline(tmp_path, pk):
+    text = SMALL_CONFIG.replace("precoders = zf, rzf", f"precoders = {pk}")
     cfg = parse_config(_write_config(tmp_path, text))
     gen_dataset(cfg)
     trained = train_models(cfg)
-    assert set(trained) == {"joint_zf"}
-    model_path, report = trained["joint_zf"]
+    assert set(trained) == {f"joint_{pk}"}
+    model_path, report = trained[f"joint_{pk}"]
+    assert model_path == str(tmp_path / "out" / f"model_joint_{pk}.json")
     assert report.train_losses
     eval_path = eval_model(cfg, model_path)
+    assert eval_path == str(tmp_path / "out" / f"eval_{pk}.csv")
     lines = open(eval_path).read().strip().splitlines()
     assert lines[0] == "method,qos,time_ms,sum_rate,satisfaction_pct"
     rows = [line.split(",") for line in lines[1:]]
-    assert {r[0] for r in rows} == {"model_zf", "surrogate_zf"}
+    assert {r[0] for r in rows} == {f"model_{pk}", f"surrogate_{pk}"}
     for r in rows:
         assert float(r[1]) == 250.0
         assert float(r[2]) > 0  # time_ms
@@ -192,18 +196,6 @@ def test_per_user_demand_point(tmp_path):
     assert "457.1428571" in xi_values  # mean of the per-user list
 
 
-def test_train_and_eval_convenience(tmp_path):
-    text = SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = rzf")
-    cfg = parse_config(_write_config(tmp_path, text))
-    gen_dataset(cfg)
-    out = train_and_eval(cfg)
-    assert set(out) == {"joint_rzf"}
-    entry = out["joint_rzf"]
-    assert (tmp_path / "out" / "model_joint_rzf.json").exists()
-    assert (tmp_path / "out" / "eval_rzf.csv").exists()
-    assert entry["report"].train_losses
-
-
 def test_sum_rate_split_adds_up(tmp_path):
     cfg = parse_config(_write_config(tmp_path))
     cfg.n_trials = 2
@@ -237,6 +229,8 @@ def test_sum_rate_split_adds_up(tmp_path):
         "system.cond_cap = 0.5",
         "surrogate.batch_size = 0",
         "surrogate.n_train = 0",
+        "surrogate.n_test = -3",
+        "surrogate.patience = 0",
         "surrogate.epochs = 0",
         "surrogate.hidden = 16, 0",
         "surrogate.val_fraction = 2",
@@ -296,48 +290,33 @@ def test_dataset_x_is_the_whole_channel(tmp_path):
         assert np.array_equal(rec.x.reshape(k, n).T, make_trial(cfg.system, rec.seed).channel.H)
 
 
-def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path, monkeypatch):
+def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path):
     from beamalloc import allocators
     from beamalloc.experiment import build_precoder
+    from beamalloc.metrics import jain, lambda_objective
 
     text = SMALL_CONFIG.replace("equal, sumopt, satisset, joint", "sumopt")
     text += "qos.per_user = 200, 250, 300, 600, 900, 1000, 1200\n"
     cfg = parse_config(_write_config(tmp_path, text))
     cfg.n_trials = 2
-    built = []
-    score = allocators.score_allocation
-
-    def spy(p, r, qos, strategy, *args, **kwargs):
-        res = score(p, r, qos, strategy, *args, **kwargs)
-        if not np.all(qos.demands == 1.0):  # not the shared solve's own reference profile
-            built.append((qos, res))
-        return res
-
-    monkeypatch.setattr(allocators, "score_allocation", spy)
-    run_campaign(cfg)
-    monkeypatch.undo()
-    cells = [
-        (t, pk)
-        for t in range(cfg.n_trials)
-        for pk in cfg.precoders
-        for _ in range(len(cfg.qos_sweep) + 1)
-    ]
-    assert len(built) == len(cells)
-    assert 0 < sum(res.congested for _, res in built) < len(built)
-    for (t, pk), (qos, res) in zip(cells, built):
+    records = run_campaign(cfg)["records"]
+    points = cfg.demand_points()
+    assert len(records) == cfg.n_trials * len(cfg.precoders) * len(points)
+    assert 0 < sum(rec.congested for rec in records) < len(records)
+    cells = ((t, pk, qos, xi) for t in range(cfg.n_trials) for pk in cfg.precoders
+             for qos, xi in points)
+    for rec, (t, pk, qos, xi) in zip(records, cells):
         trial = make_trial(cfg.system, cfg.base_seed + t)
         W = build_precoder(trial, cfg.system, pk)
         fresh = allocators.sum_opt(trial.channel, W, qos, cfg.system)
-        assert np.array_equal(res.powers, fresh.powers)
-        assert np.array_equal(res.rates_mbps, fresh.rates_mbps)
-        assert res.satisfied == fresh.satisfied
-        assert res.trace == fresh.trace
-        assert res.congested == fresh.congested
-        assert (res.strategy, res.iterations, res.converged) == (
-            fresh.strategy,
-            fresh.iterations,
-            fresh.converged,
+        r, sat = fresh.rates_mbps, sorted(fresh.satisfied)
+        unsat = sorted(set(range(r.size)) - fresh.satisfied)
+        expected = (
+            t, cfg.base_seed + t, pk, "sumopt", xi, float(r.sum()), float(r[sat].sum()),
+            float(r[unsat].sum()), len(sat), r.size, fresh.congested,
+            float(jain(r / qos.demands)), float(lambda_objective(r, len(sat), r)), 0.0,
         )
+        assert astuple(rec) == expected
 
 
 def test_campaign_reuse_is_independent_of_order_and_company(tmp_path, monkeypatch):

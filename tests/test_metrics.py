@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from beamalloc import QoSProfile, SystemConfig
-from beamalloc.allocators import AllocationResult, sum_opt
+from beamalloc.allocators import AllocationResult, satisfied_mask, sum_opt
 from beamalloc.experiment import _block_records
 from beamalloc.metrics import (
     TrialRecord,
@@ -180,29 +180,38 @@ def _per_record_reference(r, demands, satisfied, sumopt_rates):
 def _check_block(rng, n_rows, k):
     r = rng.uniform(0.0, 3000.0, size=(n_rows, k)) * (rng.random((n_rows, k)) < 0.9)
     r[:, 0] += 1e-3  # Jain needs a nonzero ratio per row
-    demands = rng.uniform(50.0, 1500.0, size=(n_rows, k))
-    masks = rng.random((n_rows, k)) < rng.random((n_rows, 1))
+    # demands near the rates with a per-row bias, so rows range from all users
+    # satisfied to none; some demands equal their rate exactly
+    demands = np.maximum(r, 1.0) * rng.uniform(0.7, 1.3, size=(n_rows, 1))
+    demands *= rng.uniform(0.9, 1.1, size=(n_rows, k))
+    ties = (rng.random((n_rows, k)) < 0.05) & (r > 0)
+    demands[ties] = r[ties]
+    masks = satisfied_mask(r, demands)
     sumopt_rates = rng.uniform(1.0, 3000.0, size=k)
     rows = []
     for i in range(n_rows):
-        sat = frozenset(np.flatnonzero(masks[i]).tolist())
+        # a shared demand-free solve: its satisfied set belongs to another
+        # profile, and the block scores the row against the row's own demands
         res = AllocationResult(
-            powers=np.zeros(k), satisfied=sat, rates_mbps=r[i].copy(), iterations=0,
-            trace=(), strategy="joint", congested=len(sat) < k,
+            powers=np.zeros(k), satisfied=frozenset(), rates_mbps=r[i].copy(), iterations=0,
+            trace=(), strategy="sumopt",
         )
         rows.append(("joint", QoSProfile.per_user(demands[i]), 1.0, res, 0.0))
     records = _block_records(0, 1, "zf", rows, sumopt_rates, False)
     jains = jain(r / demands)
     lams = lambda_objective(r, masks.sum(axis=-1), sumopt_rates)
     for i, rec in enumerate(records):
-        ref = _per_record_reference(r[i], demands[i], rows[i][3].satisfied, sumopt_rates)
+        satisfied = set(np.flatnonzero(masks[i]).tolist())
+        ref = _per_record_reference(r[i], demands[i], satisfied, sumopt_rates)
         got = (rec.sum_rate_mbps, rec.sum_rate_satisfied_mbps, rec.sum_rate_unsatisfied_mbps,
                rec.jain, rec.lambda_obj)
         assert got == ref
         # one row is the scalar case, equal to its row of the block
         assert jain(r[i] / demands[i]) == jains[i] == ref[3]
         assert lambda_objective(r[i], int(masks[i].sum()), sumopt_rates) == lams[i] == ref[4]
-        assert rec.n_satisfied == len(rows[i][3].satisfied)
+        assert (rec.strategy, rec.n_satisfied, rec.congested) == (
+            "joint", len(satisfied), len(satisfied) < k
+        )
 
 
 @settings(max_examples=200, deadline=None)

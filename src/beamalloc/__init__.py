@@ -16,7 +16,6 @@ from .allocators import (
 from .channel import (
     AtmosphereState,
     AttenuationOverflowError,
-    ChannelMatrix,
     UserDrop,
     apply_atmosphere,
     beam_gain,
@@ -41,7 +40,6 @@ __all__ = [
     "AllocationResult",
     "AtmosphereState",
     "AttenuationOverflowError",
-    "ChannelMatrix",
     "DegenerateChannelError",
     "DemandSystem",
     "FeasibilityReport",

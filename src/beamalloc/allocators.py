@@ -71,7 +71,6 @@ class AllocationResult:
     rates_mbps: np.ndarray
     iterations: int
     trace: tuple  # ((|Q|, sum rate) per iterate)
-    strategy: str
     # joint and satisset only: feasible_closed_form, feasible_guard_repaired,
     # feasible_guard_scaled, congested_growth or not_converged
     outcome: str | None = None
@@ -89,7 +88,7 @@ def satisfied_mask(rates_mbps: np.ndarray, demands: np.ndarray) -> np.ndarray:
     return rates_mbps >= demands * (1.0 - RATE_REL_TOL)
 
 
-def _finish(link, W, cfg, qos, p, strategy, iterations, trace=None, outcome=None):
+def _finish(link, W, cfg, qos, p, iterations, trace=None, outcome=None):
     """Score powers `p` against the demands of `qos` on served rates with full
     interference; without a trace, the single entry is (|Q|, sum rate)."""
     r = rates(link, W, p, cfg)
@@ -100,7 +99,6 @@ def _finish(link, W, cfg, qos, p, strategy, iterations, trace=None, outcome=None
         rates_mbps=r,
         iterations=iterations,
         trace=tuple(trace) if trace else ((len(q), float(r.sum())),),
-        strategy=strategy,
         outcome=outcome,
     )
 
@@ -109,7 +107,7 @@ def equal_power(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocatio
     """Baseline: P_max/K to every user, no demand awareness."""
     k = len(qos.demands)
     p = np.full(k, cfg.p_max_w / k)
-    return _finish(effective_gains(H, W), W, cfg, qos, p, "equal", 0)
+    return _finish(effective_gains(H, W), W, cfg, qos, p, 0)
 
 
 def sum_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -119,10 +117,10 @@ def sum_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationRes
     link = effective_gains(H, W)
     c = cfg.noise_power_w / link.g
     p = waterfill(c, cfg.p_max_w)
-    return _finish(link, W, cfg, qos, p, "sumopt", 0)
+    return _finish(link, W, cfg, qos, p, 0)
 
 
-def _joint_zf(H, W, qos, cfg, strategy, surplus_equal):
+def _joint_zf(H, W, qos, cfg, surplus_equal):
     if W.kind != "zf":
         raise ValueError("ZF allocator requires a ZF precoder")
     link = effective_gains(H, W)
@@ -137,7 +135,7 @@ def _joint_zf(H, W, qos, cfg, strategy, surplus_equal):
             p = p_min + surplus / k
         else:
             p = p_min + waterfill(c, surplus)
-        return _finish(link, W, cfg, qos, p, strategy, 0, outcome="feasible_closed_form")
+        return _finish(link, W, cfg, qos, p, 0, outcome="feasible_closed_form")
     # congestion: largest ascending-cost prefix that fits the budget, ties
     # broken by user index
     order = np.argsort(p_min, kind="stable")
@@ -150,7 +148,7 @@ def _joint_zf(H, W, qos, cfg, strategy, surplus_equal):
     leftover = p_budget - p[members].sum()
     if rest.size:
         p[rest] = waterfill(c[rest], leftover)
-    return _finish(link, W, cfg, qos, p, strategy, 0, outcome="congested_growth")
+    return _finish(link, W, cfg, qos, p, 0, outcome="congested_growth")
 
 
 def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -158,7 +156,7 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
     ||w_raw_k||^2 * sigma^2; if they fit the budget everyone is served and the
     surplus is water-filled, otherwise the cheapest users are served first and
     the leftover is water-filled across the rest."""
-    return _joint_zf(H, W, qos, cfg, "joint", surplus_equal=False)
+    return _joint_zf(H, W, qos, cfg, surplus_equal=False)
 
 
 def _surplus_with_demand_guard(link, W, qos, cfg, rep, c, surplus_equal):
@@ -198,7 +196,7 @@ def _surplus_with_demand_guard(link, W, qos, cfg, rep, c, surplus_equal):
     return p_base * (p_budget / p_base.sum()), "feasible_guard_scaled"
 
 
-def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
+def _joint_rzf(H, W, qos, cfg, surplus_equal):
     if W.kind != "rzf":
         raise ValueError("RZF allocator requires an RZF precoder")
     sigma2 = cfg.noise_power_w
@@ -213,7 +211,7 @@ def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
         # exact joint minimum powers for the relaxed demands (true rates hit
         # xi_k + omega_k, so the omega margin absorbs the surplus top-up)
         p, outcome = _surplus_with_demand_guard(link, W, qos, cfg, rep, c, surplus_equal)
-        return _finish(link, W, cfg, qos, p, strategy, 0, outcome=outcome)
+        return _finish(link, W, cfg, qos, p, 0, outcome=outcome)
     # congestion: grow the relaxed satisfied set, truncating each new member
     # to exactly its relaxed demand against the current interference; keep the
     # lexicographically best iterate (|Q| first, then sum rate) seen
@@ -250,13 +248,13 @@ def _joint_rzf(H, W, qos, cfg, strategy, surplus_equal):
         in_set = in_set | joiners
         newly = joiners
         trace.append((int(in_set.sum()), float(r.sum())))
-    return _finish(link, W, cfg, qos, best_p, strategy, n, trace=trace, outcome=outcome)
+    return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome=outcome)
 
 
 def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
     """Joint optimizer for RZF on the interference-free rate upper bound, with
     relaxed demands xi_k + omega_k absorbing the neglected interference."""
-    return _joint_rzf(H, W, qos, cfg, "joint", surplus_equal=False)
+    return _joint_rzf(H, W, qos, cfg, surplus_equal=False)
 
 
 def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
@@ -326,10 +324,9 @@ def joint_opt_generic(
     ds = build_demand_system(link, W, qos.demands, cfg.noise_power_w, cfg.bandwidth_mhz)
     c_up = cfg.noise_power_w / link.g
     rep = check_feasible(ds, p_budget)
-    strategy = "satisset" if _surplus_equal else "joint_generic"
     if rep.feasible:
         p, outcome = _surplus_with_demand_guard(link, W, qos, cfg, rep, c_up, _surplus_equal)
-        return _finish(link, W, cfg, qos, p, strategy, 0, outcome=outcome)
+        return _finish(link, W, cfg, qos, p, 0, outcome=outcome)
     # congestion: sum-rate initialization, then monotone set growth
     p = waterfill(c_up, p_budget)
     r = rates(link, W, p, cfg)
@@ -370,7 +367,7 @@ def joint_opt_generic(
         trace.append((int(mask.sum()), float(r.sum())))
         if mask.all():
             break
-    return _finish(link, W, cfg, qos, p, strategy, n, trace=trace, outcome=outcome)
+    return _finish(link, W, cfg, qos, p, n, trace=trace, outcome=outcome)
 
 
 def satis_set_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -378,9 +375,9 @@ def satis_set_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocat
     optimizer, but a feasible instance splits the surplus equally across
     users instead of water-filling it."""
     if W.kind == "zf":
-        return _joint_zf(H, W, qos, cfg, "satisset", surplus_equal=True)
+        return _joint_zf(H, W, qos, cfg, surplus_equal=True)
     if W.kind == "rzf":
-        return _joint_rzf(H, W, qos, cfg, "satisset", surplus_equal=True)
+        return _joint_rzf(H, W, qos, cfg, surplus_equal=True)
     return joint_opt_generic(H, W, qos, cfg, _surplus_equal=True)
 
 

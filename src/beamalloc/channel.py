@@ -55,11 +55,6 @@ class UserDrop:
 
 
 @dataclass(frozen=True)
-class ChannelMatrix:
-    H: np.ndarray  # real nonnegative (N, K)
-
-
-@dataclass(frozen=True)
 class AtmosphereState:
     rain_fades: np.ndarray  # (K,) linear power factors
     cloud_attens_db: np.ndarray  # (K,)
@@ -116,13 +111,11 @@ def beam_gain(offset_angle: np.ndarray | float, cfg: SystemConfig) -> np.ndarray
     """Tapered-aperture gain G(theta) = G_max*[J1(u)/(2u) + 36*J3(u)/u^3]^2
     with u = 2.07123*sin(theta)/sin(theta_3dB); the u -> 0 limit is G_max.
 
-    theta_3dB = atan(pattern_3db_radius/sat_height).  The pattern radius is
-    `beam_3db_radius_km` (75 km by default, half the 150 km drop-disc radius
-    `beam_radius_km`); only when it is None does it equal the disc radius,
-    putting disc-edge users on the half-power contour.
+    theta_3dB = atan(beam_3db_radius/sat_height), with `beam_3db_radius_km`
+    75 km by default, half the 150 km drop-disc radius `beam_radius_km`.
     """
     theta = np.asarray(offset_angle, dtype=float)
-    theta_3db = np.arctan2(cfg.pattern_3db_radius_km, cfg.sat_height_km)
+    theta_3db = np.arctan2(cfg.beam_3db_radius_km, cfg.sat_height_km)
     u = _U_3DB * np.sin(theta) / np.sin(theta_3db)
     out = np.ones_like(u)
     nz = np.abs(u) > 1e-9
@@ -157,14 +150,14 @@ def _boresight_angles(drop: UserDrop, cfg: SystemConfig) -> np.ndarray:
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def build_channel(drop: UserDrop, cfg: SystemConfig) -> ChannelMatrix:
-    """[H]_nk = lambda*sqrt(G_R*G_nk) / (4*pi*d_k*sqrt(K_B*T*B)); deterministic
-    in the drop."""
+def build_channel(drop: UserDrop, cfg: SystemConfig) -> np.ndarray:
+    """The real (N, K) channel [H]_nk = lambda*sqrt(G_R*G_nk) /
+    (4*pi*d_k*sqrt(K_B*T*B)); deterministic in the drop."""
     angles = _boresight_angles(drop, cfg)
     gains = beam_gain(angles, cfg)  # (N, K)
     d_m = drop.distances_km[None, :] * 1e3
     amp = cfg.wavelength_m * np.sqrt(cfg.rx_gain * gains)
-    return ChannelMatrix(H=amp / (4.0 * np.pi * d_m * np.sqrt(cfg.noise_norm)))
+    return amp / (4.0 * np.pi * d_m * np.sqrt(cfg.noise_norm))
 
 
 def _water_permittivity(f_ghz: float, temp_k: float) -> tuple[float, float]:
@@ -195,11 +188,11 @@ def cloud_attenuation_db(elevations_deg: np.ndarray, f_ghz: float) -> np.ndarray
 
 
 def apply_atmosphere(
-    channel: ChannelMatrix,
+    H: np.ndarray,
     drop: UserDrop,
     cfg: SystemConfig,
     seed: int,
-) -> tuple[ChannelMatrix, AtmosphereState]:
+) -> tuple[np.ndarray, AtmosphereState]:
     """Scale column k by sqrt(r_k)/sqrt(c_k): lognormal rain fade r_k and
     Salonen-Uppala cloud attenuation c_k (computed in dB, converted to linear
     before the division)."""
@@ -214,4 +207,4 @@ def apply_atmosphere(
     cloud_lin = 10.0 ** (cloud_db / 10.0)
     scale = np.sqrt(rain) / np.sqrt(cloud_lin)
     state = AtmosphereState(rain_fades=rain, cloud_attens_db=cloud_db)
-    return ChannelMatrix(H=channel.H * scale[None, :]), state
+    return H * scale[None, :], state

@@ -39,14 +39,12 @@ class SystemConfig:
     # of the replaced proprietary pattern; it places the default demand sweep
     # (200..1200 Mbps) right across the congestion transition
     rx_gain: float = db_to_linear(44.8)
-    boltzmann: float = BOLTZMANN
     noise_temp_k: float = 214.2627689105931  # K_B*T*B = 10^(-11.83) W
     peak_beam_gain: float = db_to_linear(44.4)
     beam_radius_km: float = 150.0
     # -3 dB pattern radius on the ground; beams narrower than the hex cell
-    # spread the effective gains like a real overlapping layout.  None means
-    # "equal to beam_radius_km" (disc edge on the half-power contour).
-    beam_3db_radius_km: float | None = 75.0
+    # spread the effective gains like a real overlapping layout
+    beam_3db_radius_km: float = 75.0
     atmospherics_enabled: bool = False
     cond_cap: float = 1e8  # channel condition-number guard for precoding
 
@@ -69,21 +67,15 @@ class SystemConfig:
             "sat_height_km",
             "noise_power_w",
             "rx_gain",
-            "boltzmann",
             "noise_temp_k",
             "peak_beam_gain",
             "beam_radius_km",
+            "beam_3db_radius_km",
         ):
             if getattr(self, name) <= 0:
                 raise InvalidConfigError(f"{name} must be strictly positive")
-        if self.beam_3db_radius_km is not None and self.beam_3db_radius_km <= 0:
-            raise InvalidConfigError("beam_3db_radius_km must be strictly positive (or None)")
         if self.cond_cap < 1:
             raise InvalidConfigError("cond_cap must be >= 1: a condition number is never below 1")
-
-    @property
-    def pattern_3db_radius_km(self) -> float:
-        return self.beam_3db_radius_km if self.beam_3db_radius_km is not None else self.beam_radius_km
 
     @property
     def wavelength_m(self) -> float:
@@ -96,4 +88,4 @@ class SystemConfig:
     @property
     def noise_norm(self) -> float:
         """Thermal-noise power K_B * T * B used to normalize channel amplitudes."""
-        return self.boltzmann * self.noise_temp_k * self.bandwidth_hz
+        return BOLTZMANN * self.noise_temp_k * self.bandwidth_hz

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
 
 from . import allocators, metrics, surrogate
-from .channel import ChannelMatrix, UserDrop, apply_atmosphere, build_channel, drop_users
+from .channel import apply_atmosphere, build_channel, drop_users
 from .config import InvalidConfigError, SystemConfig
 from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
 
@@ -35,16 +35,22 @@ KNOWN_STRATEGIES = {
 KNOWN_PRECODERS = ("zf", "rzf")
 DEMAND_FREE_STRATEGIES = ("sumopt", "equal")  # powers do not depend on the demands
 
+# each CSV's header and its row format, one field per column: floats as
+# .10g, the congested flag as 0/1, ints and text as is
 PER_TRIAL_COLUMNS = (
     "trial,seed,precoder,strategy,xi_mbps,sum_rate_mbps,"
     "n_satisfied,congested,jain,lambda_obj,runtime_ms"
 )
+PER_TRIAL_ROW = "{},{},{},{},{:.10g},{:.10g},{},{:d},{:.10g},{:.10g},{:.10g}"
+# (precoder, strategy, xi) and then the MetricsSummary fields in order
 AGGREGATE_COLUMNS = (
     "precoder,strategy,xi_mbps,n_trials,congestion_prob,satisfaction_prob,"
     "mean_sum_rate_mbps,mean_sum_rate_satisfied_mbps,mean_sum_rate_unsatisfied_mbps,"
     "mean_jain,mean_lambda"
 )
+AGGREGATE_ROW = "{},{},{:.10g},{},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g}"
 EVAL_COLUMNS = "method,qos,time_ms,sum_rate,satisfaction_pct"
+EVAL_ROW = "{},{:.10g},{:.10g},{:.10g},{:.10g}"
 
 
 class ConfigError(InvalidConfigError):
@@ -217,8 +223,7 @@ def parse_config(path: str) -> ExperimentConfig:
 @dataclass(frozen=True)
 class Trial:
     seed: int
-    drop: UserDrop
-    channel: ChannelMatrix
+    channel: np.ndarray  # real (N, K)
     redraws: int
     zf: Precoder  # the ZF precoder whose construction passed the conditioning test
 
@@ -230,14 +235,14 @@ def make_trial(system: SystemConfig, seed: int) -> Trial:
     for attempt in range(_MAX_REDRAWS):
         eff_seed = seed + attempt * _REDRAW_STRIDE
         drop = drop_users(system, eff_seed)
-        chan = build_channel(drop, system)
+        H = build_channel(drop, system)
         if system.atmospherics_enabled:
-            chan, _ = apply_atmosphere(chan, drop, system, eff_seed)
+            H, _ = apply_atmosphere(H, drop, system, eff_seed)
         try:
-            zf = make_zf(chan, cond_cap=system.cond_cap)
+            zf = make_zf(H, cond_cap=system.cond_cap)
         except PrecoderSingularError:
             continue
-        return Trial(seed=seed, drop=drop, channel=chan, redraws=attempt, zf=zf)
+        return Trial(seed=seed, channel=H, redraws=attempt, zf=zf)
     raise ConfigError(
         f"no drop meets system.cond_cap = {system.cond_cap:g} in {_MAX_REDRAWS} redraws (seed {seed})"
     )
@@ -253,14 +258,6 @@ def build_precoder(trial: Trial, system: SystemConfig, kind: str) -> Precoder:
 
 # ---------------------------------------------------------------------------
 # campaign
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return format(x, ".10g")
-    return str(x)
-
 
 def _solve(strategy, link, W, qos, system):
     """(result, wall ms) of one allocator call, looked up at call time."""
@@ -337,38 +334,27 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
     return {"per_trial": per_trial_path, "aggregate": agg_path, "records": records}
 
 
-def _write_csv(path, columns, rows):
+def _write_csv(path, columns, row_format, rows):
+    line = row_format + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(columns + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.writelines(line.format(*row) for row in rows)
 
 
 def _write_per_trial(path, records):
     # the per-trial columns are TrialRecord field names
-    _write_csv(path, PER_TRIAL_COLUMNS, map(attrgetter(*PER_TRIAL_COLUMNS.split(",")), records))
-
-
-def group_records(records):
-    """(precoder, strategy, xi) -> MetricsSummary over the matching trials."""
-    cells = {}
-    for r in records:
-        cells.setdefault((r.precoder, r.strategy, r.xi_mbps), []).append(r)
-    return {key: metrics.aggregate(rs) for key, rs in cells.items()}
+    rows = map(attrgetter(*PER_TRIAL_COLUMNS.split(",")), records)
+    _write_csv(path, PER_TRIAL_COLUMNS, PER_TRIAL_ROW, rows)
 
 
 def _write_aggregate(path, records):
-    groups = group_records(records)
-    _write_csv(
-        path,
-        AGGREGATE_COLUMNS,
-        (
-            (pk, strategy, xi, s.n_trials, s.congestion_prob, s.satisfaction_prob,
-             s.mean_sum_rate, s.mean_sum_rate_satisfied, s.mean_sum_rate_unsatisfied,
-             s.jain_index, s.lambda_obj)
-            for (pk, strategy, xi), s in sorted(groups.items())
-        ),
-    )
+    """One row per (precoder, strategy, xi) cell: its key, then the
+    MetricsSummary of the matching trials."""
+    cells = {}
+    for r in records:
+        cells.setdefault((r.precoder, r.strategy, r.xi_mbps), []).append(r)
+    rows = ((*key, *astuple(metrics.aggregate(cells[key]))) for key in sorted(cells))
+    _write_csv(path, AGGREGATE_COLUMNS, AGGREGATE_ROW, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -480,5 +466,5 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     ]
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"eval_{pk}.csv")
-    _write_csv(path, EVAL_COLUMNS, rows)
+    _write_csv(path, EVAL_COLUMNS, EVAL_ROW, rows)
     return path

@@ -71,6 +71,9 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class MetricsSummary:
+    """Sample means of one campaign cell, fields in aggregate.csv column order."""
+
+    n_trials: int
     congestion_prob: float
     satisfaction_prob: float
     mean_sum_rate: float
@@ -78,7 +81,6 @@ class MetricsSummary:
     mean_sum_rate_unsatisfied: float
     jain_index: float
     lambda_obj: float
-    n_trials: int
 
 
 def aggregate(records: list[TrialRecord]) -> MetricsSummary:
@@ -87,6 +89,7 @@ def aggregate(records: list[TrialRecord]) -> MetricsSummary:
         raise ValueError("cannot aggregate an empty trial list")
     n = len(records)
     return MetricsSummary(
+        n_trials=n,
         congestion_prob=sum(r.congested for r in records) / n,
         satisfaction_prob=sum(r.n_satisfied / r.n_users for r in records) / n,
         mean_sum_rate=sum(r.sum_rate_mbps for r in records) / n,
@@ -94,5 +97,4 @@ def aggregate(records: list[TrialRecord]) -> MetricsSummary:
         mean_sum_rate_unsatisfied=sum(r.sum_rate_unsatisfied_mbps for r in records) / n,
         jain_index=sum(r.jain for r in records) / n,
         lambda_obj=sum(r.lambda_obj for r in records) / n,
-        n_trials=n,
     )

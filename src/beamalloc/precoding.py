@@ -7,8 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import ChannelMatrix
-
 
 class PrecoderSingularError(np.linalg.LinAlgError):
     """The Gram matrix is too ill-conditioned for zero forcing."""
@@ -19,20 +17,15 @@ class Precoder:
     W: np.ndarray  # (N, K), unit-norm columns; real when H is real
     raw_norms: np.ndarray  # (K,) pre-normalization column norms
     kind: str  # "zf" | "rzf"
-    regularizer: float  # K*sigma^2/P_max for RZF, 0 for ZF
 
 
-def _as_matrix(H) -> np.ndarray:
-    return H.H if isinstance(H, ChannelMatrix) else np.asarray(H)
-
-
-def _solve_normalized(Hm: np.ndarray, gram: np.ndarray, kind: str, rho: float) -> Precoder:
+def _solve_normalized(H: np.ndarray, gram: np.ndarray, kind: str) -> Precoder:
     """W = H gram^{-1} by Cholesky, with unit-norm columns."""
-    W_raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), Hm.conj().T).conj().T
+    W_raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), H.conj().T).conj().T
     norms = np.linalg.norm(W_raw, axis=0)
     if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
         raise PrecoderSingularError("precoding column norm vanished")
-    return Precoder(W=W_raw / norms[None, :], raw_norms=norms, kind=kind, regularizer=rho)
+    return Precoder(W=W_raw / norms[None, :], raw_norms=norms, kind=kind)
 
 
 def make_zf(H, cond_cap: float = 1e8) -> Precoder:
@@ -42,23 +35,23 @@ def make_zf(H, cond_cap: float = 1e8) -> Precoder:
     when the Gram condition number exceeds `cond_cap`; the caller is expected
     to redraw the user set.
     """
-    Hm = _as_matrix(H)
-    gram = Hm.conj().T @ Hm
+    H = np.asarray(H)
+    gram = H.conj().T @ H
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > cond_cap:
         raise PrecoderSingularError(f"Gram condition number {cond:.3e} exceeds cap")
-    return _solve_normalized(Hm, gram, "zf", 0.0)
+    return _solve_normalized(H, gram, "zf")
 
 
 def make_rzf(H, noise_power: float, p_max: float) -> Precoder:
     """W = H (H^H H + rho I)^{-1}, rho = K*sigma^2/P_max, normalized columns."""
     if noise_power <= 0 or p_max <= 0:
         raise ValueError("noise power and power budget must be positive")
-    Hm = _as_matrix(H)
-    k = Hm.shape[1]
+    H = np.asarray(H)
+    k = H.shape[1]
     rho = k * noise_power / p_max
-    gram = Hm.conj().T @ Hm + rho * np.eye(k)
-    return _solve_normalized(Hm, gram, "rzf", rho)
+    gram = H.conj().T @ H + rho * np.eye(k)
+    return _solve_normalized(H, gram, "rzf")
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,6 @@ def effective_gains(H, precoder: Precoder) -> Link:
         if H.precoder is not precoder:
             raise ValueError("Link was built for a different precoder")
         return H
-    Hm = _as_matrix(H)
-    Q = np.abs(Hm.conj().T @ precoder.W) ** 2
+    Q = np.abs(np.asarray(H).conj().T @ precoder.W) ** 2
     Q.flags.writeable = False
     return Link(precoder=precoder, Q=Q, g=np.diag(Q))

@@ -73,9 +73,9 @@ class TrainingReport:
     stopped_early: bool = False
 
 
-def gains_vector(channel) -> np.ndarray:
-    """The whole channel, user-major (K blocks of N): H = x.reshape(K, N).T."""
-    return channel.H.T.reshape(-1)
+def gains_vector(H: np.ndarray) -> np.ndarray:
+    """The whole (N, K) channel, user-major (K blocks of N): H = x.reshape(K, N).T."""
+    return H.T.reshape(-1)
 
 
 def fit_norm_stats(x: np.ndarray, p: np.ndarray) -> NormStats:

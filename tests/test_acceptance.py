@@ -96,7 +96,6 @@ def _random_feasibility_instance(rng, tried):
             W=raw / np.linalg.norm(raw, axis=0),
             raw_norms=np.linalg.norm(raw, axis=0),
             kind="rzf",
-            regularizer=0.0,
         )
     xi = B * rng.uniform(0.05, 0.5, size=k)
     return H, W, xi

@@ -113,18 +113,18 @@ def test_config_rejects_non_finite_values(field, value):
 
 def test_beam_gain_boresight_and_half_power(cfg):
     assert beam_gain(0.0, cfg) == pytest.approx(cfg.peak_beam_gain)
-    theta_3db = np.arctan2(cfg.pattern_3db_radius_km, cfg.sat_height_km)
+    theta_3db = np.arctan2(cfg.beam_3db_radius_km, cfg.sat_height_km)
     assert beam_gain(theta_3db, cfg) == pytest.approx(0.5 * cfg.peak_beam_gain, rel=0.01)
 
 
 def test_beam_gain_far_sidelobe_is_tiny(cfg):
-    theta_3db = np.arctan2(cfg.pattern_3db_radius_km, cfg.sat_height_km)
+    theta_3db = np.arctan2(cfg.beam_3db_radius_km, cfg.sat_height_km)
     theta_u10 = np.arcsin(np.clip(10.0 / 2.07123 * np.sin(theta_3db), -1, 1))
     assert beam_gain(theta_u10, cfg) < 1e-2 * cfg.peak_beam_gain
 
 
 def test_beam_gain_non_increasing_inside_first_null(cfg):
-    theta_3db = np.arctan2(cfg.pattern_3db_radius_km, cfg.sat_height_km)
+    theta_3db = np.arctan2(cfg.beam_3db_radius_km, cfg.sat_height_km)
     u = np.linspace(0.0, 3.0, 400)
     theta = np.arcsin(u / 2.07123 * np.sin(theta_3db))
     g = beam_gain(theta, cfg)
@@ -139,7 +139,7 @@ def test_beam_gain_matches_scipy_pattern(cfg):
         4.0 + np.linspace(-1e-3, 1e-3, 201),  # series/recurrence switch
         np.nextafter(4.0, [0.0, 8.0]),
     ])
-    theta_3db = np.arctan2(cfg.pattern_3db_radius_km, cfg.sat_height_km)
+    theta_3db = np.arctan2(cfg.beam_3db_radius_km, cfg.sat_height_km)
     theta = np.arcsin(u / 2.07123 * np.sin(theta_3db))
     u = 2.07123 * np.sin(theta) / np.sin(theta_3db)  # the u beam_gain sees
     oracle = cfg.peak_beam_gain * (j1(u) / (2.0 * u) + 36.0 * jv(3, u) / u**3) ** 2
@@ -167,14 +167,14 @@ def test_channel_entry_matches_link_formula():
         * np.sqrt(cfg.rx_gain * cfg.peak_beam_gain)
         / (4.0 * np.pi * cfg.sat_height_km * 1e3 * np.sqrt(cfg.noise_norm))
     )
-    assert chan.H[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert chan[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_channel_inverse_distance_law():
     cfg = SystemConfig(n_beams=1, n_users=1)
     near = build_channel(_single_user_drop(cfg, 20000.0), cfg)
     far = build_channel(_single_user_drop(cfg, 40000.0), cfg)
-    assert far.H[0, 0] == pytest.approx(0.5 * near.H[0, 0], rel=1e-12)
+    assert far[0, 0] == pytest.approx(0.5 * near[0, 0], rel=1e-12)
 
 
 def test_channel_scales_with_sqrt_gain():
@@ -182,14 +182,14 @@ def test_channel_scales_with_sqrt_gain():
     weak = dataclasses.replace(cfg, peak_beam_gain=cfg.peak_beam_gain * 1e-6)
     strong = build_channel(_single_user_drop(cfg, cfg.sat_height_km), cfg)
     faded = build_channel(_single_user_drop(weak, weak.sat_height_km), weak)
-    assert faded.H[0, 0] == pytest.approx(1e-3 * strong.H[0, 0], rel=1e-12)
+    assert faded[0, 0] == pytest.approx(1e-3 * strong[0, 0], rel=1e-12)
 
 
 @pytest.mark.parametrize("n, seed", [(7, 1), (7, 8), (7, 23), (19, 4), (19, 31)])
 def test_column_phases_change_no_gain_or_power(n, seed):
     # W(H Phi) = W(H) Phi for ZF and RZF, so a real channel loses nothing
     system = SystemConfig(n_beams=n, n_users=n)
-    H = make_trial(system, seed).channel.H
+    H = make_trial(system, seed).channel
     assert np.isrealobj(H) and np.all(H >= 0)
     phases = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n))
     H_phi = H * phases[None, :]
@@ -228,15 +228,15 @@ def test_apply_atmosphere_column_scaling():
     chan = build_channel(drop, cfg)
     out, state = apply_atmosphere(chan, drop, cfg, 21)
     scale = np.sqrt(state.rain_fades) / np.sqrt(10.0 ** (state.cloud_attens_db / 10.0))
-    assert np.allclose(out.H, chan.H * scale[None, :])
-    assert np.allclose(np.abs(out.H), out.H, rtol=1e-14, atol=0.0)
+    assert np.allclose(out, chan * scale[None, :])
+    assert np.allclose(np.abs(out), out, rtol=1e-14, atol=0.0)
     assert np.all(state.rain_fades > 0)
     assert np.all(state.cloud_attens_db >= 0)
     # identity attenuation leaves a column untouched
-    unity = chan.H[:, 0] * np.sqrt(1.0) / np.sqrt(10.0 ** (0.0 / 10.0))
-    assert np.allclose(unity, chan.H[:, 0])
+    unity = chan[:, 0] * np.sqrt(1.0) / np.sqrt(10.0 ** (0.0 / 10.0))
+    assert np.allclose(unity, chan[:, 0])
     rerun, _ = apply_atmosphere(chan, drop, cfg, 21)
-    assert np.array_equal(out.H, rerun.H)
+    assert np.array_equal(out, rerun)
 
 
 def test_apply_atmosphere_requires_flag(cfg):

@@ -79,7 +79,7 @@ def test_make_trial_deterministic():
     sys_cfg = SystemConfig()
     t1 = make_trial(sys_cfg, 5)
     t2 = make_trial(sys_cfg, 5)
-    assert np.array_equal(t1.channel.H, t2.channel.H)
+    assert np.array_equal(t1.channel, t2.channel)
     assert t1.seed == 5
 
 
@@ -287,7 +287,7 @@ def test_dataset_x_is_the_whole_channel(tmp_path):
     cfg.surrogate.n_train, cfg.surrogate.n_test = 3, 1
     k, n = cfg.system.n_users, cfg.system.n_beams
     for rec in load_dataset(gen_dataset(cfg)):
-        assert np.array_equal(rec.x.reshape(k, n).T, make_trial(cfg.system, rec.seed).channel.H)
+        assert np.array_equal(rec.x.reshape(k, n).T, make_trial(cfg.system, rec.seed).channel)
 
 
 def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path):

@@ -20,7 +20,7 @@ B = 500.0
 
 def _identity_precoder(k, kind="rzf"):
     return Precoder(
-        W=np.eye(k, dtype=complex), raw_norms=np.ones(k), kind=kind, regularizer=0.0
+        W=np.eye(k, dtype=complex), raw_norms=np.ones(k), kind=kind
     )
 
 
@@ -69,7 +69,6 @@ def test_zero_effective_gain_is_degenerate():
         W=np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),
         raw_norms=np.ones(2),
         kind="rzf",
-        regularizer=0.0,
     )
     with pytest.raises(DegenerateChannelError):
         build_demand_system(H, W, np.array([100.0, 100.0]), 1.0, B)

@@ -19,7 +19,7 @@ from conftest import make_instance
 
 def _identity_precoder(k):
     return Precoder(
-        W=np.eye(k, dtype=complex), raw_norms=np.ones(k), kind="rzf", regularizer=0.0
+        W=np.eye(k, dtype=complex), raw_norms=np.ones(k), kind="rzf"
     )
 
 
@@ -194,7 +194,7 @@ def _check_block(rng, n_rows, k):
         # profile, and the block scores the row against the row's own demands
         res = AllocationResult(
             powers=np.zeros(k), satisfied=frozenset(), rates_mbps=r[i].copy(), iterations=0,
-            trace=(), strategy="sumopt",
+            trace=(),
         )
         rows.append(("joint", QoSProfile.per_user(demands[i]), 1.0, res, 0.0))
     records = _block_records(0, 1, "zf", rows, sumopt_rates, False)

@@ -22,7 +22,6 @@ def test_zf_on_orthonormal_columns_is_identity():
     assert np.allclose(W.W, H, atol=1e-12)
     assert np.allclose(W.raw_norms, 1.0)
     assert W.kind == "zf"
-    assert W.regularizer == 0.0
 
 
 def test_zf_cancels_cross_terms():
@@ -58,9 +57,17 @@ def test_unit_column_norms():
 
 
 def test_rzf_regularizer_value():
+    # rho = K sigma^2 / P_max = 3 * 2 / 30
     H = random_channel(5, 3, 6)
     W = make_rzf(H, noise_power=2.0, p_max=30.0)
-    assert W.regularizer == pytest.approx(3 * 2.0 / 30.0)
+
+    def normalized(rho):
+        raw = H @ np.linalg.inv(H.conj().T @ H + rho * np.eye(3))
+        return raw / np.linalg.norm(raw, axis=0)
+
+    np.testing.assert_allclose(W.W, normalized(0.2), rtol=0.0, atol=1e-12)
+    for wrong in (2.0 / 30.0, 3 * 30.0 / 2.0):  # K dropped; sigma^2 and P swapped
+        assert not np.allclose(W.W, normalized(wrong), rtol=0.0, atol=1e-6)
     assert W.kind == "rzf"
 
 

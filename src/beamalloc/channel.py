@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .config import InvalidConfigError, SystemConfig
 
@@ -27,8 +26,52 @@ _STREAM_ATMOS = 303
 _U_3DB = 2.07123
 
 # Coefficients 1/(m!(m+3)!) of J3(u)/(u/2)^3 as a polynomial in -(u/2)^2,
-# highest order first; at |u| = 4 the first omitted term is below 2e-24.
-_J3_SERIES = [1.0 / (math.factorial(m) * math.factorial(m + 3)) for m in range(17, -1, -1)]
+# lowest order first; at |u| = 4 the first omitted term is below 2e-24.
+_J3_SERIES = np.array([1.0 / (math.factorial(m) * math.factorial(m + 3)) for m in range(18)])
+
+# J0/J1 kernel.  Below u = 8, with z = u^2 and the first three zeros j0k, j1k:
+#   J0 = g0(z/64) prod_k (z - j0k^2),   J1 = u g1(z/64) prod_k (z - j1k^2).
+# From u = 8 up, with t = (8/u)^2, c = cos u, s = sin u and a = 1/sqrt(pi u):
+#   J0 = a (P0 (c + s) - (8/u) Q0 (s - c)),   J1 = a (P1 (s - c) + (8/u) Q1 (c + s)),
+# the Hankel forms with cos(u - pi/4) = (c + s)/sqrt 2 and sin(u - pi/4) = (s - c)/sqrt 2.
+# g0, g1, P0, Q0, P1 and Q1 are degree-(6, 6) rational fits of the exact functions,
+# built from mpmath.besselj/bessely, over z/64 and t in [0, 1]: linearized relative
+# least squares on 160 Chebyshev nodes, reweighted by the previous denominator six
+# times (Sanathanan-Koerner), at 40 digits in mpmath.  The largest relative fit
+# error, on a 2,001-point grid, is 7.6e-18.  Rows hold coefficients, lowest order
+# first, numerators then denominators.
+_BESSEL_SWITCH = 8.0
+_BESSEL_ZEROS_SQ = np.array([
+    [5.783185962946784, 14.681970642123893],  # j01^2, j11^2
+    [30.471262343662087, 49.2184563216946],
+    [74.88700679069518, 103.49945389513658],
+])[:, :, None]
+_BESSEL_RATIONAL = np.array([
+    [1.0, 2.823434524303001, 2.4963958350015987, 0.8358315074040489,
+     0.1019572870685849, 0.0036067846213290937, 1.7758039272007235e-05],  # P0 numerator
+    [-0.015625, -0.0496452349505205, -0.05019017956911056, -0.01963016090863938,
+     -0.0028788862276769764, -0.00012663524799880703, -7.370054932893082e-07],  # Q0 numerator
+    [1.0, 2.782578348789671, 2.415151116299129, 0.7893504727938563,
+     0.0932759769612815, 0.0031803504301992315, 1.6412365544645563e-05],  # P1 numerator
+    [0.046875, 0.1471697303887519, 0.14666736290938143, 0.056393748302842495,
+     0.008116972641742286, 0.0003532055680414356, 2.2802305387787767e-06],  # Q1 numerator
+    [-7.577674109763865e-05, 0.00010778723328654354, -6.160667036935502e-05, 1.8373099211137273e-05,
+     -3.06110950318142e-06, 2.7442864708642554e-07, -1.0515917130237549e-08],  # g0 numerator
+    [-6.685280072510012e-06, 8.056153335111261e-06, -3.962653444168563e-06, 1.0312665088181773e-06,
+     -1.5179412015201486e-07, 1.215624904628862e-08, -4.2033503206539984e-10],  # g1 numerator
+    [1.0, 2.824533157115501, 2.4994715789243065, 0.8385023546003006,
+     0.10281586204044427, 0.0037013210736896195, 2.0180757066603075e-05],  # P0 denominator
+    [1.0, 3.1864503102708115, 3.240900745992785, 1.2846409419544258,
+     0.1947287737274183, 0.009455565869027923, 8.838178728230092e-05],  # Q0 denominator
+    [1.0, 2.780747294102171, 2.41009461992483, 0.7850327701560025,
+     0.09191661719832873, 0.003034489653427106, 1.278774286377871e-05],  # P1 denominator
+    [1.0, 3.1438933758975405, 3.1421551898746167, 1.2159435000017356,
+     0.17784874795204728, 0.008126769868889964, 6.622577011426763e-05],  # Q1 denominator
+    [1.0, 0.5560434341442982, 0.15061292816610522, 0.02582593194284196,
+     0.003015157947984347, 0.00023344461341433587, 9.760843452511954e-06],  # g0 denominator
+    [1.0, 0.5171677054624619, 0.12962666909727236, 0.02044450663206819,
+     0.0021792313332915595, 0.0001525682722792588, 5.6874786905300535e-06],  # g1 denominator
+])
 
 # Atmosphere: lognormal rain fade with this dB mean and dB^2 variance, and a
 # cloud of this integrated reduced liquid water content at this temperature.
@@ -107,6 +150,59 @@ def drop_users(cfg: SystemConfig, seed: int) -> UserDrop:
                     beam_centers=centers, beam_of_user=chosen)
 
 
+def _powers(y: np.ndarray, n: int) -> np.ndarray:
+    """(n, *y.shape) array of y**0 ... y**(n-1), by doubling."""
+    p = np.empty((n,) + y.shape)
+    p[0] = 1.0
+    p[1] = y
+    k = 2
+    while k < n:
+        m = min(k - 1, n - k)
+        np.multiply(p[1:m + 1], p[k - 1], out=p[k:k + m])  # y^(j+1) * y^(k-1)
+        k += m
+    return p
+
+
+def bessel_j0_j1(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J0(u) and J1(u) of finite float values, within 1e-15 of the exact values
+    for |u| <= 100 and with J1(u)/u accurate to 1e-15 relative near 0."""
+    shape = np.shape(u)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    x = np.abs(u)
+    xl = np.maximum(x, _BESSEL_SWITCH)
+    v = np.minimum(x, _BESSEL_SWITCH)
+    v /= xl  # u/8 below the switch and 8/u above it: one set of powers serves both
+    r = _BESSEL_RATIONAL @ _powers(v * v, _BESSEL_RATIONAL.shape[1])
+    r = np.divide(r[:6], r[6:], out=r[:6])  # P0, Q0, P1, Q1, g0, g1
+    # Hankel form, in place: rows 0 and 2 become J0 and J1.  cos u and sin u come
+    # from one tan: with t = tan(u/2), (1 + t^2) cos u = 1 - t^2, (1 + t^2) sin u = 2t.
+    t = np.tan(0.5 * xl)
+    t2 = t * t
+    one_minus_t2 = 1.0 - t2
+    t *= 2.0
+    cos_chi = one_minus_t2 + t  # (cos u + sin u)(1 + t^2)
+    sin_chi = t - one_minus_t2  # (sin u - cos u)(1 + t^2)
+    r[1:4:2] *= v
+    r[0:4:3] *= cos_chi
+    r[1:3] *= sin_chi
+    r[0] -= r[1]
+    r[2] += r[3]
+    a = np.sqrt(np.multiply(v, 1.0 / (_BESSEL_SWITCH * np.pi), out=v), out=v)
+    t2 += 1.0
+    a /= t2
+    j = r[0:3:2]
+    j[0] *= a
+    j[1] *= np.copysign(a, u, out=a)
+    # the zero-factored form below the switch, on those arguments only
+    small = np.flatnonzero(x < _BESSEL_SWITCH)
+    us = u[small]
+    d = us * us - _BESSEL_ZEROS_SQ
+    g = r[4:, small] * d[0] * d[1] * d[2]
+    g[1] *= us
+    j[:, small] = g
+    return j[0].reshape(shape), j[1].reshape(shape)
+
+
 def beam_gain(offset_angle: np.ndarray | float, cfg: SystemConfig) -> np.ndarray | float:
     """Tapered-aperture gain G(theta) = G_max*[J1(u)/(2u) + 36*J3(u)/u^3]^2
     with u = 2.07123*sin(theta)/sin(theta_3dB); the u -> 0 limit is G_max.
@@ -120,20 +216,20 @@ def beam_gain(offset_angle: np.ndarray | float, cfg: SystemConfig) -> np.ndarray
     out = np.ones_like(u)
     nz = np.abs(u) > 1e-9
     un = u[nz]
-    j1_u = j1(un)
-    out[nz] = (j1_u / (2.0 * un) + 36.0 * _j3(un, j1_u) / un**3) ** 2
+    j0_u, j1_u = bessel_j0_j1(un)
+    out[nz] = (j1_u / (2.0 * un) + 36.0 * _j3(un, j0_u, j1_u) / un**3) ** 2
     result = cfg.peak_beam_gain * out
     return float(result) if np.ndim(result) == 0 else result
 
 
-def _j3(u: np.ndarray, j1_u: np.ndarray) -> np.ndarray:
-    """Bessel J3 of a nonzero float array, given j1_u = J1(u).  The upward
+def _j3(u: np.ndarray, j0_u: np.ndarray, j1_u: np.ndarray) -> np.ndarray:
+    """Bessel J3 of a nonzero float array, given J0(u) and J1(u).  The upward
     recurrence J3 = 4(2 J1/u - J0)/u - J1 cancels badly for small u (it is
     unusable below u ~ 0.01), so |u| < 4 uses the power series instead."""
-    out = 4.0 * (2.0 * j1_u / u - j0(u)) / u - j1_u
+    out = 4.0 * (2.0 * j1_u / u - j0_u) / u - j1_u
     small = np.abs(u) < 4.0
     us = u[small]
-    out[small] = (0.5 * us) ** 3 * np.polyval(_J3_SERIES, -0.25 * us * us)
+    out[small] = (0.5 * us) ** 3 * (_J3_SERIES @ _powers(-0.25 * us * us, len(_J3_SERIES)))
     return out
 
 

@@ -17,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import allocators, metrics, surrogate
-from .channel import apply_atmosphere, build_channel, drop_users
+from .channel import AttenuationOverflowError, apply_atmosphere, build_channel, drop_users
 from .config import InvalidConfigError, SystemConfig
 from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
 
@@ -237,7 +237,13 @@ def make_trial(system: SystemConfig, seed: int) -> Trial:
         drop = drop_users(system, eff_seed)
         H = build_channel(drop, system)
         if system.atmospherics_enabled:
-            H, _ = apply_atmosphere(H, drop, system, eff_seed)
+            try:
+                H, _ = apply_atmosphere(H, drop, system, eff_seed)
+            except AttenuationOverflowError as exc:
+                # the beam layout, not the draw, puts users near the horizon
+                raise ConfigError(
+                    f"{exc} at system.beam_radius_km = {system.beam_radius_km:g} (seed {seed})"
+                ) from exc
         try:
             zf = make_zf(H, cond_cap=system.cond_cap)
         except PrecoderSingularError:

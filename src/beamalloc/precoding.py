@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class PrecoderSingularError(np.linalg.LinAlgError):
@@ -20,8 +19,8 @@ class Precoder:
 
 
 def _solve_normalized(H: np.ndarray, gram: np.ndarray, kind: str) -> Precoder:
-    """W = H gram^{-1} by Cholesky, with unit-norm columns."""
-    W_raw = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), H.conj().T).conj().T
+    """W = H gram^{-1}, by one LU solve of the Hermitian gram, with unit-norm columns."""
+    W_raw = np.linalg.solve(gram, H.conj().T).conj().T
     norms = np.linalg.norm(W_raw, axis=0)
     if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
         raise PrecoderSingularError("precoding column norm vanished")
@@ -31,7 +30,7 @@ def _solve_normalized(H: np.ndarray, gram: np.ndarray, kind: str) -> Precoder:
 def make_zf(H, cond_cap: float = 1e8) -> Precoder:
     """W = H (H^H H)^{-1} with normalized columns.
 
-    Solves the K x K Gram system by Cholesky instead of inverting.  Raises
+    Solves the K x K Gram system instead of inverting it.  Raises
     when the Gram condition number exceeds `cond_cap`; the caller is expected
     to redraw the user set.
     """

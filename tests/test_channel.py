@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.special import j1, jv
+from scipy.special import j0, j1, jv
 
 from beamalloc import InvalidConfigError, SystemConfig, allocators
 from beamalloc.channel import (
@@ -11,6 +11,7 @@ from beamalloc.channel import (
     _water_permittivity,
     apply_atmosphere,
     beam_gain,
+    bessel_j0_j1,
     build_channel,
     cloud_attenuation_db,
     drop_users,
@@ -146,6 +147,25 @@ def test_beam_gain_matches_scipy_pattern(cfg):
     assert np.max(np.abs(beam_gain(theta, cfg) - oracle)) <= 1e-13 * cfg.peak_beam_gain
     assert beam_gain(0.0, cfg) == cfg.peak_beam_gain
     assert beam_gain(np.zeros(3), cfg).tolist() == [cfg.peak_beam_gain] * 3
+
+
+def test_bessel_j0_j1_matches_scipy():
+    def max_err(u):
+        j0_u, j1_u = bessel_j0_j1(u)
+        return max(np.max(np.abs(j0_u - j0(u))), np.max(np.abs(j1_u - j1(u))))
+
+    assert max_err(np.linspace(0.0, 100.0, 400001)) <= 1e-15
+    assert max_err(np.linspace(100.0, 1e4, 400001)) <= 1e-14
+    switch = 8.0  # power series below, Hankel form from here up
+    assert max_err(switch + np.arange(-8, 9) * np.spacing(switch)) <= 1e-15
+    tiny = np.geomspace(1e-300, 1e-2, 2001)  # beam_gain divides J1 by u
+    assert np.max(np.abs(bessel_j0_j1(tiny)[1] / tiny / (j1(tiny) / tiny) - 1.0)) <= 1e-15
+    u = np.linspace(0.0, 150.0, 3001)
+    (j0_u, j1_u), (j0_neg, j1_neg) = bessel_j0_j1(u), bessel_j0_j1(-u)
+    assert np.array_equal(j0_neg, j0_u) and np.array_equal(j1_neg, -j1_u)
+    for shaped in (u[7], u[:12].reshape(3, 4)):  # results keep the input's shape
+        for got, want in zip(bessel_j0_j1(shaped), (j0(shaped), j1(shaped))):
+            assert np.shape(got) == np.shape(shaped) and np.allclose(got, want, rtol=0, atol=1e-15)
 
 
 def _single_user_drop(cfg, distance_km):

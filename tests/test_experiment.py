@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamalloc
 from beamalloc.cli import main
 from beamalloc.experiment import (
     ConfigError,
@@ -176,6 +181,21 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_imports_no_scipy():
+    # importing scipy used to be most of every command's start-up time
+    code = (
+        "import sys, beamalloc.cli, beamalloc.experiment; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(beamalloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_overrides(tmp_path):
     cfg_path = _write_config(tmp_path)
     alt = tmp_path / "alt"
@@ -280,6 +300,19 @@ def test_cli_rejects_config_with_no_well_conditioned_drop(tmp_path, capsys, line
     err = capsys.readouterr().err
     assert "config error" in err and "system.cond_cap" in err and "(seed 11)" in err
     assert not (tmp_path / "out" / "per_trial.csv").exists()
+
+
+def test_cli_rejects_beam_layout_beyond_the_cloud_model(tmp_path, capsys):
+    # parses, but every drop puts users under 0.5 deg of elevation, where the
+    # cloud attenuation exceeds 100 dB
+    text = SMALL_CONFIG + "system.atmospherics = true\nsystem.beam_radius_km = {radius}\n"
+    cfg_path = _write_config(tmp_path, text, radius=10000000)
+    assert main(["run", "--config", cfg_path, "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "system.beam_radius_km = 1e+07" in err and "(seed 11)" in err
+    assert not (tmp_path / "out" / "per_trial.csv").exists()
+    cfg_path = _write_config(tmp_path, text, radius=1000000)
+    assert main(["run", "--config", cfg_path, "--trials", "1"]) == 0
 
 
 def test_dataset_x_is_the_whole_channel(tmp_path):

@@ -366,6 +366,25 @@ def _write_aggregate(path, records):
 # ---------------------------------------------------------------------------
 # surrogate dataset / training / evaluation
 
+def fingerprint(cfg: ExperimentConfig) -> str:
+    """Eight hex digits naming every setting a dataset label depends on
+    besides its seed: the `system.*` values, `qos.omega_frac` and
+    `surrogate.xi_mbps`.  Numbers are hashed as floats, so 200 and 200.0 agree."""
+    import zlib  # already loaded by numpy; only gen-data and eval need it
+
+    values = (*astuple(cfg.system), cfg.omega_frac, cfg.surrogate.xi_mbps)
+    return f"{zlib.crc32(repr(tuple(map(float, values))).encode()):08x}"
+
+
+def _require_fingerprint(path: str, whose: str, found: str, expected: str) -> None:
+    if found != expected:
+        raise ConfigError(
+            f"{path}: {whose} fingerprint {found or '(none)'} does not match the config's "
+            f"{expected}; a system.*, qos.omega_frac or surrogate.xi_mbps value differs, "
+            "so re-run gen-data and train under this config"
+        )
+
+
 def gen_dataset(cfg: ExperimentConfig) -> str:
     """Label (gain vector -> joint-optimizer powers) pairs, one trial per
     seed, for every configured precoder."""
@@ -375,6 +394,7 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     n_total = surr.n_train + surr.n_test
     k = system.n_users
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
+    fp = fingerprint(cfg)
     records = []
     for i in range(n_total):
         seed = cfg.base_seed + i
@@ -389,6 +409,7 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
                     seed=seed,
                     strategy=f"joint_{pk}",
                     xi=qos.demands,
+                    fingerprint=fp,
                 )
             )
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -420,21 +441,31 @@ def train_models(cfg: ExperimentConfig) -> dict:
 
 
 def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
-    """Replay the test-split trials, compare the model-based solver with the
-    surrogate (rates, satisfaction, per-sample latency) and write the eval CSV."""
-    model = surrogate.load_model(model_path)
+    """Compare the model-based solver with the surrogate on the test split
+    (rates, satisfaction, per-sample latency) and write the eval CSV.  Each
+    channel is read from its record, H = x.reshape(K, N).T, so no trial is
+    replayed; the config, the model and the records must share a fingerprint."""
+    try:
+        model = surrogate.load_model(model_path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{model_path}: cannot read the model ({exc}); re-run train") from exc
     strategy = model.strategy
-    if not strategy.startswith("joint_"):
+    pk = strategy.removeprefix("joint_")
+    if not strategy.startswith("joint_") or pk not in KNOWN_PRECODERS:
         raise ConfigError(f"{model_path}: unknown label strategy {strategy!r}")
-    pk = strategy.split("_", 1)[1]
+    fp = fingerprint(cfg)
+    _require_fingerprint(model_path, "the model's", model.fingerprint, fp)
     system = cfg.system
     surr = cfg.surrogate
-    records = surrogate.load_dataset(os.path.join(cfg.out_dir, surr.dataset_path))
+    dataset_path = os.path.join(cfg.out_dir, surr.dataset_path)
+    records = surrogate.load_dataset(dataset_path)
     group = [r for r in records if r.strategy == strategy]
     test_split = group[surr.n_train : surr.n_train + surr.n_test]
     if not test_split:
         raise ConfigError("dataset has no test split for this model")
-    k = system.n_users
+    for rec in test_split:
+        _require_fingerprint(dataset_path, f"the seed-{rec.seed} record's", rec.fingerprint, fp)
+    k, n = system.n_users, system.n_beams
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
 
     model_ms = 0.0
@@ -444,10 +475,11 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     surro_sat = 0
     links = []
     for rec in test_split:
-        trial = make_trial(system, rec.seed)
-        W = build_precoder(trial, system, pk)
+        H = rec.x.reshape(k, n).T
+        W = (make_zf(H, cond_cap=system.cond_cap) if pk == "zf"
+             else make_rzf(H, system.noise_power_w, system.p_max_w))
         t0 = time.perf_counter()
-        link = effective_gains(trial.channel, W)
+        link = effective_gains(H, W)
         res = allocators.joint_opt(link, W, qos, system)
         model_ms += (time.perf_counter() - t0) * 1e3
         model_rates.append(res.rates_mbps.sum())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # Adam moment decay rates and denominator guard
 ADAM_BETA1 = 0.9
@@ -40,6 +40,7 @@ class DatasetRecord:
     seed: int
     strategy: str
     xi: np.ndarray  # demands used when labeling
+    fingerprint: str = ""  # of the settings the labels depend on besides the seed
 
 
 @dataclass
@@ -48,6 +49,7 @@ class SurrogateModel:
     biases: list  # per layer, shape (fan_out,)
     norm_stats: NormStats
     strategy: str = ""
+    fingerprint: str = ""  # copied from the training records
 
     @property
     def layer_sizes(self) -> list:
@@ -260,6 +262,7 @@ def train(
         biases=best[1],
         norm_stats=stats,
         strategy=records[0].strategy,
+        fingerprint=records[0].fingerprint,
     )
     return model, report
 
@@ -279,11 +282,12 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
             fh.write(
                 json.dumps(
                     {
-                        "x": list(map(float, r.x)),
-                        "p_star": list(map(float, r.p_star)),
+                        "x": r.x.tolist(),
+                        "p_star": r.p_star.tolist(),
                         "seed": int(r.seed),
                         "strategy": r.strategy,
-                        "xi": list(map(float, r.xi)),
+                        "xi": r.xi.tolist(),
+                        "fingerprint": r.fingerprint,
                     }
                 )
             )
@@ -306,6 +310,7 @@ def load_dataset(path) -> list[DatasetRecord]:
                         seed=int(obj["seed"]),
                         strategy=str(obj["strategy"]),
                         xi=np.asarray(obj["xi"], dtype=float),
+                        fingerprint=str(obj.get("fingerprint", "")),
                     )
                 )
             except (KeyError, ValueError, TypeError) as exc:
@@ -317,6 +322,7 @@ def save_model(model: SurrogateModel, path) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "strategy": model.strategy,
+        "fingerprint": model.fingerprint,
         "layer_sizes": model.layer_sizes,
         "weights": [w.reshape(-1).tolist() for w in model.weights],  # row-major
         "biases": [b.tolist() for b in model.biases],
@@ -328,7 +334,7 @@ def save_model(model: SurrogateModel, path) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # the C encoder; json.dump streams through the Python one
 
 
 def load_model(path) -> SurrogateModel:
@@ -350,5 +356,6 @@ def load_model(path) -> SurrogateModel:
         p_max=np.asarray(ns["p_max"], dtype=float),
     )
     return SurrogateModel(
-        weights=weights, biases=biases, norm_stats=stats, strategy=doc.get("strategy", "")
+        weights=weights, biases=biases, norm_stats=stats, strategy=doc.get("strategy", ""),
+        fingerprint=doc["fingerprint"],
     )

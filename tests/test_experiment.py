@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,9 +9,12 @@ import numpy as np
 import pytest
 
 import beamalloc
+from beamalloc import allocators, experiment, metrics, surrogate
 from beamalloc.cli import main
 from beamalloc.experiment import (
     ConfigError,
+    build_precoder,
+    fingerprint,
     gen_dataset,
     eval_model,
     make_trial,
@@ -19,7 +23,8 @@ from beamalloc.experiment import (
     train_models,
 )
 from beamalloc.config import SystemConfig
-from beamalloc.surrogate import load_dataset
+from beamalloc.precoding import effective_gains, make_rzf, make_zf
+from beamalloc.surrogate import load_dataset, load_model
 
 SMALL_CONFIG = """
 # desk-scale smoke campaign
@@ -316,16 +321,113 @@ def test_cli_rejects_beam_layout_beyond_the_cloud_model(tmp_path, capsys):
 
 
 def test_dataset_x_is_the_whole_channel(tmp_path):
-    cfg = parse_config(_write_config(tmp_path, SMALL_CONFIG + "system.atmospherics = true\n"))
-    cfg.surrogate.n_train, cfg.surrogate.n_test = 3, 1
-    k, n = cfg.system.n_users, cfg.system.n_beams
-    for rec in load_dataset(gen_dataset(cfg)):
-        assert np.array_equal(rec.x.reshape(k, n).T, make_trial(cfg.system, rec.seed).channel)
+    # eval builds H, the precoder and the Link from x alone: each must equal
+    # what a replayed trial gives, bit for bit
+    for n in (7, 37):
+        text = SMALL_CONFIG.replace("= 7\n", f"= {n}\n") + "system.atmospherics = true\n"
+        cfg = parse_config(_write_config(tmp_path, text))
+        cfg.surrogate.n_train, cfg.surrogate.n_test = 3, 1
+        system = cfg.system
+        k = system.n_users
+        assert (system.n_beams, k) == (n, n)
+        records = load_dataset(gen_dataset(cfg))
+        assert {r.strategy for r in records} == {"joint_zf", "joint_rzf"}
+        for rec in records:
+            trial = make_trial(system, rec.seed)
+            H = rec.x.reshape(k, n).T
+            assert np.array_equal(H, trial.channel)
+            pk = rec.strategy.removeprefix("joint_")
+            if pk == "zf":
+                W = make_zf(H, cond_cap=system.cond_cap)
+            else:
+                W = make_rzf(H, system.noise_power_w, system.p_max_w)
+            W_trial = build_precoder(trial, system, pk)
+            assert np.array_equal(W.W, W_trial.W)
+            assert np.array_equal(W.raw_norms, W_trial.raw_norms)
+            assert np.array_equal(effective_gains(H, W).Q, effective_gains(trial.channel, W_trial).Q)
+
+
+def _replayed_eval_rows(cfg, pk, model_path):
+    """The eval CSV rows, without time_ms, computed from replayed trials."""
+    system, surr = cfg.system, cfg.surrogate
+    k = system.n_users
+    qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
+    seeds = range(cfg.base_seed + surr.n_train, cfg.base_seed + surr.n_train + surr.n_test)
+    trials = [make_trial(system, seed) for seed in seeds]
+    gains = np.stack([surrogate.gains_vector(t.channel) for t in trials])
+    powers = surrogate.predict_powers(load_model(model_path), gains, system.p_max_w)
+    model_rates, model_sat, surro_rates, surro_sat = [], 0, [], 0
+    for trial, p in zip(trials, powers):
+        W = build_precoder(trial, system, pk)
+        link = effective_gains(trial.channel, W)
+        res = allocators.joint_opt(link, W, qos, system)
+        model_rates.append(res.rates_mbps.sum())
+        model_sat += len(res.satisfied)
+        r = metrics.rates(link, W, p, system)
+        surro_rates.append(r.sum())
+        surro_sat += int(allocators.satisfied_mask(r, qos.demands).sum())
+    n = len(trials)
+    return [
+        [f"{method}_{pk}", f"{surr.xi_mbps:.10g}", f"{np.mean(rates):.10g}", f"{100.0 * sat / (n * k):.10g}"]
+        for method, rates, sat in (("model", model_rates, model_sat), ("surrogate", surro_rates, surro_sat))
+    ]
+
+
+@pytest.mark.parametrize("pk", ["zf", "rzf"])
+def test_eval_reads_channels_from_the_dataset(tmp_path, monkeypatch, pk):
+    text = SMALL_CONFIG.replace("precoders = zf, rzf", f"precoders = {pk}")
+    cfg = parse_config(_write_config(tmp_path, text))
+    gen_dataset(cfg)
+    model_path = train_models(cfg)[f"joint_{pk}"][0]
+
+    def replay(*args):
+        raise AssertionError("eval replayed a trial")
+
+    monkeypatch.setattr(experiment, "make_trial", replay)
+    monkeypatch.setattr(experiment, "build_precoder", replay)
+    lines = open(eval_model(cfg, model_path)).read().splitlines()
+    monkeypatch.undo()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] + row[3:] for row in rows] == _replayed_eval_rows(cfg, pk, model_path)
+
+
+def test_cli_eval_refuses_another_system_and_old_models(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = rzf"))
+    out = tmp_path / "out"
+    model_path = str(out / "model_joint_rzf.json")
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train", "--config", cfg_path]) == 0
+    fp = fingerprint(parse_config(cfg_path))
+    assert {r.fingerprint for r in load_dataset(out / "dataset.jsonl")} == {fp}
+    assert load_model(model_path).fingerprint == fp  # train copies it from the records
+    assert main(["eval", "--model", model_path, "--config", cfg_path]) == 0
+    capsys.readouterr()
+
+    # a later key overrides an earlier one
+    other = tmp_path / "other.cfg"
+    for line in ("system.n_users = 5", "system.p_max_w = 100"):
+        other.write_text(Path(cfg_path).read_text() + line + "\n")
+        assert main(["eval", "--model", model_path, "--config", str(other)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and model_path in err and "fingerprint" in err
+
+    # the model matches the config, the dataset was remade under another system
+    assert main(["gen-data", "--config", str(other)]) == 0
+    assert main(["eval", "--model", model_path, "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "dataset.jsonl" in err and "fingerprint" in err
+
+    doc = json.loads(Path(model_path).read_text())
+    doc["format_version"] = 1
+    del doc["fingerprint"]
+    old = tmp_path / "old_model.json"
+    old.write_text(json.dumps(doc))
+    assert main(["eval", "--model", str(old), "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and str(old) in err and "re-run train" in err
 
 
 def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path):
-    from beamalloc import allocators
-    from beamalloc.experiment import build_precoder
     from beamalloc.metrics import jain, lambda_objective
 
     text = SMALL_CONFIG.replace("equal, sumopt, satisset, joint", "sumopt")

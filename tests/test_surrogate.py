@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -259,6 +262,19 @@ def test_model_and_dataset_round_trip(tmp_path):
     )
     assert loaded.strategy == "joint_zf"
     assert loaded.layer_sizes == [4, 6, 2]
+
+
+def test_save_model_writes_what_json_dump_writes(tmp_path):
+    recs = [dataclasses.replace(r, fingerprint="0123abcd")
+            for r in _records(30, 4, 2, lambda x: x[:2] + 1.0, seed=12)]
+    model, _ = train(recs, TrainingConfig(hidden=(6,), epochs=3, seed=3))
+    assert model.fingerprint == "0123abcd"
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+        json.dump(json.loads(path.read_text(encoding="utf-8")), fh)
+    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+    assert load_model(path).fingerprint == "0123abcd"
 
 
 def test_load_dataset_reports_bad_lines(tmp_path):

@@ -14,7 +14,6 @@ from .allocators import (
     sum_opt,
 )
 from .channel import (
-    AtmosphereState,
     AttenuationOverflowError,
     UserDrop,
     apply_atmosphere,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationResult",
-    "AtmosphereState",
     "AttenuationOverflowError",
     "DegenerateChannelError",
     "DemandSystem",

@@ -204,7 +204,6 @@ def _joint_rzf(H, W, qos, cfg, surplus_equal):
     relaxed = qos.demands + qos.tolerances
     link = effective_gains(H, W)
     ds = build_demand_system(link, W, relaxed, sigma2, cfg.bandwidth_mhz)
-    gains, alpha_rel = link.Q, ds.alpha
     c = sigma2 / link.g
     rep = check_feasible(ds, p_budget)
     if rep.feasible:
@@ -232,10 +231,8 @@ def _joint_rzf(H, W, qos, cfg, surplus_equal):
             outcome = "not_converged"
             break
         n += 1
-        p_prev = p.copy()
-        for j in np.nonzero(newly)[0]:
-            interf = gains[j] @ p_prev - gains[j, j] * p_prev[j]
-            p[j] = alpha_rel[j] * (interf + sigma2) / gains[j, j]
+        interf = link.Q[newly] @ p - link.g[newly] * p[newly]
+        p[newly] = ds.alpha[newly] * (interf + sigma2) / link.g[newly]
         leftover = max(0.0, p_budget - p[in_set].sum())
         comp = ~in_set
         if not comp.any():
@@ -344,23 +341,18 @@ def joint_opt_generic(
         mask_new = satisfied_mask(r_new, qos.demands)
         if mask_new.sum() <= mask.sum():
             # rate crossings stalled; admit the cheapest affordable candidate
-            best = None
-            best_total = np.inf
+            candidates = []
             for j in np.nonzero(~mask)[0]:
                 trial_mask = mask.copy()
                 trial_mask[j] = True
                 p_j, ok_j = _solve_pinned(ds, trial_mask, p_budget, p_new)
-                if not ok_j:
-                    continue
-                total_j = p_j[trial_mask].sum()
-                if total_j <= p_budget * (1.0 + 1e-12) and total_j < best_total:
-                    best_total = total_j
-                    best = p_j
-            if best is None:
+                if ok_j:
+                    candidates.append((p_j[trial_mask].sum(), j, p_j))
+            if not candidates:
                 p, r, mask = p_new, r_new, mask_new | mask
                 trace.append((int(mask.sum()), float(r.sum())))
                 break
-            p_new = best
+            p_new = min(candidates, key=lambda cand: cand[:2])[2]
             r_new = rates(link, W, p_new, cfg)
             mask_new = satisfied_mask(r_new, qos.demands)
         p, r, mask = p_new, r_new, mask_new

@@ -97,12 +97,6 @@ class UserDrop:
     beam_of_user: np.ndarray  # (K,) index of the beam each user lies in
 
 
-@dataclass(frozen=True)
-class AtmosphereState:
-    rain_fades: np.ndarray  # (K,) linear power factors
-    cloud_attens_db: np.ndarray  # (K,)
-
-
 @lru_cache(maxsize=16)
 def hex_beam_centers(n_beams: int, spacing_km: float) -> np.ndarray:
     """Beam centers on a hexagonal grid: one at the origin plus concentric
@@ -288,7 +282,7 @@ def apply_atmosphere(
     drop: UserDrop,
     cfg: SystemConfig,
     seed: int,
-) -> tuple[np.ndarray, AtmosphereState]:
+) -> np.ndarray:
     """Scale column k by sqrt(r_k)/sqrt(c_k): lognormal rain fade r_k and
     Salonen-Uppala cloud attenuation c_k (computed in dB, converted to linear
     before the division)."""
@@ -302,5 +296,4 @@ def apply_atmosphere(
         raise AttenuationOverflowError("cloud attenuation exceeds 100 dB")
     cloud_lin = 10.0 ** (cloud_db / 10.0)
     scale = np.sqrt(rain) / np.sqrt(cloud_lin)
-    state = AtmosphereState(rain_fades=rain, cloud_attens_db=cloud_db)
-    return H * scale[None, :], state
+    return H * scale[None, :]

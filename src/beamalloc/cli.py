@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration or input-file error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ def main(argv=None) -> int:
                 cfg.base_seed = args.seed
             if args.out is not None:
                 cfg.out_dir = args.out
-            cfg.validate()
             out = run_campaign(cfg)
             print(f"wrote {out['per_trial']} and {out['aggregate']}")
         elif args.command == "gen-data":

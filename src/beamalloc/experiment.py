@@ -238,7 +238,7 @@ def make_trial(system: SystemConfig, seed: int) -> Trial:
         H = build_channel(drop, system)
         if system.atmospherics_enabled:
             try:
-                H, _ = apply_atmosphere(H, drop, system, eff_seed)
+                H = apply_atmosphere(H, drop, system, eff_seed)
             except AttenuationOverflowError as exc:
                 # the beam layout, not the draw, puts users near the horizon
                 raise ConfigError(
@@ -408,7 +408,6 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
                     p_star=res.powers,
                     seed=seed,
                     strategy=f"joint_{pk}",
-                    xi=qos.demands,
                     fingerprint=fp,
                 )
             )
@@ -418,12 +417,20 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     return path
 
 
+def _load_dataset(path: str) -> list:
+    """The dataset's records; a missing, unreadable or corrupt file is a ConfigError."""
+    try:
+        return surrogate.load_dataset(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot read the dataset ({exc}); re-run gen-data") from exc
+
+
 def train_models(cfg: ExperimentConfig) -> dict:
     """Train one surrogate per label strategy present in the dataset; returns
     {strategy: (model_path, report)}."""
     surr = cfg.surrogate
     path = os.path.join(cfg.out_dir, surr.dataset_path)
-    records = surrogate.load_dataset(path)
+    records = _load_dataset(path)
     if not records:
         raise ConfigError(f"{path}: dataset is empty")
     out = {}
@@ -447,7 +454,7 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     replayed; the config, the model and the records must share a fingerprint."""
     try:
         model = surrogate.load_model(model_path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{model_path}: cannot read the model ({exc}); re-run train") from exc
     strategy = model.strategy
     pk = strategy.removeprefix("joint_")
@@ -458,7 +465,7 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     system = cfg.system
     surr = cfg.surrogate
     dataset_path = os.path.join(cfg.out_dir, surr.dataset_path)
-    records = surrogate.load_dataset(dataset_path)
+    records = _load_dataset(dataset_path)
     group = [r for r in records if r.strategy == strategy]
     test_split = group[surr.n_train : surr.n_train + surr.n_test]
     if not test_split:

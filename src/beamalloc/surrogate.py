@@ -39,7 +39,6 @@ class DatasetRecord:
     p_star: np.ndarray  # label powers, length K
     seed: int
     strategy: str
-    xi: np.ndarray  # demands used when labeling
     fingerprint: str = ""  # of the settings the labels depend on besides the seed
 
 
@@ -72,7 +71,6 @@ class TrainingReport:
     train_losses: list = field(default_factory=list)
     val_losses: list = field(default_factory=list)
     best_epoch: int = 0
-    stopped_early: bool = False
 
 
 def gains_vector(H: np.ndarray) -> np.ndarray:
@@ -255,7 +253,6 @@ def train(
         else:
             stale += 1
             if stale >= tcfg.patience:
-                report.stopped_early = True
                 break
     model = SurrogateModel(
         weights=best[0],
@@ -286,7 +283,6 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
                         "p_star": r.p_star.tolist(),
                         "seed": int(r.seed),
                         "strategy": r.strategy,
-                        "xi": r.xi.tolist(),
                         "fingerprint": r.fingerprint,
                     }
                 )
@@ -309,7 +305,6 @@ def load_dataset(path) -> list[DatasetRecord]:
                         p_star=np.asarray(obj["p_star"], dtype=float),
                         seed=int(obj["seed"]),
                         strategy=str(obj["strategy"]),
-                        xi=np.asarray(obj["xi"], dtype=float),
                         fingerprint=str(obj.get("fingerprint", "")),
                     )
                 )

@@ -4,7 +4,11 @@ These stay deliberately dumb: bisection instead of sorting, exhaustive grids
 instead of KKT conditions, finite differences instead of backprop.
 """
 
+from itertools import combinations
+
 import numpy as np
+
+from beamalloc.feasibility import m_matrix_solve
 
 
 def waterfill_bisection(c, budget, iters=200):
@@ -97,6 +101,28 @@ def _grid4_best(c, P, n, step, bandwidth, window):
     )
     best = int(np.argmax(obj))
     return float(obj[best]), (p1[best], p2[best], p3[best])
+
+
+def max_satisfiable_set(Q, demands, noise_power, bandwidth_mhz, p_max, rel_tol):
+    """Largest user set S whose demands, scaled by 1 - rel_tol, can all be met
+    with every other user switched off: (I - R_SS Q_SS) p_S = nu_S has a
+    positive solution with sum p_S <= p_max.  Any budget-feasible allocation
+    that meets the demands of S certifies S, because the other users' power
+    only adds interference, so no allocator satisfies more users.  Exhaustive
+    over subsets, largest first: at most 2^K small solves."""
+    Q = np.asarray(Q, dtype=float)
+    g = np.diag(Q)
+    alpha = 2.0 ** (np.asarray(demands, dtype=float) * (1.0 - rel_tol) / bandwidth_mhz) - 1.0
+    r = alpha / ((alpha + 1.0) * g)
+    nu = r * noise_power
+    k = len(g)
+    for size in range(k, 0, -1):
+        for subset in combinations(range(k), size):
+            s = list(subset)
+            p = m_matrix_solve(np.eye(size) - r[s, None] * Q[np.ix_(s, s)], nu[s])
+            if p is not None and p.sum() <= p_max:
+                return frozenset(subset)
+    return frozenset()
 
 
 def numeric_grads(weights, biases, x, t, eps=1e-5):

@@ -330,7 +330,6 @@ def test_criterion_08_surrogate_quality():
                 p_star=res.powers,
                 seed=1 + i,
                 strategy="joint_zf",
-                xi=qos.demands,
             )
         )
     model, _ = train(

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from beamalloc import QoSProfile, SystemConfig, allocators
 from beamalloc.allocators import (
+    RATE_REL_TOL,
     equal_power,
     joint_opt,
     joint_opt_generic,
@@ -15,6 +16,7 @@ from beamalloc.allocators import (
     satisfied_mask,
     sum_opt,
 )
+from beamalloc.experiment import build_precoder, make_trial
 from beamalloc.feasibility import build_demand_system, sinr_targets
 from beamalloc.metrics import rates
 from beamalloc.precoding import (
@@ -22,7 +24,7 @@ from beamalloc.precoding import (
 )
 from beamalloc.waterfill import waterfill
 from conftest import make_instance, random_channel
-from oracles import simplex_grid_best, waterfill_objective
+from oracles import max_satisfiable_set, simplex_grid_best, waterfill_objective
 
 B = 500.0
 
@@ -497,3 +499,29 @@ def test_link_is_read_only_and_bound_to_its_precoder():
     ):
         with pytest.raises(ValueError, match="different precoder"):
             call()
+
+
+def test_no_allocator_satisfies_more_users_than_the_exact_oracle():
+    cfg = SystemConfig()  # N = K = 7
+    k = cfg.n_users
+    demand_sets = [np.full(k, xi) for xi in (300.0, 600.0, 900.0, 1200.0)]
+    demand_sets.append(np.linspace(200.0, 1400.0, k))
+    sizes = set()
+    for seed in range(500, 510):
+        trial = make_trial(cfg, seed)
+        for kind in ("zf", "rzf"):
+            W = build_precoder(trial, cfg, kind)
+            link = effective_gains(trial.channel, W)
+            for demands in demand_sets:
+                qos = QoSProfile.per_user(demands)
+                best = len(max_satisfiable_set(
+                    link.Q, demands, cfg.noise_power_w, cfg.bandwidth_mhz, cfg.p_max_w, RATE_REL_TOL
+                ))
+                sizes.add(best)
+                served = {alloc.__name__: len(alloc(link, W, qos, cfg).satisfied)
+                          for alloc in (equal_power, sum_opt, satis_set_opt, joint_opt, joint_opt_generic)}
+                assert max(served.values()) <= best, (seed, kind, demands[0], served, best)
+                if kind == "zf":
+                    assert served["joint_opt"] == best, (seed, demands[0], served, best)
+    # the cells cover both uncongested and congested instances
+    assert k in sizes and min(sizes) < k

@@ -182,8 +182,36 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense here\n")
     assert main(["run", "--config", str(bad)]) == 1
-    assert main(["eval", "--model", str(tmp_path / "missing.json"), "--config", cfg_path]) == 2
+    assert main(["eval", "--model", str(tmp_path / "missing.json"), "--config", cfg_path]) == 1
     capsys.readouterr()
+
+
+def test_cli_missing_or_corrupt_inputs_exit_1(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = zf"))
+    dataset = tmp_path / "out" / "dataset.jsonl"
+    model_path = str(tmp_path / "out" / "model_joint_zf.json")
+
+    def exits_1_naming(argv, path):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(path) in err
+
+    train = ["train", "--config", cfg_path]
+    evaluate = ["eval", "--model", model_path, "--config", cfg_path]
+    exits_1_naming(train, dataset)
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(train) == 0
+    missing_model = str(tmp_path / "missing.json")
+    exits_1_naming(["eval", "--model", missing_model, "--config", cfg_path], missing_model)
+
+    good = dataset.read_text(encoding="utf-8")
+    dataset.write_text(good + "{not json\n", encoding="utf-8")
+    exits_1_naming(train, dataset)
+    exits_1_naming(evaluate, dataset)
+    dataset.unlink()
+    exits_1_naming(evaluate, dataset)
+    dataset.write_text(good, encoding="utf-8")
+    assert main(evaluate) == 0
 
 
 def test_cli_imports_no_scipy():

@@ -135,22 +135,20 @@ def test_gradients_match_finite_differences():
             assert np.abs(a - b).max() / denom < 1e-4
 
 
-def _records(n, dim_x, dim_p, fn, seed=0):
+def _records(n, dim_x, fn, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
         x = rng.uniform(0.0, 1.0, size=dim_x)
         out.append(
-            DatasetRecord(
-                x=x, p_star=fn(x), seed=i, strategy="joint_zf", xi=np.full(dim_p, 250.0)
-            )
+            DatasetRecord(x=x, p_star=fn(x), seed=i, strategy="joint_zf")
         )
     return out
 
 
 def test_train_learns_a_constant():
     const = np.array([3.0, 1.0])
-    recs = _records(300, 4, 2, lambda x: const)
+    recs = _records(300, 4, lambda x: const)
     model, report = train(recs, TrainingConfig(hidden=(16,), epochs=60, seed=1))
     # degenerate label range normalizes to zero, so check raw predictions
     p = denormalize_powers(forward(model, normalize(recs[0].x, model.norm_stats)), model.norm_stats)
@@ -160,7 +158,7 @@ def test_train_learns_a_constant():
 def test_train_learns_linear_map():
     rng = np.random.default_rng(5)
     A = rng.uniform(0.2, 1.0, size=(3, 6))
-    recs = _records(3000, 6, 3, lambda x: A @ x, seed=6)
+    recs = _records(3000, 6, lambda x: A @ x, seed=6)
     model, report = train(
         recs, TrainingConfig(hidden=(64, 32), epochs=250, patience=30, seed=2)
     )
@@ -171,7 +169,7 @@ def test_train_learns_linear_map():
 def test_training_loss_trends_down():
     rng = np.random.default_rng(5)
     A = rng.uniform(0.2, 1.0, size=(2, 5))
-    recs = _records(1500, 5, 2, lambda x: A @ x, seed=9)
+    recs = _records(1500, 5, lambda x: A @ x, seed=9)
     _, report = train(
         recs,
         TrainingConfig(hidden=(24,), epochs=60, patience=60, seed=3),
@@ -183,7 +181,7 @@ def test_training_loss_trends_down():
 
 
 def test_train_is_deterministic():
-    recs = _records(200, 3, 2, lambda x: x[:2], seed=4)
+    recs = _records(200, 3, lambda x: x[:2], seed=4)
     m1, _ = train(recs, TrainingConfig(hidden=(8,), epochs=10, seed=11))
     m2, _ = train(recs, TrainingConfig(hidden=(8,), epochs=10, seed=11))
     for a, b in zip(m1.weights, m2.weights):
@@ -193,11 +191,11 @@ def test_train_is_deterministic():
 def test_train_rejects_empty_and_divergence():
     with pytest.raises(ValueError):
         train([], TrainingConfig())
-    recs = _records(64, 3, 2, lambda x: x[:2], seed=8)
+    recs = _records(64, 3, lambda x: x[:2], seed=8)
     bad = recs.copy()
     bad[3] = DatasetRecord(
         x=np.array([np.nan, 0.0, 0.0]), p_star=recs[3].p_star, seed=3,
-        strategy="joint_zf", xi=recs[3].xi,
+        strategy="joint_zf",
     )
     with pytest.raises(ValueError, match="non-finite"):
         train(bad, TrainingConfig(hidden=(8,), epochs=5, seed=1))
@@ -221,7 +219,6 @@ def test_predict_pipeline_budget_and_determinism(cfg):
                 p_star=res.powers,
                 seed=2000 + i,
                 strategy="joint_zf",
-                xi=qos.demands,
             )
         )
     model, _ = train(recs, TrainingConfig(hidden=(16,), epochs=15, seed=5))
@@ -240,7 +237,7 @@ def test_predict_pipeline_budget_and_determinism(cfg):
 
 
 def test_model_and_dataset_round_trip(tmp_path):
-    recs = _records(30, 4, 2, lambda x: x[:2] + 1.0, seed=12)
+    recs = _records(30, 4, lambda x: x[:2] + 1.0, seed=12)
     dpath = tmp_path / "data.jsonl"
     save_dataset(recs, dpath)
     back = load_dataset(dpath)
@@ -266,7 +263,7 @@ def test_model_and_dataset_round_trip(tmp_path):
 
 def test_save_model_writes_what_json_dump_writes(tmp_path):
     recs = [dataclasses.replace(r, fingerprint="0123abcd")
-            for r in _records(30, 4, 2, lambda x: x[:2] + 1.0, seed=12)]
+            for r in _records(30, 4, lambda x: x[:2] + 1.0, seed=12)]
     model, _ = train(recs, TrainingConfig(hidden=(6,), epochs=3, seed=3))
     assert model.fingerprint == "0123abcd"
     path = tmp_path / "model.json"
@@ -275,6 +272,24 @@ def test_save_model_writes_what_json_dump_writes(tmp_path):
         json.dump(json.loads(path.read_text(encoding="utf-8")), fh)
     assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
     assert load_model(path).fingerprint == "0123abcd"
+
+
+def test_dataset_records_carry_no_demands(tmp_path):
+    recs = [dataclasses.replace(r, fingerprint="0123abcd")
+            for r in _records(3, 4, lambda x: x[:2], seed=13)]
+    path = tmp_path / "data.jsonl"
+    save_dataset(recs, path)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [sorted(obj) for obj in lines] == [["fingerprint", "p_star", "seed", "strategy", "x"]] * 3
+    # a record written while datasets still carried the labeling demands `xi`
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(json.dumps({**obj, "xi": [250.0, 250.0]}) + "\n" for obj in lines),
+                   encoding="utf-8")
+    back = load_dataset(old)
+    assert len(back) == len(recs)
+    for a, b in zip(back, recs):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.p_star, b.p_star)
+        assert (a.seed, a.strategy, a.fingerprint) == (b.seed, b.strategy, b.fingerprint)
 
 
 def test_load_dataset_reports_bad_lines(tmp_path):

@@ -41,6 +41,16 @@ n_trials = 3
 base_seed = 5
 output.dir = {out}
 """,
+    # the default sweep at N=K=19: RZF guard repair runs in many cells
+    "n19": """
+system.n_beams = 19
+system.n_users = 19
+strategies = equal, sumopt, satisset, joint
+precoders = zf, rzf
+n_trials = 10
+base_seed = 7
+output.dir = {out}
+""",
 }
 
 POWER_SEEDS = (21, 22, 23)

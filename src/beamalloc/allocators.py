@@ -261,43 +261,50 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
     with the interference taken from the previous sweep.
 
     For interference-free precoding (ZF) step (ii) reduces to the plain
-    upper-bound water-fill.  Returns (powers, ok); ok is False when the pinned
-    subsystem is infeasible (budget exceeded, or spectral radius >= 1 by the
-    test of `check_feasible`: p_start is returned) or the alternation fails
-    to settle within the iteration cap.
+    upper-bound water-fill.  The pinned block a = I - R_SS Q_SS is certified
+    and factored once per call: step (i) is p_S = a^-1 nu_S + a^-1 R_S Q_SC p_C,
+    so each sweep is a matrix-vector step plus one water-fill.  Returns
+    (powers, ok); ok is False when the pinned subsystem is infeasible (budget
+    exceeded, or spectral radius >= 1 by the test of `check_feasible`: p_start
+    is returned) or the alternation fails to settle within the iteration cap.
     """
     gains, sigma2 = ds.Qm, ds.noise_power
     g_kk = np.diag(gains)
     if not pinned.any():
         return waterfill(sigma2 / g_kk, p_budget), True
-    s_idx = np.nonzero(pinned)[0]
-    c_idx = np.nonzero(~pinned)[0]
-    r_s = ds.R[s_idx]
-    nu_s = ds.nu[s_idx]
-    rq_ss = r_s[:, None] * gains[np.ix_(s_idx, s_idx)]
-    a = np.eye(len(s_idx)) - rq_ss
-    q_sc, q_c, g_c = gains[np.ix_(s_idx, c_idx)], gains[c_idx], g_kk[c_idx]
+    s_idx = np.flatnonzero(pinned)
+    c_idx = np.flatnonzero(~pinned)
+    r_s, rows_s = ds.R[s_idx], gains[s_idx]
+    a = np.eye(len(s_idx)) - r_s[:, None] * rows_s[:, s_idx]
+    # a positive solve for one b > 0 certifies the Z-matrix `a` as a nonsingular
+    # M-matrix, so a^-1 >= 0 and every sweep's pinned powers stay >= b0 > 0
+    b0 = m_matrix_solve(a, ds.nu[s_idx])
+    if b0 is None:
+        return p_start, False
+    coupling = np.linalg.solve(a, r_s[:, None] * rows_s[:, c_idx])
+    q_c, g_c = gains[c_idx], g_kk[c_idx]
+    tol = _PINNED_TOL * max(1.0, p_budget)
     p = p_start.copy()
+    p_s, p_c = p[s_idx], p[c_idx]
     for _ in range(_PINNED_MAX_INNER):
-        p_old = p.copy()
-        interf_c = q_sc @ p[c_idx] if c_idx.size else 0.0
-        # the right-hand side is >= nu_s > 0
-        p_s = m_matrix_solve(a, nu_s + r_s * interf_c)
-        if p_s is None:
-            return p_start, False
-        p[s_idx] = p_s
+        new_s = b0 + coupling @ p_c
+        settled = np.abs(new_s - p_s).max() <= tol
+        p[s_idx] = p_s = new_s
         leftover = p_budget - p_s.sum()
         if c_idx.size:
             if leftover > 0:
-                interf = q_c @ p - g_c * p[c_idx]
-                p[c_idx] = waterfill((sigma2 + interf) / g_c, leftover)
+                interf = q_c @ p - g_c * p_c
+                new_c = waterfill((sigma2 + interf) / g_c, leftover)
             else:
-                p[c_idx] = 0.0
-        if np.max(np.abs(p - p_old)) <= _PINNED_TOL * max(1.0, p_budget):
+                new_c = np.zeros(c_idx.size)
+            # the sweep settles when neither the pinned nor the complement powers move
+            settled = settled and np.abs(new_c - p_c).max() <= tol
+            p[c_idx] = p_c = new_c
+        if settled:
             break
     else:
         return p, False
-    if p[s_idx].sum() > p_budget * (1.0 + 1e-12):
+    if p_s.sum() > p_budget * (1.0 + 1e-12):
         return p, False
     return p, True
 

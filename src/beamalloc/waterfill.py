@@ -31,6 +31,11 @@ def waterfill(inverse_gains: np.ndarray, budget: float) -> np.ndarray:
     levels = (P + csum) / m_range
     # the active set is the largest m with level_m > c_m (all m channels above water)
     active = levels > cs
+    if not active.any():
+        # P below the rounding of the cheapest cost: the KKT limit as P -> 0
+        # gives the whole budget to the cheapest channels, split equally
+        cheapest = c == cs[0]
+        return np.where(cheapest, P / cheapest.sum(), 0.0)
     m = int(np.nonzero(active)[0][-1]) + 1
     w = levels[m - 1]
     p = np.maximum(0.0, w - c)

@@ -8,7 +8,9 @@ from itertools import combinations
 
 import numpy as np
 
+from beamalloc.allocators import _PINNED_MAX_INNER, _PINNED_TOL
 from beamalloc.feasibility import m_matrix_solve
+from beamalloc.waterfill import waterfill
 
 
 def waterfill_bisection(c, budget, iters=200):
@@ -123,6 +125,47 @@ def max_satisfiable_set(Q, demands, noise_power, bandwidth_mhz, p_max, rel_tol):
             if p is not None and p.sum() <= p_max:
                 return frozenset(subset)
     return frozenset()
+
+
+def solve_pinned_per_sweep(ds, pinned, p_budget, p_start):
+    """The pinned-set alternation with one fresh solve of the pinned block per
+    sweep: the reference for `allocators._solve_pinned`, which factors the
+    block once per call.  Same contract: (powers, ok), p_start itself on a
+    pinned spectral radius >= 1."""
+    gains, sigma2 = ds.Qm, ds.noise_power
+    g_kk = np.diag(gains)
+    if not pinned.any():
+        return waterfill(sigma2 / g_kk, p_budget), True
+    s_idx = np.nonzero(pinned)[0]
+    c_idx = np.nonzero(~pinned)[0]
+    r_s = ds.R[s_idx]
+    nu_s = ds.nu[s_idx]
+    rq_ss = r_s[:, None] * gains[np.ix_(s_idx, s_idx)]
+    a = np.eye(len(s_idx)) - rq_ss
+    q_sc, q_c, g_c = gains[np.ix_(s_idx, c_idx)], gains[c_idx], g_kk[c_idx]
+    p = p_start.copy()
+    for _ in range(_PINNED_MAX_INNER):
+        p_old = p.copy()
+        interf_c = q_sc @ p[c_idx] if c_idx.size else 0.0
+        # the right-hand side is >= nu_s > 0
+        p_s = m_matrix_solve(a, nu_s + r_s * interf_c)
+        if p_s is None:
+            return p_start, False
+        p[s_idx] = p_s
+        leftover = p_budget - p_s.sum()
+        if c_idx.size:
+            if leftover > 0:
+                interf = q_c @ p - g_c * p[c_idx]
+                p[c_idx] = waterfill((sigma2 + interf) / g_c, leftover)
+            else:
+                p[c_idx] = 0.0
+        if np.max(np.abs(p - p_old)) <= _PINNED_TOL * max(1.0, p_budget):
+            break
+    else:
+        return p, False
+    if p[s_idx].sum() > p_budget * (1.0 + 1e-12):
+        return p, False
+    return p, True
 
 
 def numeric_grads(weights, biases, x, t, eps=1e-5):

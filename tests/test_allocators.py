@@ -17,14 +17,18 @@ from beamalloc.allocators import (
     sum_opt,
 )
 from beamalloc.experiment import build_precoder, make_trial
-from beamalloc.feasibility import build_demand_system, sinr_targets
+from beamalloc.feasibility import (
+    build_demand_system, check_feasible, m_matrix_solve, sinr_targets
+)
 from beamalloc.metrics import rates
 from beamalloc.precoding import (
     Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
 )
 from beamalloc.waterfill import waterfill
 from conftest import make_instance, random_channel
-from oracles import max_satisfiable_set, simplex_grid_best, waterfill_objective
+from oracles import (
+    max_satisfiable_set, simplex_grid_best, solve_pinned_per_sweep, waterfill_objective
+)
 
 B = 500.0
 
@@ -452,6 +456,94 @@ def test_rzf_iteration_cap_reports_not_converged(monkeypatch):
     res = joint_opt(*case)
     assert (res.outcome, res.converged, res.iterations) == ("not_converged", False, 0)
     assert np.array_equal(satis_set_opt(*case).powers, res.powers)
+
+
+# ---------------------------------------------------------------------------
+# pinned-set solver: one factorization per call against a fresh solve per sweep
+
+def _demand_system(H, W, qos, cfg):
+    return build_demand_system(
+        effective_gains(H, W), W, qos.demands, cfg.noise_power_w, cfg.bandwidth_mhz
+    )
+
+
+def _assert_matches_per_sweep(ds, pinned, p_budget, p_start):
+    ref, ok_ref = solve_pinned_per_sweep(ds, pinned, p_budget, p_start)
+    p, ok = allocators._solve_pinned(ds, pinned, p_budget, p_start)
+    assert ok == ok_ref
+    assert np.max(np.abs(p - ref)) <= 1e-12 * max(1.0, p_budget)
+    if ref is p_start:
+        assert p is p_start
+    return p, ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["zf", "rzf", "mrt"]),
+    k=st.integers(1, 8),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    p_max=st.floats(0.5, 50.0),
+    xi_frac=st.lists(st.floats(0.1, 3.0), min_size=8, max_size=8),
+    pinned=st.lists(st.booleans(), min_size=8, max_size=8),
+    start_frac=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+)
+def test_solve_pinned_matches_per_sweep_oracle(
+    kind, k, extra, seed, p_max, xi_frac, pinned, start_frac
+):
+    try:
+        H, W, qos, cfg = _case(kind, k, extra, seed, p_max, B * np.array(xi_frac[:k]), 0.02)
+    except PrecoderSingularError:
+        assume(False)
+    p_start = np.array(start_frac[:k]) * (p_max / k)
+    _assert_matches_per_sweep(_demand_system(H, W, qos, cfg), np.array(pinned[:k]), p_max, p_start)
+
+
+def _mrt_system():
+    """Matched-filter case: every pinned user sees the others' interference."""
+    H, W, qos, cfg = _case("mrt", 5, 1, 3, 20.0, np.full(5, 300.0), 0.02)
+    return _demand_system(H, W, qos, cfg), cfg.p_max_w
+
+
+def _pinned_alone(ds, pinned):
+    """Exact-demand powers of the pinned users with every other user off."""
+    s = np.flatnonzero(pinned)
+    return m_matrix_solve(np.eye(s.size) - ds.R[s, None] * ds.Qm[np.ix_(s, s)], ds.nu[s])
+
+
+def test_solve_pinned_every_user_pinned():
+    ds, p_max = _mrt_system()
+    rep = check_feasible(ds, p_max)
+    assert rep.feasible
+    everyone = np.ones(5, dtype=bool)
+    for budget, feasible in ((p_max, True), (0.5 * rep.total_min_power, False)):
+        p, ok = _assert_matches_per_sweep(ds, everyone, budget, np.ones(5))
+        assert ok == feasible
+        assert np.array_equal(p, rep.min_powers)
+
+
+@pytest.mark.parametrize("budget_share, feasible", [(1.0, True), (0.5, False)])
+def test_solve_pinned_block_at_or_over_budget_leaves_the_complement_dark(budget_share, feasible):
+    # a pinned block that spends the whole budget is ok; one that needs twice
+    # the budget is not
+    ds, _ = _mrt_system()
+    pinned = np.array([True, False, True, False, False])
+    p_alone = _pinned_alone(ds, pinned)
+    budget = budget_share * float(p_alone.sum())
+    p, ok = _assert_matches_per_sweep(ds, pinned, budget, np.ones(5))
+    assert ok == feasible
+    assert np.all(p[~pinned] == 0.0)
+    assert np.array_equal(p[pinned], p_alone)
+
+
+def test_sum_opt_budget_below_cost_rounding():
+    # the budget is below the float spacing of every cost: it all goes to the
+    # cheapest channel, and no rate rises above zero
+    cfg = _cfg(2, 1e-30)
+    H = _diag_channel([1.0, 2.0])
+    res = sum_opt(H, make_zf(H), QoSProfile.uniform(100.0, 2), cfg)
+    assert res.powers.tolist() == [0.0, 1e-30]
+    assert np.all(res.rates_mbps == 0.0)
 
 
 # seeds from test_joint_reports_outcome, so every joint branch runs on a Link

@@ -83,3 +83,30 @@ def test_beats_simplex_grid():
         got = waterfill_objective(c, p)
         ref = simplex_grid_best(c, P)
         assert got >= ref - 1e-6 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "c, budget, expected",
+    [
+        ([1.0, 2.0], 1e-30, [1e-30, 0.0]),
+        ([1000.0, 2000.0], 1e-14, [1e-14, 0.0]),
+        ([2000.0, 1000.0], 1e-14, [0.0, 1e-14]),
+        # ties with the cheapest channel split the budget equally
+        ([3.0, 1.0, 1.0], 1e-30, [0.0, 5e-31, 5e-31]),
+        ([1.0], 5e-324, [5e-324]),
+    ],
+)
+def test_budget_below_cost_rounding_goes_to_the_cheapest(c, budget, expected):
+    # P + c rounds to c, so no water level rises above a cost; the KKT point's
+    # limit as P -> 0 puts the whole budget on the cheapest channels
+    assert float(np.asarray(c).min()) + budget == float(np.asarray(c).min())
+    assert waterfill(c, budget).tolist() == expected
+
+
+def test_small_budgets_stay_on_the_kkt_limit():
+    # above the rounding threshold the sorting path takes over without a jump
+    c = np.array([1.0, 2.0, 1.0])
+    for budget in (1e-17, 1e-16, 1e-15, 1e-12):
+        p = waterfill(c, budget)
+        assert p[1] == 0.0
+        assert p[0] == pytest.approx(budget / 2, rel=1e-6) and p[0] == p[2]

@@ -27,7 +27,6 @@ RATE_REL_TOL = 1e-6
 
 _PINNED_TOL = 1e-8
 _PINNED_MAX_INNER = 100
-_RZF_MAX_ITERS = 50
 
 # outcomes under which the joint and satisfied-set allocators run the same
 # congestion branch, so they return the same powers
@@ -225,11 +224,8 @@ def _joint_rzf(H, W, qos, cfg, surplus_equal):
 
     best_p, best_score = p.copy(), score(r)
     n = 0
-    outcome = "congested_growth"
+    # each further round moves at least one user into in_set, so at most K rounds
     while newly.any():
-        if n >= _RZF_MAX_ITERS:
-            outcome = "not_converged"
-            break
         n += 1
         interf = link.Q[newly] @ p - link.g[newly] * p[newly]
         p[newly] = ds.alpha[newly] * (interf + sigma2) / link.g[newly]
@@ -245,7 +241,7 @@ def _joint_rzf(H, W, qos, cfg, surplus_equal):
         in_set = in_set | joiners
         newly = joiners
         trace.append((int(in_set.sum()), float(r.sum())))
-    return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome=outcome)
+    return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome="congested_growth")
 
 
 def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:

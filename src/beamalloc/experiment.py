@@ -273,11 +273,14 @@ def _solve(strategy, link, W, qos, system):
     return res, (time.perf_counter() - t0) * 1e3
 
 
-def _block_records(t, seed, pk, rows, sumopt_rates, record_timing):
+def _block_records(t, seed, pk, rows, sumopt_rates, cfg):
     """TrialRecords of one (trial, precoder) block from its rows of (strategy,
     qos, xi_mbps, result, ms): the satisfied mask, sum rate, Jain and Lambda
     are computed along the last axis of the stacked (rows, K) rates."""
     r = np.array([row[3].rates_mbps for row in rows])
+    if not (r.any(axis=-1).all() and sumopt_rates.any()):
+        # Jain is undefined on a row of zero rates, Lambda on a zero sum-rate reference
+        raise ConfigError(f"system.p_max_w = {cfg.system.p_max_w:g} rounds every rate to 0 (seed {seed})")
     demands = np.array([row[1].demands for row in rows])
     sat = allocators.satisfied_mask(r, demands)
     n_sat = sat.sum(axis=-1)
@@ -291,7 +294,7 @@ def _block_records(t, seed, pk, rows, sumopt_rates, record_timing):
             # compacted split sums: a masked row sum groups K >= 8 terms differently
             float(r[i][sat[i]].sum()), float(r[i][~sat[i]].sum()),
             int(n_sat[i]), k, bool(n_sat[i] < k), float(jain[i]), float(lam[i]),
-            ms if record_timing else 0.0,
+            ms if cfg.record_timing else 0.0,
         )
         for i, (strategy, _, xi, _, ms) in enumerate(rows)
     ]
@@ -332,7 +335,7 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
                     elif strategy not in cell:
                         cell[strategy] = _solve(strategy, link, W, qos, system)
                 rows += [(s, qos, xi, *cell[s]) for s in cfg.strategies]
-            records += _block_records(t, seed, pk, rows, fixed["sumopt"][0].rates_mbps, cfg.record_timing)
+            records += _block_records(t, seed, pk, rows, fixed["sumopt"][0].rates_mbps, cfg)
     per_trial_path = os.path.join(cfg.out_dir, "per_trial.csv")
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
     _write_per_trial(per_trial_path, records)
@@ -391,12 +394,10 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     cfg.validate()
     system = cfg.system
     surr = cfg.surrogate
-    n_total = surr.n_train + surr.n_test
-    k = system.n_users
-    qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
+    qos = allocators.QoSProfile.uniform(surr.xi_mbps, system.n_users, cfg.omega_frac)
     fp = fingerprint(cfg)
     records = []
-    for i in range(n_total):
+    for i in range(surr.n_train + surr.n_test):
         seed = cfg.base_seed + i
         trial = make_trial(system, seed)
         for pk in cfg.precoders:
@@ -417,31 +418,32 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     return path
 
 
-def _load_dataset(path: str) -> list:
-    """The dataset's records; a missing, unreadable or corrupt file is a ConfigError."""
+def _dataset_groups(cfg: ExperimentConfig) -> tuple:
+    """(path, {label strategy: its records in file order}); a missing,
+    unreadable or corrupt file is a ConfigError."""
+    path = os.path.join(cfg.out_dir, cfg.surrogate.dataset_path)
     try:
-        return surrogate.load_dataset(path)
+        records = surrogate.load_dataset(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: cannot read the dataset ({exc}); re-run gen-data") from exc
+    groups = {}
+    for r in records:
+        groups.setdefault(r.strategy, []).append(r)
+    return path, groups
 
 
 def train_models(cfg: ExperimentConfig) -> dict:
-    """Train one surrogate per label strategy present in the dataset; returns
-    {strategy: (model_path, report)}."""
+    """Train one surrogate per label strategy present in the dataset, on the
+    first n_train records of its group; returns {strategy: (model_path, report)}."""
     surr = cfg.surrogate
-    path = os.path.join(cfg.out_dir, surr.dataset_path)
-    records = _load_dataset(path)
-    if not records:
+    path, groups = _dataset_groups(cfg)
+    if not groups:
         raise ConfigError(f"{path}: dataset is empty")
     out = {}
     os.makedirs(os.path.join(cfg.out_dir, surr.model_dir), exist_ok=True)
-    for strategy in sorted({r.strategy for r in records}):
-        group = [r for r in records if r.strategy == strategy]
-        train_split = group[: surr.n_train]
-        model, report = surrogate.train(train_split, surr)
-        model_path = os.path.normpath(
-            os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.json")
-        )
+    for strategy in sorted(groups):
+        model, report = surrogate.train(groups[strategy][: surr.n_train], surr)
+        model_path = os.path.normpath(os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.json"))
         surrogate.save_model(model, model_path)
         out[strategy] = (model_path, report)
     return out
@@ -451,7 +453,8 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     """Compare the model-based solver with the surrogate on the test split
     (rates, satisfaction, per-sample latency) and write the eval CSV.  Each
     channel is read from its record, H = x.reshape(K, N).T, so no trial is
-    replayed; the config, the model and the records must share a fingerprint."""
+    replayed; the config, the model and the records must share a fingerprint.
+    Both rows are scored by one rule from their samples' (n, K) rates."""
     try:
         model = surrogate.load_model(model_path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -464,50 +467,37 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     _require_fingerprint(model_path, "the model's", model.fingerprint, fp)
     system = cfg.system
     surr = cfg.surrogate
-    dataset_path = os.path.join(cfg.out_dir, surr.dataset_path)
-    records = _load_dataset(dataset_path)
-    group = [r for r in records if r.strategy == strategy]
-    test_split = group[surr.n_train : surr.n_train + surr.n_test]
+    dataset_path, groups = _dataset_groups(cfg)
+    test_split = groups.get(strategy, [])[surr.n_train : surr.n_train + surr.n_test]
     if not test_split:
         raise ConfigError("dataset has no test split for this model")
-    for rec in test_split:
-        _require_fingerprint(dataset_path, f"the seed-{rec.seed} record's", rec.fingerprint, fp)
-    k, n = system.n_users, system.n_beams
+    k, n_beams = system.n_users, system.n_beams
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
 
     model_ms = 0.0
-    model_rates = []
-    model_sat = 0
-    surro_rates = []
-    surro_sat = 0
-    links = []
+    links, model_rates = [], []
     for rec in test_split:
-        H = rec.x.reshape(k, n).T
+        _require_fingerprint(dataset_path, f"the seed-{rec.seed} record's", rec.fingerprint, fp)
+        H = rec.x.reshape(k, n_beams).T
         W = (make_zf(H, cond_cap=system.cond_cap) if pk == "zf"
              else make_rzf(H, system.noise_power_w, system.p_max_w))
         t0 = time.perf_counter()
         link = effective_gains(H, W)
         res = allocators.joint_opt(link, W, qos, system)
         model_ms += (time.perf_counter() - t0) * 1e3
-        model_rates.append(res.rates_mbps.sum())
-        model_sat += len(res.satisfied)
         links.append((link, W))
+        model_rates.append(res.rates_mbps)
     gains = np.stack([rec.x for rec in test_split])
     t0 = time.perf_counter()
     powers = surrogate.predict_powers(model, gains, system.p_max_w)
-    surro_ms_total = (time.perf_counter() - t0) * 1e3
-    for (link, W), p in zip(links, powers):
-        r = metrics.rates(link, W, p, system)
-        surro_rates.append(r.sum())
-        surro_sat += int(allocators.satisfied_mask(r, qos.demands).sum())
+    surro_ms = (time.perf_counter() - t0) * 1e3
+    surro_rates = np.array([metrics.rates(link, W, p, system) for (link, W), p in zip(links, powers)])
 
     n = len(test_split)
     rows = [
-        (f"{method}_{pk}", float(surr.xi_mbps), ms / n, float(np.mean(rates)), 100.0 * sat / (n * k))
-        for method, ms, rates, sat in (
-            ("model", model_ms, model_rates, model_sat),
-            ("surrogate", surro_ms_total, surro_rates, surro_sat),
-        )
+        (f"{method}_{pk}", float(surr.xi_mbps), ms / n, float(r.sum(axis=-1).mean()),
+         100.0 * int(allocators.satisfied_mask(r, qos.demands).sum()) / (n * k))
+        for method, ms, r in (("model", model_ms, np.array(model_rates)), ("surrogate", surro_ms, surro_rates))
     ]
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"eval_{pk}.csv")

@@ -450,14 +450,6 @@ def test_joint_reports_outcome(kind, seed, outcome):
     assert res.converged == (outcome != "not_converged")
 
 
-def test_rzf_iteration_cap_reports_not_converged(monkeypatch):
-    case = _seeded_case(0, "rzf")  # congested; the uncapped growth takes one round
-    monkeypatch.setattr(allocators, "_RZF_MAX_ITERS", 0)
-    res = joint_opt(*case)
-    assert (res.outcome, res.converged, res.iterations) == ("not_converged", False, 0)
-    assert np.array_equal(satis_set_opt(*case).powers, res.powers)
-
-
 # ---------------------------------------------------------------------------
 # pinned-set solver: one factorization per call against a fresh solve per sweep
 

@@ -348,6 +348,25 @@ def test_cli_rejects_beam_layout_beyond_the_cloud_model(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--trials", "1"]) == 0
 
 
+@pytest.mark.parametrize("p_max_w", ["1e-30", "1e-20", "1e-15"])
+def test_budget_that_rounds_every_rate_to_0_exits_1(tmp_path, capsys, p_max_w):
+    # every SINR is below 2**-53, so every rate is exactly 0, and Jain and
+    # Lambda are undefined
+    text = SMALL_CONFIG + "system.p_max_w = {p_max_w}\n"
+    cfg_path = _write_config(tmp_path, text, p_max_w=p_max_w)
+    cfg = parse_config(cfg_path)
+    cfg.n_trials = 1
+    with pytest.raises(ConfigError, match=rf"system\.p_max_w = {p_max_w} .*\(seed 11\)"):
+        run_campaign(cfg)
+    assert not (tmp_path / "out" / "per_trial.csv").exists()
+    assert main(["run", "--config", cfg_path, "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"system.p_max_w = {p_max_w}" in err and "(seed 11)" in err
+    cfg_path = _write_config(tmp_path, text, p_max_w="1e-14")
+    assert main(["run", "--config", cfg_path, "--trials", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_dataset_x_is_the_whole_channel(tmp_path):
     # eval builds H, the precoder and the Link from x alone: each must equal
     # what a replayed trial gives, bit for bit
@@ -417,6 +436,32 @@ def test_eval_reads_channels_from_the_dataset(tmp_path, monkeypatch, pk):
     monkeypatch.undo()
     rows = [line.split(",") for line in lines[1:]]
     assert [row[:2] + row[3:] for row in rows] == _replayed_eval_rows(cfg, pk, model_path)
+
+
+def test_two_precoder_dataset_splits_each_strategy_by_seed(tmp_path, monkeypatch):
+    # both precoders' records interleave in one file: each strategy trains on
+    # seeds base_seed .. base_seed + n_train - 1 and is evaluated on the next
+    # n_test
+    cfg = parse_config(_write_config(tmp_path))
+    assert cfg.precoders == ("zf", "rzf")
+    gen_dataset(cfg)
+    train = surrogate.train
+    seen = []
+
+    def recording_train(records, settings):
+        seen.append([(r.strategy, r.seed) for r in records])
+        return train(records, settings)
+
+    monkeypatch.setattr(surrogate, "train", recording_train)
+    trained = train_models(cfg)
+    monkeypatch.undo()
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.surrogate.n_train)
+    assert seen == [[(s, seed) for seed in seeds] for s in ("joint_rzf", "joint_zf")]
+    for pk in ("zf", "rzf"):
+        model_path = trained[f"joint_{pk}"][0]
+        lines = open(eval_model(cfg, model_path)).read().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:2] + row[3:] for row in rows] == _replayed_eval_rows(cfg, pk, model_path)
 
 
 def test_cli_eval_refuses_another_system_and_old_models(tmp_path, capsys):

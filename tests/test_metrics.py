@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from beamalloc import QoSProfile, SystemConfig
 from beamalloc.allocators import AllocationResult, satisfied_mask, sum_opt
-from beamalloc.experiment import _block_records
+from beamalloc.experiment import ExperimentConfig, _block_records
 from beamalloc.metrics import (
     TrialRecord,
     aggregate,
@@ -197,7 +197,7 @@ def _check_block(rng, n_rows, k):
             trace=(),
         )
         rows.append(("joint", QoSProfile.per_user(demands[i]), 1.0, res, 0.0))
-    records = _block_records(0, 1, "zf", rows, sumopt_rates, False)
+    records = _block_records(0, 1, "zf", rows, sumopt_rates, ExperimentConfig())
     jains = jain(r / demands)
     lams = lambda_objective(r, masks.sum(axis=-1), sumopt_rates)
     for i, rec in enumerate(records):

@@ -286,7 +286,7 @@ def apply_atmosphere(
     """Scale column k by sqrt(r_k)/sqrt(c_k): lognormal rain fade r_k and
     Salonen-Uppala cloud attenuation c_k (computed in dB, converted to linear
     before the division)."""
-    if not cfg.atmospherics_enabled:
+    if not cfg.atmospherics:
         raise InvalidConfigError("atmospherics are disabled in this config")
     rng = np.random.default_rng([_STREAM_ATMOS, seed])
     rain_db = rng.normal(RAIN_MEAN_DB, np.sqrt(RAIN_VAR_DB), size=cfg.n_users)

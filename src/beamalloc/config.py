@@ -45,7 +45,7 @@ class SystemConfig:
     # -3 dB pattern radius on the ground; beams narrower than the hex cell
     # spread the effective gains like a real overlapping layout
     beam_3db_radius_km: float = 75.0
-    atmospherics_enabled: bool = False
+    atmospherics: bool = False
     cond_cap: float = 1e8  # channel condition-number guard for precoding
 
     def __post_init__(self):

@@ -19,6 +19,7 @@ import numpy as np
 from . import allocators, metrics, surrogate
 from .channel import AttenuationOverflowError, apply_atmosphere, build_channel, drop_users
 from .config import InvalidConfigError, SystemConfig
+from .feasibility import sinr_targets
 from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
 
 _REDRAW_STRIDE = 2654435761  # seed offset per conditioning redraw
@@ -110,6 +111,13 @@ class ExperimentConfig:
             raise ConfigError("qos.sweep and qos.per_user demands must be > 0")
         if self.omega_frac < 0:
             raise ConfigError("qos.omega_frac must be >= 0")
+        bw = self.system.bandwidth_mhz
+        for key, xs in (("qos.sweep", self.qos_sweep), ("qos.per_user", self.qos_per_user or ())):
+            with np.errstate(over="ignore"):  # an overflow is the finding here, not a warning
+                bad = [xi for xi in xs if not np.isfinite(sinr_targets(xi * (1.0 + self.omega_frac), bw))]
+            if bad:
+                raise ConfigError(f"{key}: demand {bad[0]:g} Mbps relaxed by qos.omega_frac = {self.omega_frac:g} "
+                                  f"needs an SINR beyond the float range at system.bandwidth_mhz = {bw:g}")
         xis = [xi for _, xi in self.demand_points()]
         for key, xs in (("qos.sweep", xis[: len(self.qos_sweep)]), ("qos.per_user", xis)):
             if len(set(xs)) < len(xs):
@@ -169,7 +177,6 @@ _KEYS = {
 }
 _KEYS.update(
     {
-        "system.atmospherics": ("system", "atmospherics_enabled", _bool),
         "surrogate.hidden": ("surrogate", "hidden", _tuple_of(int)),
         "qos.sweep": ("", "qos_sweep", _tuple_of(_float)),
         "qos.per_user": ("", "qos_per_user", _tuple_of(_float)),
@@ -187,6 +194,7 @@ _KEYS.update(
 def parse_config(path: str) -> ExperimentConfig:
     """Parse a flat dotted-key config file with line-precise errors."""
     values = {"": {}, "system": {}, "surrogate": {}}
+    key_lines = {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -203,6 +211,8 @@ def parse_config(path: str) -> ExperimentConfig:
             key = key.strip()
             if key not in _KEYS:
                 raise ConfigError(f"{where}: unknown key {key!r}")
+            if key_lines.setdefault(key, line_no) != line_no:
+                raise ConfigError(f"{where}: {key!r} is already set on line {key_lines[key]}")
             section, name, convert = _KEYS[key]
             try:
                 values[section][name] = convert(value.strip())
@@ -236,7 +246,7 @@ def make_trial(system: SystemConfig, seed: int) -> Trial:
         eff_seed = seed + attempt * _REDRAW_STRIDE
         drop = drop_users(system, eff_seed)
         H = build_channel(drop, system)
-        if system.atmospherics_enabled:
+        if system.atmospherics:
             try:
                 H = apply_atmosphere(H, drop, system, eff_seed)
             except AttenuationOverflowError as exc:

@@ -31,6 +31,10 @@ def jain(satisfaction_ratios: np.ndarray) -> np.ndarray:
     o = np.asarray(satisfaction_ratios, dtype=float)
     if np.any(o < 0):
         raise ValueError("satisfaction ratios must be nonnegative")
+    # the index does not depend on scale: a row whose largest ratio lies beyond
+    # 2**±500 is scaled by an exact power of two, so its squares stay finite and nonzero
+    e = np.frexp(o.max(axis=-1, keepdims=True))[1]
+    o = np.where(np.abs(e) > 500, np.ldexp(o, -e), o)
     s2 = np.sum(o**2, axis=-1)
     if np.any(s2 == 0.0):
         raise ValueError("Jain's index undefined for all-zero ratios")
@@ -88,13 +92,6 @@ def aggregate(records: list[TrialRecord]) -> MetricsSummary:
     if not records:
         raise ValueError("cannot aggregate an empty trial list")
     n = len(records)
-    return MetricsSummary(
-        n_trials=n,
-        congestion_prob=sum(r.congested for r in records) / n,
-        satisfaction_prob=sum(r.n_satisfied / r.n_users for r in records) / n,
-        mean_sum_rate=sum(r.sum_rate_mbps for r in records) / n,
-        mean_sum_rate_satisfied=sum(r.sum_rate_satisfied_mbps for r in records) / n,
-        mean_sum_rate_unsatisfied=sum(r.sum_rate_unsatisfied_mbps for r in records) / n,
-        jain_index=sum(r.jain for r in records) / n,
-        lambda_obj=sum(r.lambda_obj for r in records) / n,
-    )
+    columns = zip(*((r.congested, r.n_satisfied / r.n_users, r.sum_rate_mbps, r.sum_rate_satisfied_mbps,
+                     r.sum_rate_unsatisfied_mbps, r.jain, r.lambda_obj) for r in records))
+    return MetricsSummary(n, *(sum(c) / n for c in columns))  # the means, in field order

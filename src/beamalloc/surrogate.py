@@ -11,7 +11,7 @@ and reverse-mode gradients through the stack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,36 +79,26 @@ def gains_vector(H: np.ndarray) -> np.ndarray:
 
 
 def fit_norm_stats(x: np.ndarray, p: np.ndarray) -> NormStats:
-    return NormStats(
-        x_min=x.min(axis=0),
-        x_max=x.max(axis=0),
-        p_min=p.min(axis=0),
-        p_max=p.max(axis=0),
-    )
+    return NormStats(x.min(axis=0), x.max(axis=0), p.min(axis=0), p.max(axis=0))
 
 
 def _minmax(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Coordinate-wise min-max scaling; degenerate coordinates map to 0."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1] != lo.shape[0]:
+        raise ValueError(f"input length {v.shape[-1]} does not match stats ({lo.shape[0]})")
     span = hi - lo
-    out = np.zeros_like(v, dtype=float)
+    out = np.zeros_like(v)
     nz = span > 0
     out[..., nz] = (v[..., nz] - lo[nz]) / span[nz]
     return out
 
 
 def normalize(x: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Coordinate-wise min-max scaling; degenerate coordinates map to 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != stats.x_min.shape[0]:
-        raise ValueError(
-            f"input length {x.shape[-1]} does not match stats ({stats.x_min.shape[0]})"
-        )
     return _minmax(x, stats.x_min, stats.x_max)
 
 
 def normalize_powers(p: np.ndarray, stats: NormStats) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] != stats.p_min.shape[0]:
-        raise ValueError("power length does not match stats")
     return _minmax(p, stats.p_min, stats.p_max)
 
 
@@ -206,10 +196,8 @@ def train(
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     stats = fit_norm_stats(x_all[train_idx], p_all[train_idx])
-    x_tr = normalize(x_all[train_idx], stats)
-    t_tr = normalize_powers(p_all[train_idx], stats)
-    x_va = normalize(x_all[val_idx], stats) if n_val else None
-    t_va = normalize_powers(p_all[val_idx], stats) if n_val else None
+    x_n, t_n = normalize(x_all, stats), normalize_powers(p_all, stats)  # elementwise: split after
+    x_tr, t_tr, x_va, t_va = x_n[train_idx], t_n[train_idx], x_n[val_idx], t_n[val_idx]
 
     layer_sizes = [x_all.shape[1], *tcfg.hidden, p_all.shape[1]]
     weights, biases = _init_model(layer_sizes, rng)
@@ -321,12 +309,7 @@ def save_model(model: SurrogateModel, path) -> None:
         "layer_sizes": model.layer_sizes,
         "weights": [w.reshape(-1).tolist() for w in model.weights],  # row-major
         "biases": [b.tolist() for b in model.biases],
-        "norm_stats": {
-            "x_min": model.norm_stats.x_min.tolist(),
-            "x_max": model.norm_stats.x_max.tolist(),
-            "p_min": model.norm_stats.p_min.tolist(),
-            "p_max": model.norm_stats.p_max.tolist(),
-        },
+        "norm_stats": {f.name: getattr(model.norm_stats, f.name).tolist() for f in fields(NormStats)},
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))  # the C encoder; json.dump streams through the Python one
@@ -343,13 +326,7 @@ def load_model(path) -> SurrogateModel:
         for w, fi, fo in zip(doc["weights"], sizes[:-1], sizes[1:])
     ]
     biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-    ns = doc["norm_stats"]
-    stats = NormStats(
-        x_min=np.asarray(ns["x_min"], dtype=float),
-        x_max=np.asarray(ns["x_max"], dtype=float),
-        p_min=np.asarray(ns["p_min"], dtype=float),
-        p_max=np.asarray(ns["p_max"], dtype=float),
-    )
+    stats = NormStats(*(np.asarray(doc["norm_stats"][f.name], dtype=float) for f in fields(NormStats)))
     return SurrogateModel(
         weights=weights, biases=biases, norm_stats=stats, strategy=doc.get("strategy", ""),
         fingerprint=doc["fingerprint"],

@@ -246,7 +246,7 @@ def test_cloud_attenuation_elevation_law():
 
 
 def test_apply_atmosphere_column_scaling():
-    cfg = SystemConfig(atmospherics_enabled=True)
+    cfg = SystemConfig(atmospherics=True)
     drop = drop_users(cfg, 21)
     chan = build_channel(drop, cfg)
     out = apply_atmosphere(chan, drop, cfg, 21)

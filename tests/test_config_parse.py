@@ -6,6 +6,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from beamalloc.cli import main  # noqa: E402
 from beamalloc.experiment import _KEYS, ConfigError, ExperimentConfig, parse_config  # noqa: E402
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=16)
@@ -33,3 +34,12 @@ def test_parse_config_returns_config_or_raises_config_error(tmp_path_factory, li
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+
+
+def test_a_key_set_twice_names_both_lines(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("n_trials = 5\nsystem.n_beams = 7\n\n# again\nn_trials = 9\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"twice\.cfg:5: 'n_trials' is already set on line 1"):
+        parse_config(str(path))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "already set" in capsys.readouterr().err

@@ -45,9 +45,19 @@ surrogate.batch_size = 32
 """
 
 
+def _one_line_per_key(text):
+    """`text` with a later line of a key put in place of its earlier line: a
+    test overrides a SMALL_CONFIG key by appending it, and a config file that
+    sets one key twice is an error."""
+    lines = {}
+    for line in text.splitlines():
+        lines[line.partition("=")[0].strip() or line] = line
+    return "\n".join(lines.values()) + "\n"
+
+
 def _write_config(tmp_path, text=None, **fmt):
     p = tmp_path / "run.cfg"
-    p.write_text((text or SMALL_CONFIG).format(out=tmp_path / "out", **fmt))
+    p.write_text(_one_line_per_key(text or SMALL_CONFIG).format(out=tmp_path / "out", **fmt))
     return str(p)
 
 
@@ -367,6 +377,41 @@ def test_budget_that_rounds_every_rate_to_0_exits_1(tmp_path, capsys, p_max_w):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        # the relaxed demand's SINR target 2^(xi (1 + omega) / B) - 1 overflows
+        ("system.bandwidth_mhz = 0.001", 1),
+        ("system.bandwidth_mhz = 1e-300", 1),
+        ("qos.sweep = 1e300", 1),
+        ("qos.omega_frac = 1e300", 1),
+        # every rate rounds to 0
+        ("system.noise_power_w = 1e300", 1),
+        ("system.rx_gain = 1e-300", 1),
+        ("system.beam_3db_radius_km = 1e-12", 1),
+        ("system.peak_beam_gain = 1e-300", 1),
+        # no drop passes the conditioning test
+        ("system.sat_height_km = 1e-9", 1),
+        ("system.cond_cap = 1", 1),
+        ("system.beam_radius_km = 1e-12", 1),
+        ("system.atmospherics_enabled = true", 1),  # unknown key: the one spelling is system.atmospherics
+        ("system.noise_power_w = 1e-300", 0),
+        ("system.p_max_w = 1e300", 0),
+        ("system.carrier_ghz = 1e-9", 0),
+        ("system.noise_temp_k = 1e-300", 0),
+        ("qos.sweep = 1e-300", 0),  # satisfaction ratios near 1e300: Jain stays finite
+    ],
+)
+def test_cli_exit_codes_at_the_float_limits(tmp_path, capsys, line, code):
+    # the tier-1 filter makes a RuntimeWarning an error, which the CLI reports as exit 2
+    text = "system.n_beams = 7\nsystem.n_users = 7\nn_trials = 1\noutput.dir = {out}\n" + line + "\n"
+    assert main(["run", "--config", _write_config(tmp_path, text)]) == code
+    err = capsys.readouterr().err
+    assert ("config error" in err) == (code == 1)
+    for csv_path in (tmp_path / "out").glob("*.csv"):
+        assert "nan" not in csv_path.read_text()
+
+
 def test_dataset_x_is_the_whole_channel(tmp_path):
     # eval builds H, the precoder and the Link from x alone: each must equal
     # what a replayed trial gives, bit for bit
@@ -476,10 +521,10 @@ def test_cli_eval_refuses_another_system_and_old_models(tmp_path, capsys):
     assert main(["eval", "--model", model_path, "--config", cfg_path]) == 0
     capsys.readouterr()
 
-    # a later key overrides an earlier one
+    # another system.* value
     other = tmp_path / "other.cfg"
     for line in ("system.n_users = 5", "system.p_max_w = 100"):
-        other.write_text(Path(cfg_path).read_text() + line + "\n")
+        other.write_text(_one_line_per_key(Path(cfg_path).read_text() + line + "\n"))
         assert main(["eval", "--model", model_path, "--config", str(other)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and model_path in err and "fingerprint" in err

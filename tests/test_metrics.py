@@ -84,6 +84,21 @@ def test_jain_rejects_degenerate():
         jain(np.array([1.0, -0.1]))
 
 
+def test_jain_is_scale_free_and_finite_at_the_float_limits():
+    rng = np.random.default_rng(3)
+    o = rng.uniform(0.0, 5.0, size=(200, 7))
+    ref = jain(o)
+    # rows within 2**±500 follow the plain formula bit for bit
+    assert np.array_equal(ref, np.float_power(o.sum(axis=-1), 2) / (7 * np.sum(o**2, axis=-1)))
+    # an exact power-of-two scale changes no bit, in a block of mixed scales too
+    for e in (-1000, -600, 600, 1000, 1020):
+        assert np.array_equal(jain(np.ldexp(o, e)), ref)
+    mixed = np.ldexp(o, rng.choice([-900, 0, 900], size=(200, 1)))
+    assert np.array_equal(jain(mixed), ref)
+    for scale in (1e-303, 1e303):
+        assert np.allclose(jain(o * scale), ref, rtol=1e-14, atol=0.0)
+
+
 def test_lambda_for_sum_opt_itself_with_all_satisfied(cfg):
     H, W = make_instance(cfg, 3)
     res = sum_opt(H, W, QoSProfile.uniform(100.0, 7), cfg)

@@ -12,7 +12,6 @@ import math
 import os
 import time
 from dataclasses import astuple, dataclass, field, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -92,12 +91,13 @@ class ExperimentConfig:
             raise ConfigError("at least one strategy is required")
         if not self.precoders:
             raise ConfigError("at least one precoder is required")
+        # a repeated name would add its rows twice to one aggregate cell
         for s in self.strategies:
-            if s not in KNOWN_STRATEGIES:
-                raise ConfigError(f"unknown strategy {s!r}")
+            if s not in KNOWN_STRATEGIES or self.strategies.count(s) > 1:
+                raise ConfigError(f"{'repeated' if s in KNOWN_STRATEGIES else 'unknown'} strategy {s!r}")
         for p in self.precoders:
-            if p not in KNOWN_PRECODERS:
-                raise ConfigError(f"unknown precoder {p!r}")
+            if p not in KNOWN_PRECODERS or self.precoders.count(p) > 1:
+                raise ConfigError(f"{'repeated' if p in KNOWN_PRECODERS else 'unknown'} precoder {p!r}")
         if not self.qos_sweep and self.qos_per_user is None:
             raise ConfigError("qos.sweep or qos.per_user must be set")
         if self.system.p_max_w <= 0:
@@ -283,48 +283,47 @@ def _solve(strategy, link, W, qos, system):
     return res, (time.perf_counter() - t0) * 1e3
 
 
-def _block_records(t, seed, pk, rows, sumopt_rates, cfg):
-    """TrialRecords of one (trial, precoder) block from its rows of (strategy,
-    qos, xi_mbps, result, ms): the satisfied mask, sum rate, Jain and Lambda
-    are computed along the last axis of the stacked (rows, K) rates."""
+def _split_sums(r, mask, counts):
+    """Per-row sums of the masked entries of `r`, `counts` of them per row:
+    each row-count group's compacted (rows, count) block summed along its last
+    axis adds a row's terms as its compaction's sum does (a masked sum may not)."""
+    out = np.zeros(len(r))
+    for m in set(counts.tolist()) - {0}:
+        idx = (counts == m).nonzero()[0]
+        out[idx] = r[idx][mask[idx]].reshape(-1, m).sum(axis=-1)
+    return out
+
+
+def _score_block(rows, sumopt_rates, seed, system):
+    """(scores, n_satisfied) of one block's rows of (strategy, qos, xi_mbps,
+    result, ms), each row scored against its own qos, not the one its result
+    was solved for.  `scores` is (rows, 7), in MetricsSummary column order:
+    congested, n_satisfied/K, sum rate, the satisfied and unsatisfied sums,
+    Jain and Lambda, along the last axis of the stacked (rows, K) rates."""
     r = np.array([row[3].rates_mbps for row in rows])
     if not (r.any(axis=-1).all() and sumopt_rates.any()):
         # Jain is undefined on a row of zero rates, Lambda on a zero sum-rate reference
-        raise ConfigError(f"system.p_max_w = {cfg.system.p_max_w:g} rounds every rate to 0 (seed {seed})")
+        raise ConfigError(f"system.p_max_w = {system.p_max_w:g} rounds every rate to 0 (seed {seed})")
     demands = np.array([row[1].demands for row in rows])
     sat = allocators.satisfied_mask(r, demands)
     n_sat = sat.sum(axis=-1)
-    sum_rate = r.sum(axis=-1)
-    jain = metrics.jain(r / demands)
-    lam = metrics.lambda_objective(r, n_sat, sumopt_rates)
     k = r.shape[1]
-    return [
-        metrics.TrialRecord(
-            t, seed, pk, strategy, xi, float(sum_rate[i]),
-            # compacted split sums: a masked row sum groups K >= 8 terms differently
-            float(r[i][sat[i]].sum()), float(r[i][~sat[i]].sum()),
-            int(n_sat[i]), k, bool(n_sat[i] < k), float(jain[i]), float(lam[i]),
-            ms if cfg.record_timing else 0.0,
-        )
-        for i, (strategy, _, xi, _, ms) in enumerate(rows)
-    ]
+    scores = np.column_stack((
+        n_sat < k, n_sat / k, r.sum(axis=-1), _split_sums(r, sat, n_sat), _split_sums(r, ~sat, k - n_sat),
+        metrics.jain(r / demands), metrics.lambda_objective(r, n_sat, sumopt_rates),
+    ))
+    return scores, n_sat
 
 
-def run_campaign(cfg: ExperimentConfig) -> dict:
-    """Full Monte-Carlo sweep; writes the per-trial and aggregated CSVs and
-    returns their paths plus the in-memory records.  Each (trial, precoder)
-    builds its Link once and is scored as one block.  A row keeps the
-    (result, ms) of the solve that produced its powers: demand-free
-    strategies are solved once per (trial, precoder) and that solve serves
-    every demand point, and satisset reuses joint's solve when joint ran the
-    congestion branch the two share.  Rows are scored against their own
-    demands, so a reused result's satisfied set is never read."""
-    cfg.validate()
+def _campaign_blocks(cfg: ExperimentConfig, points):
+    """(t, seed, precoder, rows, sum-opt rates) of each (trial, precoder) block
+    in trial order, with rows (strategy, qos, xi_mbps, result, ms) for every
+    strategy at each demand point; each block builds its Link once.  A row
+    keeps the (result, ms) of the solve that produced its powers: demand-free
+    strategies are solved once per block for every demand point, and satisset
+    reuses joint's solve when joint ran the congestion branch the two share."""
     system = cfg.system
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    points = cfg.demand_points()
     ref_qos = allocators.QoSProfile.uniform(1.0, system.n_users, cfg.omega_frac)
-    records: list[metrics.TrialRecord] = []
     solve_order = sorted(cfg.strategies, key=lambda s: s != "joint")  # joint first
     shared = [s for s in DEMAND_FREE_STRATEGIES if s == "sumopt" or s in cfg.strategies]
     for t in range(cfg.n_trials):
@@ -345,12 +344,37 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
                     elif strategy not in cell:
                         cell[strategy] = _solve(strategy, link, W, qos, system)
                 rows += [(s, qos, xi, *cell[s]) for s in cfg.strategies]
-            records += _block_records(t, seed, pk, rows, fixed["sumopt"][0].rates_mbps, cfg)
+            yield t, seed, pk, rows, fixed["sumopt"][0].rates_mbps
+
+
+def run_campaign(cfg: ExperimentConfig) -> dict:
+    """Full Monte-Carlo sweep; writes the per-trial and aggregated CSVs and
+    returns their paths.  Each block's rows are appended to a temporary file
+    that replaces `per_trial.csv` after the last block, and its scores are
+    added to its precoder's running column sums, trial after trial."""
+    cfg.validate()
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    points = cfg.demand_points()
+    sums = dict.fromkeys(cfg.precoders, 0.0)  # each becomes a (rows, 7) array at its first block
     per_trial_path = os.path.join(cfg.out_dir, "per_trial.csv")
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
-    _write_per_trial(per_trial_path, records)
-    _write_aggregate(agg_path, records)
-    return {"per_trial": per_trial_path, "aggregate": agg_path, "records": records}
+    tmp_path = f"{per_trial_path}.{os.getpid()}.tmp"
+    fh = open(tmp_path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(PER_TRIAL_COLUMNS + "\n")
+            for t, seed, pk, rows, sumopt_rates in _campaign_blocks(cfg, points):
+                scores, n_sat = _score_block(rows, sumopt_rates, seed, cfg.system)
+                sums[pk] += scores
+                _write_per_trial(fh, t, seed, pk, rows, scores, n_sat, cfg.record_timing)
+        os.replace(tmp_path, per_trial_path)
+    except BaseException:
+        os.remove(tmp_path)  # a failed run leaves the earlier outputs as they were
+        raise
+    cells = [(s, xi) for _, xi in points for s in cfg.strategies]  # a block's rows, in order
+    _write_aggregate(agg_path, {(pk, *cell): sums[pk][i] for pk in cfg.precoders
+                                for i, cell in enumerate(cells)}, cfg.n_trials)
+    return {"per_trial": per_trial_path, "aggregate": agg_path}
 
 
 def _write_csv(path, columns, row_format, rows):
@@ -360,19 +384,19 @@ def _write_csv(path, columns, row_format, rows):
         fh.writelines(line.format(*row) for row in rows)
 
 
-def _write_per_trial(path, records):
-    # the per-trial columns are TrialRecord field names
-    rows = map(attrgetter(*PER_TRIAL_COLUMNS.split(",")), records)
-    _write_csv(path, PER_TRIAL_COLUMNS, PER_TRIAL_ROW, rows)
+def _write_per_trial(fh, t, seed, pk, rows, scores, n_satisfied, record_timing):
+    """Append one block's rows to the open per-trial CSV."""
+    line = PER_TRIAL_ROW + "\n"
+    fh.writelines(
+        line.format(t, seed, pk, strategy, xi, s[2], n, int(s[0]), s[5], s[6], ms if record_timing else 0.0)
+        for (strategy, _, xi, _, ms), s, n in zip(rows, scores.tolist(), n_satisfied.tolist())
+    )
 
 
-def _write_aggregate(path, records):
+def _write_aggregate(path, cells, n_trials):
     """One row per (precoder, strategy, xi) cell: its key, then the
-    MetricsSummary of the matching trials."""
-    cells = {}
-    for r in records:
-        cells.setdefault((r.precoder, r.strategy, r.xi_mbps), []).append(r)
-    rows = ((*key, *astuple(metrics.aggregate(cells[key]))) for key in sorted(cells))
+    MetricsSummary of its per-trial column sums."""
+    rows = ((*key, *astuple(metrics.aggregate(cells[key], n_trials))) for key in sorted(cells))
     _write_csv(path, AGGREGATE_COLUMNS, AGGREGATE_ROW, rows)
 
 

@@ -54,26 +54,6 @@ def lambda_objective(rates_mbps: np.ndarray, n_satisfied, sumopt_rates_mbps: np.
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One (trial, precoder, strategy, demand) cell of a campaign."""
-
-    trial: int
-    seed: int
-    precoder: str
-    strategy: str
-    xi_mbps: float
-    sum_rate_mbps: float
-    sum_rate_satisfied_mbps: float
-    sum_rate_unsatisfied_mbps: float
-    n_satisfied: int
-    n_users: int
-    congested: bool
-    jain: float
-    lambda_obj: float
-    runtime_ms: float = 0.0
-
-
-@dataclass(frozen=True)
 class MetricsSummary:
     """Sample means of one campaign cell, fields in aggregate.csv column order."""
 
@@ -87,11 +67,9 @@ class MetricsSummary:
     lambda_obj: float
 
 
-def aggregate(records: list[TrialRecord]) -> MetricsSummary:
-    """Sample means over a homogeneous set of trial records."""
-    if not records:
+def aggregate(column_sums, n_trials: int) -> MetricsSummary:
+    """Sample means of one cell from its per-trial column sums over `n_trials`
+    trials, in the MetricsSummary field order after `n_trials`."""
+    if n_trials < 1:
         raise ValueError("cannot aggregate an empty trial list")
-    n = len(records)
-    columns = zip(*((r.congested, r.n_satisfied / r.n_users, r.sum_rate_mbps, r.sum_rate_satisfied_mbps,
-                     r.sum_rate_unsatisfied_mbps, r.jain, r.lambda_obj) for r in records))
-    return MetricsSummary(n, *(sum(c) / n for c in columns))  # the means, in field order
+    return MetricsSummary(n_trials, *(float(s) / n_trials for s in column_sums))

@@ -16,29 +16,27 @@ def waterfill(inverse_gains: np.ndarray, budget: float) -> np.ndarray:
     c = np.asarray(inverse_gains, dtype=float)
     if c.size == 0:
         raise ValueError("water-filling needs at least one channel")
-    if not (c.min() > 0 and c.max() < np.inf):  # NaN fails both
+    cs = c[np.argsort(c, kind="stable")]  # as the allocators sort; np.sort pages in ~0.2 MB more code
+    if not (cs[0] > 0 and cs[-1] < np.inf):  # NaN sorts last and fails both
         raise ValueError("inverse gains must be finite and strictly positive")
     P = float(budget)
     if not 0.0 <= P < np.inf:
         raise ValueError("budget must be finite and nonnegative")
     if P == 0.0:
         return np.zeros_like(c)
-    order = np.argsort(c, kind="stable")
-    cs = c[order]
-    csum = np.cumsum(cs)
     # water level if exactly the m cheapest channels are active
-    m_range = np.arange(1, c.size + 1)
-    levels = (P + csum) / m_range
+    levels = cs.cumsum()
+    levels += P
+    levels /= np.arange(1, c.size + 1)
     # the active set is the largest m with level_m > c_m (all m channels above water)
-    active = levels > cs
-    if not active.any():
+    active = (levels > cs).nonzero()[0]
+    if active.size == 0:
         # P below the rounding of the cheapest cost: the KKT limit as P -> 0
         # gives the whole budget to the cheapest channels, split equally
         cheapest = c == cs[0]
         return np.where(cheapest, P / cheapest.sum(), 0.0)
-    m = int(np.nonzero(active)[0][-1]) + 1
-    w = levels[m - 1]
-    p = np.maximum(0.0, w - c)
+    p = levels[active[-1]] - c
+    np.maximum(p, 0.0, out=p)
     # strip float residue so the budget is tight to ~1e-16 relative
-    scale = P / p.sum()
-    return p * scale
+    p *= P / p.sum()
+    return p

@@ -28,6 +28,41 @@ def waterfill_bisection(c, budget, iters=200):
     return np.maximum(0.0, 0.5 * (lo + hi) - c)
 
 
+def waterfill_reference(inverse_gains, budget):
+    """The water-fill as first written: argsort, then the levels, the active
+    set and the output each as fresh arrays.  The solver must equal it bit for
+    bit and raise the same errors."""
+    c = np.asarray(inverse_gains, dtype=float)
+    if c.size == 0:
+        raise ValueError("water-filling needs at least one channel")
+    if not (c.min() > 0 and c.max() < np.inf):  # NaN fails both
+        raise ValueError("inverse gains must be finite and strictly positive")
+    P = float(budget)
+    if not 0.0 <= P < np.inf:
+        raise ValueError("budget must be finite and nonnegative")
+    if P == 0.0:
+        return np.zeros_like(c)
+    order = np.argsort(c, kind="stable")
+    cs = c[order]
+    csum = np.cumsum(cs)
+    # water level if exactly the m cheapest channels are active
+    m_range = np.arange(1, c.size + 1)
+    levels = (P + csum) / m_range
+    # the active set is the largest m with level_m > c_m (all m channels above water)
+    active = levels > cs
+    if not active.any():
+        # P below the rounding of the cheapest cost: the KKT limit as P -> 0
+        # gives the whole budget to the cheapest channels, split equally
+        cheapest = c == cs[0]
+        return np.where(cheapest, P / cheapest.sum(), 0.0)
+    m = int(np.nonzero(active)[0][-1]) + 1
+    w = levels[m - 1]
+    p = np.maximum(0.0, w - c)
+    # strip float residue so the budget is tight to ~1e-16 relative
+    scale = P / p.sum()
+    return p * scale
+
+
 def waterfill_objective(c, p, bandwidth=1.0):
     return float(np.sum(bandwidth * np.log2(1.0 + np.asarray(p) / np.asarray(c))))
 

@@ -1,8 +1,8 @@
 import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,25 @@ def _write_config(tmp_path, text=None, **fmt):
     p = tmp_path / "run.cfg"
     p.write_text(_one_line_per_key(text or SMALL_CONFIG).format(out=tmp_path / "out", **fmt))
     return str(p)
+
+
+def _scored_rows(monkeypatch, cfg):
+    """Run the campaign; per per_trial.csv row, its printed fields, the exact
+    scores the block scoring returned for it (MetricsSummary column order)
+    and its satisfied count."""
+    blocks = []
+    score_block = experiment._score_block
+
+    def spy(*args):
+        blocks.append(score_block(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(experiment, "_score_block", spy)
+    with open(run_campaign(cfg)["per_trial"]) as fh:
+        lines = fh.read().splitlines()[1:]
+    scored = [(row, n) for scores, n_sat in blocks for row, n in zip(scores.tolist(), n_sat.tolist())]
+    assert len(scored) == len(lines)
+    return [(line.split(","), row, n) for line, (row, n) in zip(lines, scored)]
 
 
 def test_parse_config_round_trip(tmp_path):
@@ -259,13 +278,11 @@ def test_per_user_demand_point(tmp_path):
     assert "457.1428571" in xi_values  # mean of the per-user list
 
 
-def test_sum_rate_split_adds_up(tmp_path):
+def test_sum_rate_split_adds_up(tmp_path, monkeypatch):
     cfg = parse_config(_write_config(tmp_path))
     cfg.n_trials = 2
-    for rec in run_campaign(cfg)["records"]:
-        assert rec.sum_rate_satisfied_mbps + rec.sum_rate_unsatisfied_mbps == pytest.approx(
-            rec.sum_rate_mbps, rel=1e-12
-        )
+    for _, (_, _, sum_rate, satisfied, unsatisfied, _, _), _ in _scored_rows(monkeypatch, cfg):
+        assert satisfied + unsatisfied == pytest.approx(sum_rate, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -305,6 +322,9 @@ def test_sum_rate_split_adds_up(tmp_path):
         # two demand points with one mean demand would merge into one aggregate row
         "qos.sweep = 300, 900, 300",
         "qos.per_user = 100, 200, 300, 400, 500, 300, 300",  # mean 300, a sweep value
+        # a repeated strategy or precoder would add its rows twice to one cell
+        "strategies = joint, equal, joint",
+        "precoders = zf, rzf, zf",
     ],
 )
 def test_cli_rejects_unrunnable_config_at_parse_time(tmp_path, capsys, line):
@@ -545,31 +565,32 @@ def test_cli_eval_refuses_another_system_and_old_models(tmp_path, capsys):
     assert "config error" in err and str(old) in err and "re-run train" in err
 
 
-def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path):
+def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path, monkeypatch):
     from beamalloc.metrics import jain, lambda_objective
 
     text = SMALL_CONFIG.replace("equal, sumopt, satisset, joint", "sumopt")
     text += "qos.per_user = 200, 250, 300, 600, 900, 1000, 1200\n"
     cfg = parse_config(_write_config(tmp_path, text))
     cfg.n_trials = 2
-    records = run_campaign(cfg)["records"]
+    rows = _scored_rows(monkeypatch, cfg)
     points = cfg.demand_points()
-    assert len(records) == cfg.n_trials * len(cfg.precoders) * len(points)
-    assert 0 < sum(rec.congested for rec in records) < len(records)
+    assert len(rows) == cfg.n_trials * len(cfg.precoders) * len(points)
+    assert 0 < sum(scores[0] for _, scores, _ in rows) < len(rows)
     cells = ((t, pk, qos, xi) for t in range(cfg.n_trials) for pk in cfg.precoders
              for qos, xi in points)
-    for rec, (t, pk, qos, xi) in zip(records, cells):
+    for (line, scores, n), (t, pk, qos, xi) in zip(rows, cells):
         trial = make_trial(cfg.system, cfg.base_seed + t)
         W = build_precoder(trial, cfg.system, pk)
         fresh = allocators.sum_opt(trial.channel, W, qos, cfg.system)
         r, sat = fresh.rates_mbps, sorted(fresh.satisfied)
         unsat = sorted(set(range(r.size)) - fresh.satisfied)
-        expected = (
-            t, cfg.base_seed + t, pk, "sumopt", xi, float(r.sum()), float(r[sat].sum()),
-            float(r[unsat].sum()), len(sat), r.size, fresh.congested,
-            float(jain(r / qos.demands)), float(lambda_objective(r, len(sat), r)), 0.0,
-        )
-        assert astuple(rec) == expected
+        assert line[:5] == [str(t), str(cfg.base_seed + t), pk, "sumopt", f"{xi:.10g}"]
+        assert line[-1] == "0"  # runtime_ms
+        assert n == len(sat)
+        assert scores == [
+            float(fresh.congested), len(sat) / r.size, float(r.sum()), float(r[sat].sum()),
+            float(r[unsat].sum()), float(jain(r / qos.demands)), float(lambda_objective(r, len(sat), r)),
+        ]
 
 
 def test_campaign_reuse_is_independent_of_order_and_company(tmp_path, monkeypatch):
@@ -588,20 +609,70 @@ def test_campaign_reuse_is_independent_of_order_and_company(tmp_path, monkeypatc
     def run(strategies):
         cfg.strategies, cfg.out_dir = strategies, str(tmp_path / "-".join(strategies))
         calls.clear()
-        return run_campaign(cfg)["records"], len(calls)
+        return _scored_rows(monkeypatch, cfg), len(calls)
+
+    def key(line):  # (trial, precoder, xi, strategy)
+        return line[0], line[2], line[4], line[3]
 
     default, default_calls = run(("equal", "sumopt", "satisset", "joint"))
     n_cells = cfg.n_trials * len(cfg.precoders) * len(cfg.qos_sweep)
     # satisset is solved only where joint found the demands feasible
     assert 0 < default_calls < n_cells
-    expected = {(r.trial, r.precoder, r.xi_mbps, r.strategy): r for r in default}
+    expected = {key(line): (line, scores, n) for line, scores, n in default}
     for strategies, expected_calls in (
         (("joint", "satisset", "equal"), default_calls),
         (("satisset",), n_cells),
         (("equal",), 0),
     ):
-        records, n_calls = run(strategies)
-        assert [r.strategy for r in records] == list(strategies) * n_cells
-        for r in records:
-            assert r == expected[(r.trial, r.precoder, r.xi_mbps, r.strategy)]
+        rows, n_calls = run(strategies)
+        assert [line[3] for line, _, _ in rows] == list(strategies) * n_cells
+        for line, scores, n in rows:
+            assert (line, scores, n) == expected[key(line)]
         assert n_calls == expected_calls
+
+
+def test_a_failed_campaign_leaves_earlier_outputs_untouched(tmp_path, monkeypatch):
+    cfg = parse_config(_write_config(tmp_path))
+    out = run_campaign(cfg)
+    before = {name: (tmp_path / "out" / name).read_bytes() for name in os.listdir(tmp_path / "out")}
+    assert set(before) == {"per_trial.csv", "aggregate.csv"}
+
+    def fails_at_the_third_seed(system, seed):
+        if seed == cfg.base_seed + 2:
+            raise ConfigError(f"no drop at seed {seed}")
+        return make_trial(system, seed)
+
+    monkeypatch.setattr(experiment, "make_trial", fails_at_the_third_seed)
+    with pytest.raises(ConfigError, match="no drop at seed 13"):
+        run_campaign(cfg)
+    # no temporary file remains, and both CSVs keep the first run's bytes
+    assert {name: (tmp_path / "out" / name).read_bytes() for name in os.listdir(tmp_path / "out")} == before
+    assert out["per_trial"] == str(tmp_path / "out" / "per_trial.csv")
+
+
+def test_cell_means_add_the_trials_left_to_right(tmp_path, monkeypatch):
+    # one cell whose per-trial sum rates are 1.0, 2**-53 and 2**-53: added in
+    # trial order the two halves of an ulp round away and the mean is 1/3; a
+    # compensated sum (math.fsum, or Python 3.12's sum) keeps them
+    text = SMALL_CONFIG + "strategies = joint\nprecoders = zf\nqos.sweep = 300\n"
+    cfg = parse_config(_write_config(tmp_path, text))
+    per_trial = [1.0, 2.0**-53, 2.0**-53]
+    assert math.fsum(per_trial) / 3 == 0.3333333333333334
+    score_block = experiment._score_block
+
+    def fixed_sum_rate(rows, sumopt_rates, seed, system):
+        scores, n_sat = score_block(rows, sumopt_rates, seed, system)
+        scores[:, 2] = per_trial[seed - cfg.base_seed]
+        return scores, n_sat
+
+    summaries = []
+    aggregate = metrics.aggregate
+
+    def spy(*args):
+        summaries.append(aggregate(*args))
+        return summaries[-1]
+
+    monkeypatch.setattr(experiment, "_score_block", fixed_sum_rate)
+    monkeypatch.setattr(metrics, "aggregate", spy)
+    run_campaign(cfg)
+    assert [(s.n_trials, s.mean_sum_rate) for s in summaries] == [(3, 1 / 3)]

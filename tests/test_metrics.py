@@ -4,9 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from beamalloc import QoSProfile, SystemConfig
 from beamalloc.allocators import AllocationResult, satisfied_mask, sum_opt
-from beamalloc.experiment import ExperimentConfig, _block_records
+from beamalloc.experiment import _score_block
 from beamalloc.metrics import (
-    TrialRecord,
     aggregate,
     jain,
     lambda_objective,
@@ -135,28 +134,21 @@ def test_lambda_ratio_terms_scale_invariant():
     assert a / (2 * s1 / (2 + s1)) == pytest.approx(b / (2 * s2 / (2 + s2)))
 
 
-def _record(**kw):
-    base = dict(
-        trial=0,
-        seed=1,
-        precoder="zf",
-        strategy="joint",
-        xi_mbps=500.0,
-        sum_rate_mbps=1000.0,
-        sum_rate_satisfied_mbps=800.0,
-        sum_rate_unsatisfied_mbps=200.0,
-        n_satisfied=5,
-        n_users=7,
-        congested=True,
-        jain=0.8,
-        lambda_obj=9.0,
-    )
+def _columns(**kw):
+    """One trial's scores in MetricsSummary column order (after n_trials)."""
+    base = dict(congested=1.0, satisfaction=5 / 7, sum_rate=1000.0, sum_rate_satisfied=800.0,
+                sum_rate_unsatisfied=200.0, jain=0.8, lambda_obj=9.0)
     base.update(kw)
-    return TrialRecord(**base)
+    return list(base.values())
+
+
+def _sums(*trials):
+    """Column sums of the given trials, added left to right."""
+    return [sum(column) for column in zip(*trials)]
 
 
 def test_aggregate_single_trial_is_identity():
-    s = aggregate([_record()])
+    s = aggregate(_sums(_columns()), 1)
     assert s.congestion_prob == 1.0
     assert s.satisfaction_prob == pytest.approx(5 / 7)
     assert s.mean_sum_rate == 1000.0
@@ -168,15 +160,15 @@ def test_aggregate_single_trial_is_identity():
 
 
 def test_aggregate_means():
-    s = aggregate([_record(), _record()])
+    s = aggregate(_sums(_columns(), _columns()), 2)
     assert s.mean_sum_rate == 1000.0
-    s2 = aggregate([_record(congested=True), _record(congested=False)])
+    s2 = aggregate(_sums(_columns(congested=1.0), _columns(congested=0.0)), 2)
     assert s2.congestion_prob == 0.5
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
-        aggregate([])
+        aggregate(_sums(), 0)
 
 
 def _per_record_reference(r, demands, satisfied, sumopt_rates):
@@ -212,21 +204,19 @@ def _check_block(rng, n_rows, k):
             trace=(),
         )
         rows.append(("joint", QoSProfile.per_user(demands[i]), 1.0, res, 0.0))
-    records = _block_records(0, 1, "zf", rows, sumopt_rates, ExperimentConfig())
+    scores, n_sat = _score_block(rows, sumopt_rates, 1, SystemConfig())
+    assert scores.shape == (n_rows, 7) and scores.dtype == float
     jains = jain(r / demands)
     lams = lambda_objective(r, masks.sum(axis=-1), sumopt_rates)
-    for i, rec in enumerate(records):
+    for i, row in enumerate(scores.tolist()):
         satisfied = set(np.flatnonzero(masks[i]).tolist())
         ref = _per_record_reference(r[i], demands[i], satisfied, sumopt_rates)
-        got = (rec.sum_rate_mbps, rec.sum_rate_satisfied_mbps, rec.sum_rate_unsatisfied_mbps,
-               rec.jain, rec.lambda_obj)
-        assert got == ref
+        # congested, n_satisfied/K, then the per-record formulas
+        assert row == [float(len(satisfied) < k), len(satisfied) / k, *ref]
+        assert n_sat[i] == len(satisfied)
         # one row is the scalar case, equal to its row of the block
         assert jain(r[i] / demands[i]) == jains[i] == ref[3]
         assert lambda_objective(r[i], int(masks[i].sum()), sumopt_rates) == lams[i] == ref[4]
-        assert (rec.strategy, rec.n_satisfied, rec.congested) == (
-            "joint", len(satisfied), len(satisfied) < k
-        )
 
 
 @settings(max_examples=200, deadline=None)

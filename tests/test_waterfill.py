@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamalloc.waterfill import waterfill
-from oracles import simplex_grid_best, waterfill_bisection, waterfill_objective
+from oracles import simplex_grid_best, waterfill_bisection, waterfill_objective, waterfill_reference
 
 
 def test_symmetric_split():
@@ -110,3 +113,52 @@ def test_small_budgets_stay_on_the_kkt_limit():
         p = waterfill(c, budget)
         assert p[1] == 0.0
         assert p[0] == pytest.approx(budget / 2, rel=1e-6) and p[0] == p[2]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_equals_the_reference_bit_for_bit(data):
+    n = data.draw(st.integers(1, 64), label="n")
+    # costs around 10**center, spread over up to 6 decades either way
+    center = data.draw(st.floats(-6.0, 6.0), label="center")
+    spread = data.draw(st.sampled_from([0.0, 1e-12, 1.0, 6.0]), label="spread")
+    exps = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="exps"))
+    c = 10.0 ** (center + spread * exps)
+    if data.draw(st.booleans(), label="ties"):
+        c = c[data.draw(st.lists(st.integers(0, min(n, 3) - 1), min_size=n, max_size=n), label="picks")]
+    kind = data.draw(st.sampled_from(["zero", "below cost rounding", "normal"]), label="budget")
+    if kind == "zero":
+        budget = 0.0
+    elif kind == "below cost rounding":
+        budget = float(c.min()) * 2.0**-54 * data.draw(st.floats(1e-6, 1.0), label="u")
+        assert float(c.min()) + budget == float(c.min())
+    else:
+        budget = float(c.sum()) * 10.0 ** data.draw(st.floats(-6.0, 6.0), label="scale")
+    before = c.copy()
+    got, want = waterfill(c, budget), waterfill_reference(c, budget)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(c, before)  # the input is not written to
+
+
+@pytest.mark.parametrize(
+    "c, budget",
+    [
+        ([], 1.0),
+        ([np.nan], 1.0),
+        ([1.0, np.nan, 2.0], 1.0),
+        ([np.inf], 1.0),
+        ([1.0, -np.inf], 1.0),
+        ([0.0, 1.0], 1.0),
+        ([2.0, -1.0], 1.0),
+        ([0.0], np.nan),  # the costs are checked first
+        ([1.0, 2.0], np.nan),
+        ([1.0, 2.0], np.inf),
+        ([1.0], -0.5),
+        ([1.0, 2.0], -np.inf),
+    ],
+)
+def test_raises_as_the_reference(c, budget):
+    with pytest.raises(ValueError) as want:
+        waterfill_reference(np.array(c, dtype=float), budget)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        waterfill(np.array(c, dtype=float), budget)

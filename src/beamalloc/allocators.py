@@ -54,8 +54,7 @@ class QoSProfile:
 
     @classmethod
     def uniform(cls, xi_mbps: float, n_users: int, omega_frac: float = 0.02):
-        d = np.full(n_users, float(xi_mbps))
-        return cls(demands=d, tolerances=omega_frac * d)
+        return cls.per_user(np.full(n_users, float(xi_mbps)), omega_frac)
 
     @classmethod
     def per_user(cls, demands, omega_frac: float = 0.02):
@@ -129,12 +128,9 @@ def _joint_zf(H, W, qos, cfg, surplus_equal):
     alpha = sinr_targets(qos.demands, cfg.bandwidth_mhz)
     p_min = alpha * c
     if p_min.sum() <= p_budget:
-        surplus = p_budget - p_min.sum()
-        if surplus_equal:
-            p = p_min + surplus / k
-        else:
-            p = p_min + waterfill(c, surplus)
-        return _finish(link, W, cfg, qos, p, 0, outcome="feasible_closed_form")
+        # interference-free: the top-up cannot push anyone below demand
+        p, outcome = _top_up(link, W, qos, cfg, p_min, c, None, surplus_equal)
+        return _finish(link, W, cfg, qos, p, 0, outcome=outcome)
     # congestion: largest ascending-cost prefix that fits the budget, ties
     # broken by user index
     order = np.argsort(p_min, kind="stable")
@@ -158,35 +154,33 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
     return _joint_zf(H, W, qos, cfg, surplus_equal=False)
 
 
-def _surplus_with_demand_guard(link, W, qos, cfg, rep, c, surplus_equal):
-    """Top up the exact minimum-power solution of a feasible `rep` with the surplus.
+def _top_up(link, W, qos, cfg, p_base, c, ds, surplus_equal):
+    """Top up the minimum powers `p_base` of a feasible instance with the
+    surplus, water-filled on the inverse gains `c` or split equally: the one
+    step in which the joint and satisfied-set allocators differ.
 
-    Water-filling (or equal-splitting) the surplus can push a user below its
-    demand through added interference.  Repair by pinning the violated users
-    at their `ds.alpha` targets and water-filling the rest of the budget over
-    the others, repeating while new violations appear; scaling all powers
-    proportionally (which provably raises every SINR) is the last resort.
-    Returns (powers, outcome).
+    With a demand system `ds`, the top-up can push a user below its demand
+    through added interference.  A water-filled top-up is repaired by pinning
+    the violated users at their `ds.alpha` targets and water-filling the rest
+    of the budget over the others, repeating while new violations appear;
+    scaling all powers proportionally (which provably raises every SINR) is
+    the last resort.  Returns (powers, outcome).
     """
-    ds, p_base = rep.system, rep.min_powers
     k = len(qos.demands)
     p_budget = cfg.p_max_w
     surplus = p_budget - p_base.sum()
-    if surplus <= 0:
-        return p_base, "feasible_closed_form"
     p = p_base + (surplus / k if surplus_equal else waterfill(c, surplus))
-    r = rates(link, W, p, cfg)
-    violated = ~satisfied_mask(r, qos.demands)
-    if not violated.any():
+    if ds is None:
+        return p, "feasible_closed_form"
+    pinned = ~satisfied_mask(rates(link, W, p, cfg), qos.demands)  # the violated users
+    if not pinned.any():
         return p, "feasible_closed_form"
     if not surplus_equal:
-        pinned = violated.copy()
         for _ in range(k):
             p_fix, ok = _solve_pinned(ds, pinned, p_budget, p)
             if not ok:
                 break
-            r_fix = rates(link, W, p_fix, cfg)
-            still = ~satisfied_mask(r_fix, qos.demands)
+            still = ~satisfied_mask(rates(link, W, p_fix, cfg), qos.demands)
             if not still.any():
                 return p_fix, "feasible_guard_repaired"
             if not (still & ~pinned).any():
@@ -208,7 +202,7 @@ def _joint_rzf(H, W, qos, cfg, surplus_equal):
     if rep.feasible:
         # exact joint minimum powers for the relaxed demands (true rates hit
         # xi_k + omega_k, so the omega margin absorbs the surplus top-up)
-        p, outcome = _surplus_with_demand_guard(link, W, qos, cfg, rep, c, surplus_equal)
+        p, outcome = _top_up(link, W, qos, cfg, rep.min_powers, c, ds, surplus_equal)
         return _finish(link, W, cfg, qos, p, 0, outcome=outcome)
     # congestion: grow the relaxed satisfied set, truncating each new member
     # to exactly its relaxed demand against the current interference; keep the
@@ -305,19 +299,7 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
     return p, True
 
 
-def joint_opt_generic(
-    H, W: Precoder, qos: QoSProfile, cfg: SystemConfig, *, _surplus_equal=False
-) -> AllocationResult:
-    """Precoder-agnostic joint optimizer.
-
-    When the demands are jointly feasible, the minimum-power solution is
-    topped up by water-filling the surplus.  Under congestion the satisfied
-    set grows from the sum-rate initialization: each round pins the current
-    members at exactly their demands and water-fills the rest; if no user
-    crosses its demand, the cheapest affordable candidate (by pinned-system
-    total power) is admitted instead, so the set keeps growing whenever the
-    budget allows.  Stops when the set stalls; at most K growth rounds.
-    """
+def _joint_generic(H, W, qos, cfg, surplus_equal):
     k = len(qos.demands)
     p_budget = cfg.p_max_w
     link = effective_gains(H, W)
@@ -325,7 +307,7 @@ def joint_opt_generic(
     c_up = cfg.noise_power_w / link.g
     rep = check_feasible(ds, p_budget)
     if rep.feasible:
-        p, outcome = _surplus_with_demand_guard(link, W, qos, cfg, rep, c_up, _surplus_equal)
+        p, outcome = _top_up(link, W, qos, cfg, rep.min_powers, c_up, ds, surplus_equal)
         return _finish(link, W, cfg, qos, p, 0, outcome=outcome)
     # congestion: sum-rate initialization, then monotone set growth
     p = waterfill(c_up, p_budget)
@@ -365,21 +347,29 @@ def joint_opt_generic(
     return _finish(link, W, cfg, qos, p, n, trace=trace, outcome=outcome)
 
 
+def joint_opt_generic(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
+    """Precoder-agnostic joint optimizer.
+
+    When the demands are jointly feasible, the minimum-power solution is
+    topped up by water-filling the surplus.  Under congestion the satisfied
+    set grows from the sum-rate initialization: each round pins the current
+    members at exactly their demands and water-fills the rest; if no user
+    crosses its demand, the cheapest affordable candidate (by pinned-system
+    total power) is admitted instead, so the set keeps growing whenever the
+    budget allows.  Stops when the set stalls; at most K growth rounds.
+    """
+    return _joint_generic(H, W, qos, cfg, surplus_equal=False)
+
+
 def satis_set_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
     """Satisfied-set maximization only: same set growth as the matching joint
     optimizer, but a feasible instance splits the surplus equally across
     users instead of water-filling it."""
-    if W.kind == "zf":
-        return _joint_zf(H, W, qos, cfg, surplus_equal=True)
-    if W.kind == "rzf":
-        return _joint_rzf(H, W, qos, cfg, surplus_equal=True)
-    return joint_opt_generic(H, W, qos, cfg, _surplus_equal=True)
+    joint = {"zf": _joint_zf, "rzf": _joint_rzf}.get(W.kind, _joint_generic)
+    return joint(H, W, qos, cfg, surplus_equal=True)
 
 
 def joint_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
     """Dispatch the joint optimizer matching the precoder kind."""
-    if W.kind == "zf":
-        return joint_opt_zf(H, W, qos, cfg)
-    if W.kind == "rzf":
-        return joint_opt_rzf(H, W, qos, cfg)
-    return joint_opt_generic(H, W, qos, cfg)
+    joint = {"zf": joint_opt_zf, "rzf": joint_opt_rzf}.get(W.kind, joint_opt_generic)
+    return joint(H, W, qos, cfg)

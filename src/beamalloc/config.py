@@ -61,19 +61,10 @@ class SystemConfig:
             )
         if self.p_max_w < 0:
             raise InvalidConfigError("p_max_w must be nonnegative")
-        for name in (
-            "bandwidth_mhz",
-            "carrier_ghz",
-            "sat_height_km",
-            "noise_power_w",
-            "rx_gain",
-            "noise_temp_k",
-            "peak_beam_gain",
-            "beam_radius_km",
-            "beam_3db_radius_km",
-        ):
-            if getattr(self, name) <= 0:
-                raise InvalidConfigError(f"{name} must be strictly positive")
+        # every other float setting is a physical scale
+        for f in fields(self):
+            if isinstance(f.default, float) and f.name not in ("p_max_w", "cond_cap") and getattr(self, f.name) <= 0:
+                raise InvalidConfigError(f"{f.name} must be strictly positive")
         if self.cond_cap < 1:
             raise InvalidConfigError("cond_cap must be >= 1: a condition number is never below 1")
 
@@ -82,10 +73,6 @@ class SystemConfig:
         return SPEED_OF_LIGHT / (self.carrier_ghz * 1e9)
 
     @property
-    def bandwidth_hz(self) -> float:
-        return self.bandwidth_mhz * 1e6
-
-    @property
     def noise_norm(self) -> float:
         """Thermal-noise power K_B * T * B used to normalize channel amplitudes."""
-        return BOLTZMANN * self.noise_temp_k * self.bandwidth_hz
+        return BOLTZMANN * self.noise_temp_k * (self.bandwidth_mhz * 1e6)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import allocators, metrics, surrogate
-from .channel import AttenuationOverflowError, apply_atmosphere, build_channel, drop_users
+from .channel import AttenuationOverflowError, apply_atmosphere, build_channel, cloud_attenuation_db, drop_users
 from .config import InvalidConfigError, SystemConfig
 from .feasibility import sinr_targets
 from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
@@ -57,6 +58,18 @@ class ConfigError(InvalidConfigError):
     """Configuration file problem, with a file:line prefix where possible."""
 
 
+@contextmanager
+def _float_range(finding: str):
+    """Raise numpy's float errors instead of warning: with validated settings
+    an overflow, a division by zero, an invalid operation or a singular solve
+    means that some setting leaves the float range, a ConfigError."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise ConfigError(f"{finding}: {exc}") from exc
+
+
 @dataclass
 class SurrogateSection(surrogate.TrainingConfig):
     """The `surrogate.*` keys: the training settings plus the dataset split."""
@@ -87,21 +100,21 @@ class ExperimentConfig:
             raise ConfigError("n_trials must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be >= 0")
-        if not self.strategies:
-            raise ConfigError("at least one strategy is required")
-        if not self.precoders:
-            raise ConfigError("at least one precoder is required")
         # a repeated name would add its rows twice to one aggregate cell
-        for s in self.strategies:
-            if s not in KNOWN_STRATEGIES or self.strategies.count(s) > 1:
-                raise ConfigError(f"{'repeated' if s in KNOWN_STRATEGIES else 'unknown'} strategy {s!r}")
-        for p in self.precoders:
-            if p not in KNOWN_PRECODERS or self.precoders.count(p) > 1:
-                raise ConfigError(f"{'repeated' if p in KNOWN_PRECODERS else 'unknown'} precoder {p!r}")
+        for what, names, known in (("strategy", self.strategies, KNOWN_STRATEGIES),
+                                   ("precoder", self.precoders, KNOWN_PRECODERS)):
+            if not names:
+                raise ConfigError(f"at least one {what} is required")
+            for name in names:
+                if name not in known or names.count(name) > 1:
+                    raise ConfigError(f"{'repeated' if name in known else 'unknown'} {what} {name!r}")
         if not self.qos_sweep and self.qos_per_user is None:
             raise ConfigError("qos.sweep or qos.per_user must be set")
         if self.system.p_max_w <= 0:
             raise ConfigError("system.p_max_w must be > 0 for a campaign")
+        if self.system.atmospherics:  # the cloud model's permittivity terms overflow far from any real carrier
+            with _float_range(f"system.carrier_ghz = {self.system.carrier_ghz:g} overflows the cloud model"):
+                cloud_attenuation_db(90.0, self.system.carrier_ghz)
         if self.qos_per_user is not None and len(self.qos_per_user) != self.system.n_users:
             raise ConfigError(
                 f"qos.per_user has {len(self.qos_per_user)} values, "
@@ -112,7 +125,8 @@ class ExperimentConfig:
         if self.omega_frac < 0:
             raise ConfigError("qos.omega_frac must be >= 0")
         bw = self.system.bandwidth_mhz
-        for key, xs in (("qos.sweep", self.qos_sweep), ("qos.per_user", self.qos_per_user or ())):
+        for key, xs in (("qos.sweep", self.qos_sweep), ("qos.per_user", self.qos_per_user or ()),
+                        ("surrogate.xi_mbps", (self.surrogate.xi_mbps,))):
             with np.errstate(over="ignore"):  # an overflow is the finding here, not a warning
                 bad = [xi for xi in xs if not np.isfinite(sinr_targets(xi * (1.0 + self.omega_frac), bw))]
             if bad:
@@ -131,7 +145,7 @@ class ExperimentConfig:
             (s.patience >= 1, "patience must be >= 1"),
             (all(h >= 1 for h in s.hidden), "hidden widths must be >= 1"),
             (0 <= s.val_fraction < 1, "val_fraction must be in [0, 1)"),
-            (s.n_train < 2 or round(s.val_fraction * s.n_train) < s.n_train,
+            (s.n_train < 2 or not 0 <= s.val_fraction < 1 or round(s.val_fraction * s.n_train) < s.n_train,
              "val_fraction must leave at least one training sample"),
             (s.learning_rate > 0, "learning_rate must be > 0"),
             (s.xi_mbps > 0, "xi_mbps must be > 0"),
@@ -258,6 +272,9 @@ def make_trial(system: SystemConfig, seed: int) -> Trial:
             zf = make_zf(H, cond_cap=system.cond_cap)
         except PrecoderSingularError:
             continue
+        # sigma^2 / ||h_k||^2 bounds every inverse gain sigma^2 / g_k of a unit-norm precoder from below
+        if not system.noise_power_w / np.square(H).sum(axis=0).max() > 0:
+            raise ConfigError(f"system.noise_power_w = {system.noise_power_w:g} rounds an inverse gain to 0 (seed {seed})")
         return Trial(seed=seed, channel=H, redraws=attempt, zf=zf)
     raise ConfigError(
         f"no drop meets system.cond_cap = {system.cond_cap:g} in {_MAX_REDRAWS} redraws (seed {seed})"
@@ -347,6 +364,7 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
             yield t, seed, pk, rows, fixed["sumopt"][0].rates_mbps
 
 
+@_float_range("a system.*, qos.* or surrogate.* value leaves the float range")
 def run_campaign(cfg: ExperimentConfig) -> dict:
     """Full Monte-Carlo sweep; writes the per-trial and aggregated CSVs and
     returns their paths.  Each block's rows are appended to a temporary file
@@ -422,6 +440,7 @@ def _require_fingerprint(path: str, whose: str, found: str, expected: str) -> No
         )
 
 
+@_float_range("a system.*, qos.* or surrogate.* value leaves the float range")
 def gen_dataset(cfg: ExperimentConfig) -> str:
     """Label (gain vector -> joint-optimizer powers) pairs, one trial per
     seed, for every configured precoder."""
@@ -476,13 +495,15 @@ def train_models(cfg: ExperimentConfig) -> dict:
     out = {}
     os.makedirs(os.path.join(cfg.out_dir, surr.model_dir), exist_ok=True)
     for strategy in sorted(groups):
-        model, report = surrogate.train(groups[strategy][: surr.n_train], surr)
+        with _float_range(f"surrogate.learning_rate = {surr.learning_rate:g} diverges training the {strategy} model"):
+            model, report = surrogate.train(groups[strategy][: surr.n_train], surr)
         model_path = os.path.normpath(os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.json"))
         surrogate.save_model(model, model_path)
         out[strategy] = (model_path, report)
     return out
 
 
+@_float_range("a system.*, qos.* or surrogate.* value leaves the float range")
 def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     """Compare the model-based solver with the surrogate on the test split
     (rates, satisfaction, per-sample latency) and write the eval CSV.  Each

@@ -169,6 +169,12 @@ def test_joint_zf_requires_zf():
         joint_opt_zf(H, W, QoSProfile.uniform(100.0, 2), _cfg(2, 4.0))
 
 
+def test_joint_rzf_requires_rzf():
+    H = _diag_channel([1.0, 1.0])
+    with pytest.raises(ValueError, match="RZF allocator requires an RZF precoder"):
+        joint_opt_rzf(H, make_zf(H), QoSProfile.uniform(100.0, 2), _cfg(2, 4.0))
+
+
 # ---------------------------------------------------------------------------
 # iterative RZF joint optimizer
 
@@ -369,6 +375,8 @@ def test_qos_profile_validation():
             QoSProfile.per_user([100.0, bad])
         with pytest.raises(ValueError, match="finite"):
             QoSProfile(demands=np.array([100.0]), tolerances=np.array([bad]))
+    with pytest.raises(ValueError, match="equal length"):
+        QoSProfile(demands=np.array([100.0, 200.0]), tolerances=np.zeros(3))
     q = QoSProfile.uniform(250.0, 3)
     assert np.allclose(q.tolerances, 5.0)  # default 2% relaxation
 
@@ -429,6 +437,29 @@ def test_satisset_returns_joint_powers_when_joint_is_congested(
         assert (ss.outcome, ss.iterations, ss.trace) == (jo.outcome, jo.iterations, jo.trace)
     else:
         assert not jo.congested  # every feasible outcome serves all demands
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["zf", "rzf", "mrt"]),
+    k=st.integers(1, 8),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    p_max=st.floats(0.1, 100.0),
+    xi=st.lists(st.floats(25.0, 1500.0), min_size=8, max_size=8),
+    omega=st.sampled_from([0.0, 0.02]),
+)
+def test_every_allocator_spends_the_budget_on_nonnegative_powers(kind, k, extra, seed, p_max, xi, omega):
+    try:
+        H, W, qos, cfg = _case(kind, k, extra, seed, p_max, np.array(xi[:k]), omega)
+    except PrecoderSingularError:
+        assume(False)
+    link = effective_gains(H, W)
+    for alloc in (equal_power, sum_opt, satis_set_opt, joint_opt, joint_opt_generic):
+        res = alloc(link, W, qos, cfg)
+        assert np.all(res.powers >= 0), alloc.__name__
+        assert len(res.satisfied) <= k, alloc.__name__
+        assert abs(res.powers.sum() - p_max) <= 1e-9 * p_max, (alloc.__name__, res.powers.sum(), p_max)
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,19 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import beamalloc
-from beamalloc import allocators, experiment, metrics, surrogate
+from beamalloc import allocators, cli, experiment, metrics, surrogate
 from beamalloc.cli import main
 from beamalloc.experiment import (
     ConfigError,
@@ -289,6 +293,13 @@ def test_sum_rate_split_adds_up(tmp_path, monkeypatch):
     "line",
     [
         "system.p_max_w = 0",
+        "system.p_max_w = -1",
+        "system.n_beams = 0",
+        "n_trials = 0",
+        # an empty list
+        "strategies = ",
+        "precoders = ",
+        "qos.sweep = ",  # and no qos.per_user
         "qos.per_user = 200, 300, 400",
         "qos.sweep = 300, 0",
         "qos.per_user = 200, 200, 400, -1, 600, 600, 800",
@@ -317,6 +328,13 @@ def test_sum_rate_split_adds_up(tmp_path, monkeypatch):
         "surrogate.learning_rate = -1",
         "surrogate.xi_mbps = 0",
         "surrogate.val_fraction = 0.99",  # 40 samples, all of them for validation
+        "surrogate.val_fraction = 1e308",  # val_fraction * n_train overflows
+        "surrogate.xi_mbps = 1e300",  # the label demand's SINR target overflows
+        # the cloud model's permittivity terms overflow
+        "system.atmospherics = true\nsystem.carrier_ghz = 1e300",
+        "system.atmospherics = true\nsystem.carrier_ghz = 1e-300",
+        "system.atmospherics = true\nsystem.carrier_ghz = 1e160",
+        "system.atmospherics = true\nsystem.carrier_ghz = 1e-160",
         "surrogate.seed = -1",
         "base_seed = -3",
         # two demand points with one mean demand would merge into one aggregate row
@@ -332,6 +350,116 @@ def test_cli_rejects_unrunnable_config_at_parse_time(tmp_path, capsys, line):
     assert main(["run", "--config", cfg_path, "--trials", "1"]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "per_trial.csv").exists()
+
+
+@pytest.mark.parametrize("carrier, rejected", [("1e160", True), ("1e-160", True), ("1e150", False), ("1e-150", False)])
+def test_cloud_model_overflow_is_rejected_at_parse_time_naming_the_carrier(tmp_path, carrier, rejected):
+    text = "system.atmospherics = true\nsystem.carrier_ghz = {carrier}\n"
+    cfg_path = _write_config(tmp_path, text, carrier=carrier)
+    if rejected:
+        with pytest.raises(ConfigError, match=re.escape(f"system.carrier_ghz = {float(carrier):g} overflows the cloud model")):
+            parse_config(cfg_path)
+    else:
+        assert parse_config(cfg_path).system.carrier_ghz == float(carrier)
+
+
+def test_cli_train_divergence_exits_1_naming_the_learning_rate(tmp_path, capsys):
+    # runs under the tier-1 filter, so a numpy RuntimeWarning on the way would be exit 2
+    text = SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = zf")
+    assert main(["gen-data", "--config", _write_config(tmp_path, text)]) == 0
+    for lr in ("1e100", "1e150", "1e300"):
+        cfg_path = _write_config(tmp_path, text + f"surrogate.learning_rate = {lr}\n")
+        assert main(["train", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: surrogate.learning_rate = {float(lr):g} diverges training the joint_zf model" in err
+    assert main(["train", "--config", _write_config(tmp_path, text + "surrogate.learning_rate = 1e20\n")]) == 0
+
+
+def test_build_precoder_rejects_unknown_kind():
+    system = SystemConfig()
+    with pytest.raises(ConfigError, match="unknown precoder 'mrt'"):
+        build_precoder(make_trial(system, 5), system, "mrt")
+
+
+def test_cli_train_and_eval_refuse_what_they_cannot_use(tmp_path, capsys):
+    text = SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = zf") + "surrogate.n_train = 8\nsurrogate.n_test = 0\n"
+    cfg_path = _write_config(tmp_path, text)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "dataset.jsonl").write_text("")
+    assert main(["train", "--config", cfg_path]) == 1
+    assert "dataset is empty" in capsys.readouterr().err
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train", "--config", cfg_path]) == 0
+    model_path = out / "model_joint_zf.json"
+    assert main(["eval", "--model", str(model_path), "--config", cfg_path]) == 1  # surrogate.n_test = 0
+    assert "dataset has no test split" in capsys.readouterr().err
+    doc = json.loads(model_path.read_text())
+    doc["strategy"] = "satisset_zf"
+    other = tmp_path / "satisset_model.json"
+    other.write_text(json.dumps(doc))
+    assert main(["eval", "--model", str(other), "--config", cfg_path]) == 1
+    assert "unknown label strategy 'satisset_zf'" in capsys.readouterr().err
+
+
+def test_cli_reports_a_runtime_error_with_exit_2(tmp_path, capsys, monkeypatch):
+    def fails(cfg):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(cli, "run_campaign", fails)
+    assert main(["run", "--config", _write_config(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: disk on fire\n"
+
+
+# extreme values of every scalar system.*, qos.* and surrogate.* key; sizes
+# (N, K, sample counts, epochs, widths) stay small so that no draw allocates much
+_EXTREMES = ("0", "1", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "5e-324", "1.7976931348623157e308")
+_SIZES = ("0", "1", "2", "-1", "1e300")
+_HUGE_INT = "10000000000000000000000"
+_FUZZ_VALUES = {
+    **{f"{section}.{f.name}": _EXTREMES
+       for section, cls in (("system", SystemConfig), ("surrogate", experiment.SurrogateSection))
+       for f in fields(cls) if isinstance(f.default, float)},
+    "system.cond_cap": _EXTREMES + ("1.0000001",),
+    "system.n_beams": _SIZES + ("7",),
+    "system.n_users": _SIZES + ("7",),
+    "system.atmospherics": ("true", "false"),
+    "qos.sweep": _EXTREMES,
+    "qos.omega_frac": _EXTREMES,
+    "surrogate.val_fraction": _EXTREMES + ("0.5", "0.999"),
+    "surrogate.n_train": _SIZES + ("12",),
+    "surrogate.n_test": _SIZES + ("4",),
+    "surrogate.epochs": _SIZES,
+    "surrogate.hidden": _SIZES + ("8",),
+    **{f"surrogate.{name}": _SIZES + (_HUGE_INT,) for name in ("batch_size", "patience", "seed")},
+}
+_FUZZ_BASE = {
+    "system.n_beams": "4", "system.n_users": "4", "n_trials": "1", "qos.sweep": "300, 900",
+    "surrogate.n_train": "8", "surrogate.n_test": "2", "surrogate.epochs": "2", "surrogate.hidden": "8",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(*(st.tuples(st.just(key), st.sampled_from(values)) for key, values in _FUZZ_VALUES.items())),
+                min_size=1, max_size=3, unique_by=lambda kv: kv[0]))
+@example([("system.atmospherics", "true"), ("system.carrier_ghz", "1e300")])
+@example([("surrogate.learning_rate", "1e300")])
+@example([("system.p_max_w", "1e-300")])  # gen-data's RZF column norms vanish
+def test_accepted_config_never_exits_2(overrides):
+    # run, then gen-data -> train -> eval of both models, through the CLI and
+    # under the tier-1 RuntimeWarning filter: each exits 0 or 1, never 2
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        cfg_path = os.path.join(tmp, "fuzz.cfg")
+        settings_ = {**_FUZZ_BASE, **dict(overrides), "output.dir": out}
+        Path(cfg_path).write_text("".join(f"{key} = {value}\n" for key, value in settings_.items()))
+        commands = [["run"], ["gen-data"], ["train"]]
+        commands += [["eval", "--model", os.path.join(out, f"model_joint_{pk}.json")] for pk in ("zf", "rzf")]
+        for command in commands:
+            code = main(command[:1] + ["--config", cfg_path] + command[1:])
+            assert code in (0, 1), (command[0], overrides)
+            if code and command[0] != "run":
+                break  # the next stage needs this one's output
 
 
 @pytest.mark.parametrize(
@@ -414,6 +542,13 @@ def test_budget_that_rounds_every_rate_to_0_exits_1(tmp_path, capsys, p_max_w):
         ("system.sat_height_km = 1e-9", 1),
         ("system.cond_cap = 1", 1),
         ("system.beam_radius_km = 1e-12", 1),
+        # a float error in the numerics: the channel or an inverse gain leaves the float range
+        ("system.rx_gain = 1e300\nsystem.peak_beam_gain = 1e300", 1),
+        ("system.beam_3db_radius_km = 1e-300", 1),
+        ("system.beam_radius_km = 1.7976931348623157e308", 1),
+        ("system.noise_temp_k = 5e-324", 1),
+        ("system.noise_power_w = 1.7976931348623157e308", 1),
+        ("system.noise_temp_k = 1e-300\nsystem.noise_power_w = 1e-300", 1),
         ("system.atmospherics_enabled = true", 1),  # unknown key: the one spelling is system.atmospherics
         ("system.noise_power_w = 1e-300", 0),
         ("system.p_max_w = 1e300", 0),

@@ -9,6 +9,7 @@ from beamalloc.feasibility import (
     DemandSystem,
     build_demand_system,
     check_feasible,
+    m_matrix_solve,
     sinr_targets,
 )
 from beamalloc.metrics import rates
@@ -231,3 +232,7 @@ def test_solve_pinned_rejects_pinned_radius_at_least_one():
     p_start = np.array([1.0, 2.0, 3.0])
     p, ok = _solve_pinned(ds, pinned, 100.0, p_start)
     assert p is p_start and not ok
+
+
+def test_m_matrix_solve_of_a_singular_matrix_is_no_certificate():
+    assert m_matrix_solve(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones(2)) is None

@@ -98,6 +98,13 @@ def test_phase_rotation_leaves_gains_invariant():
         assert np.allclose(g1, g2, rtol=1e-10)
 
 
+def test_precoder_with_a_vanished_column_norm_is_singular():
+    # a user with an all-zero channel column gets an all-zero raw RZF column
+    H = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(PrecoderSingularError, match="column norm vanished"):
+        make_rzf(H, 1.0, 1.0)
+
+
 def test_rzf_bad_inputs():
     H = random_channel(3, 2, 10)
     with pytest.raises(ValueError):

@@ -72,6 +72,8 @@ class AllocationResult:
     # joint and satisset only: feasible_closed_form, feasible_guard_repaired,
     # feasible_guard_scaled, congested_growth or not_converged
     outcome: str | None = None
+    # joint and satisset only: the minimum powers a feasible outcome topped up
+    min_powers: np.ndarray | None = None
 
     @property
     def converged(self) -> bool:
@@ -86,10 +88,10 @@ def satisfied_mask(rates_mbps: np.ndarray, demands: np.ndarray) -> np.ndarray:
     return rates_mbps >= demands * (1.0 - RATE_REL_TOL)
 
 
-def _finish(link, W, cfg, qos, p, iterations, trace=None, outcome=None):
-    """Score powers `p` against the demands of `qos` on served rates with full
-    interference; without a trace, the single entry is (|Q|, sum rate)."""
-    r = rates(link, W, p, cfg)
+def _finish(link, W, cfg, qos, p, iterations, trace=None, outcome=None, r=None, min_powers=None):
+    """Score powers `p` against the demands of `qos` on their served rates `r`
+    (full interference); without a trace, the single entry is (|Q|, sum rate)."""
+    r = rates(link, W, p, cfg) if r is None else r
     q = frozenset(np.flatnonzero(satisfied_mask(r, qos.demands)).tolist())
     return AllocationResult(
         powers=p,
@@ -98,6 +100,7 @@ def _finish(link, W, cfg, qos, p, iterations, trace=None, outcome=None):
         iterations=iterations,
         trace=tuple(trace) if trace else ((len(q), float(r.sum())),),
         outcome=outcome,
+        min_powers=min_powers,
     )
 
 
@@ -129,8 +132,7 @@ def _joint_zf(H, W, qos, cfg, surplus_equal):
     p_min = alpha * c
     if p_min.sum() <= p_budget:
         # interference-free: the top-up cannot push anyone below demand
-        p, outcome = _top_up(link, W, qos, cfg, p_min, c, None, surplus_equal)
-        return _finish(link, W, cfg, qos, p, 0, outcome=outcome)
+        return _top_up(link, W, qos, cfg, p_min, None, None if surplus_equal else c)
     # congestion: largest ascending-cost prefix that fits the budget, ties
     # broken by user index
     order = np.argsort(p_min, kind="stable")
@@ -154,39 +156,44 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
     return _joint_zf(H, W, qos, cfg, surplus_equal=False)
 
 
-def _top_up(link, W, qos, cfg, p_base, c, ds, surplus_equal):
+def _top_up(link, W, qos, cfg, p_base, guard, c=None):
     """Top up the minimum powers `p_base` of a feasible instance with the
-    surplus, water-filled on the inverse gains `c` or split equally: the one
-    step in which the joint and satisfied-set allocators differ.
+    surplus, water-filled on the inverse gains `c` or, without `c`, split
+    equally: the one step in which the joint and satisfied-set allocators differ.
 
-    With a demand system `ds`, the top-up can push a user below its demand
-    through added interference.  A water-filled top-up is repaired by pinning
-    the violated users at their `ds.alpha` targets and water-filling the rest
+    Under interference (a true `guard`) the top-up can push a user below its
+    demand.  A water-filled top-up is repaired by pinning the violated users at
+    the `alpha` targets of the demand system `guard` and water-filling the rest
     of the budget over the others, repeating while new violations appear;
-    scaling all powers proportionally (which provably raises every SINR) is
-    the last resort.  Returns (powers, outcome).
-    """
+    scaling all powers proportionally (which provably raises every SINR) is the
+    last resort, and an equal split's only one.  Returns the result."""
     k = len(qos.demands)
     p_budget = cfg.p_max_w
     surplus = p_budget - p_base.sum()
-    p = p_base + (surplus / k if surplus_equal else waterfill(c, surplus))
-    if ds is None:
-        return p, "feasible_closed_form"
-    pinned = ~satisfied_mask(rates(link, W, p, cfg), qos.demands)  # the violated users
+    p = p_base + (surplus / k if c is None else waterfill(c, surplus))
+
+    def done(p, outcome, r=None):
+        return _finish(link, W, cfg, qos, p, 0, outcome=outcome, r=r, min_powers=p_base)
+
+    if not guard:
+        return done(p, "feasible_closed_form")
+    r = rates(link, W, p, cfg)
+    pinned = ~satisfied_mask(r, qos.demands)  # the violated users
     if not pinned.any():
-        return p, "feasible_closed_form"
-    if not surplus_equal:
+        return done(p, "feasible_closed_form", r)
+    if c is not None:
         for _ in range(k):
-            p_fix, ok = _solve_pinned(ds, pinned, p_budget, p)
+            p_fix, ok = _solve_pinned(guard, pinned, p_budget, p)
             if not ok:
                 break
-            still = ~satisfied_mask(rates(link, W, p_fix, cfg), qos.demands)
+            r = rates(link, W, p_fix, cfg)
+            still = ~satisfied_mask(r, qos.demands)
             if not still.any():
-                return p_fix, "feasible_guard_repaired"
+                return done(p_fix, "feasible_guard_repaired", r)
             if not (still & ~pinned).any():
                 break
             pinned |= still
-    return p_base * (p_budget / p_base.sum()), "feasible_guard_scaled"
+    return done(p_base * (p_budget / p_base.sum()), "feasible_guard_scaled")
 
 
 def _joint_rzf(H, W, qos, cfg, surplus_equal):
@@ -202,21 +209,19 @@ def _joint_rzf(H, W, qos, cfg, surplus_equal):
     if rep.feasible:
         # exact joint minimum powers for the relaxed demands (true rates hit
         # xi_k + omega_k, so the omega margin absorbs the surplus top-up)
-        p, outcome = _top_up(link, W, qos, cfg, rep.min_powers, c, ds, surplus_equal)
-        return _finish(link, W, cfg, qos, p, 0, outcome=outcome)
+        return _top_up(link, W, qos, cfg, rep.min_powers, ds, None if surplus_equal else c)
     # congestion: grow the relaxed satisfied set, truncating each new member
     # to exactly its relaxed demand against the current interference; keep the
     # lexicographically best iterate (|Q| first, then sum rate) seen
+    def score(rv):  # (|Q|, sum rate) of a rate vector
+        return (int(satisfied_mask(rv, qos.demands).sum()), float(rv.sum()))
+
     p = waterfill(c, p_budget)
     r = rates(link, W, p, cfg)
     in_set = satisfied_mask(r, relaxed)
     newly = in_set.copy()
-    trace = [(int(in_set.sum()), float(r.sum()))]
-
-    def score(rv):
-        return (int(satisfied_mask(rv, qos.demands).sum()), float(rv.sum()))
-
-    best_p, best_score = p.copy(), score(r)
+    best_p, best_r, best_score = p.copy(), r, score(r)
+    trace = [(int(in_set.sum()), best_score[1])]
     n = 0
     # each further round moves at least one user into in_set, so at most K rounds
     while newly.any():
@@ -229,13 +234,14 @@ def _joint_rzf(H, W, qos, cfg, surplus_equal):
             break
         p[comp] = waterfill(c[comp], leftover)
         r = rates(link, W, p, cfg)
-        if score(r) > best_score:
-            best_p, best_score = p.copy(), score(r)
+        s = score(r)
+        if s > best_score:
+            best_p, best_r, best_score = p.copy(), r, s
         joiners = comp & satisfied_mask(r, relaxed)
         in_set = in_set | joiners
         newly = joiners
-        trace.append((int(in_set.sum()), float(r.sum())))
-    return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome="congested_growth")
+        trace.append((int(in_set.sum()), s[1]))
+    return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome="congested_growth", r=best_r)
 
 
 def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -307,8 +313,7 @@ def _joint_generic(H, W, qos, cfg, surplus_equal):
     c_up = cfg.noise_power_w / link.g
     rep = check_feasible(ds, p_budget)
     if rep.feasible:
-        p, outcome = _top_up(link, W, qos, cfg, rep.min_powers, c_up, ds, surplus_equal)
-        return _finish(link, W, cfg, qos, p, 0, outcome=outcome)
+        return _top_up(link, W, qos, cfg, rep.min_powers, ds, None if surplus_equal else c_up)
     # congestion: sum-rate initialization, then monotone set growth
     p = waterfill(c_up, p_budget)
     r = rates(link, W, p, cfg)
@@ -344,7 +349,7 @@ def _joint_generic(H, W, qos, cfg, surplus_equal):
         trace.append((int(mask.sum()), float(r.sum())))
         if mask.all():
             break
-    return _finish(link, W, cfg, qos, p, n, trace=trace, outcome=outcome)
+    return _finish(link, W, cfg, qos, p, n, trace=trace, outcome=outcome, r=r)
 
 
 def joint_opt_generic(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -367,6 +372,15 @@ def satis_set_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocat
     users instead of water-filling it."""
     joint = {"zf": _joint_zf, "rzf": _joint_rzf}.get(W.kind, _joint_generic)
     return joint(H, W, qos, cfg, surplus_equal=True)
+
+
+def satis_set_from_joint(link, W: Precoder, qos: QoSProfile, cfg: SystemConfig, joint) -> AllocationResult:
+    """The satis_set_opt result of the instance that `joint`, its joint_opt
+    result, solved: joint's own result under congestion, whose branch the two
+    share, and otherwise joint's minimum powers with the surplus split equally."""
+    if joint.min_powers is None:
+        return joint
+    return _top_up(link, W, qos, cfg, joint.min_powers, W.kind != "zf")
 
 
 def joint_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:

@@ -112,6 +112,8 @@ class ExperimentConfig:
             raise ConfigError("qos.sweep or qos.per_user must be set")
         if self.system.p_max_w <= 0:
             raise ConfigError("system.p_max_w must be > 0 for a campaign")
+        if not math.isfinite(self.system.wavelength_m):  # the channel amplitudes would be inf
+            raise ConfigError(f"system.carrier_ghz = {self.system.carrier_ghz:g} puts the wavelength beyond the float range")
         if self.system.atmospherics:  # the cloud model's permittivity terms overflow far from any real carrier
             with _float_range(f"system.carrier_ghz = {self.system.carrier_ghz:g} overflows the cloud model"):
                 cloud_attenuation_db(90.0, self.system.carrier_ghz)
@@ -292,12 +294,16 @@ def build_precoder(trial: Trial, system: SystemConfig, kind: str) -> Precoder:
 # ---------------------------------------------------------------------------
 # campaign
 
-def _solve(strategy, link, W, qos, system):
-    """(result, wall ms) of one allocator call, looked up at call time."""
-    allocate = getattr(allocators, KNOWN_STRATEGIES[strategy])
+def _solve(strategy, link, W, qos, system, joint=None):
+    """(result, wall ms) of one allocator call, looked up at call time.  Given
+    joint's (result, ms), satisset is taken from joint's result instead, in
+    joint's ms plus its own."""
     t0 = time.perf_counter()
-    res = allocate(link, W, qos, system)
-    return res, (time.perf_counter() - t0) * 1e3
+    if strategy == "satisset" and joint is not None:
+        res, ms = allocators.satis_set_from_joint(link, W, qos, system, joint[0]), joint[1]
+    else:
+        res, ms = getattr(allocators, KNOWN_STRATEGIES[strategy])(link, W, qos, system), 0.0
+    return res, ms + (time.perf_counter() - t0) * 1e3
 
 
 def _split_sums(r, mask, counts):
@@ -337,8 +343,9 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
     in trial order, with rows (strategy, qos, xi_mbps, result, ms) for every
     strategy at each demand point; each block builds its Link once.  A row
     keeps the (result, ms) of the solve that produced its powers: demand-free
-    strategies are solved once per block for every demand point, and satisset
-    reuses joint's solve when joint ran the congestion branch the two share."""
+    strategies are solved once per block for every demand point, and satisset,
+    when joint is listed, is taken from joint's solve: its congested result,
+    or its feasible minimum powers with the surplus split equally."""
     system = cfg.system
     ref_qos = allocators.QoSProfile.uniform(1.0, system.n_users, cfg.omega_frac)
     solve_order = sorted(cfg.strategies, key=lambda s: s != "joint")  # joint first
@@ -354,12 +361,8 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
             for qos, xi in points:
                 cell = dict(fixed)
                 for strategy in solve_order:
-                    joint = cell.get("joint")
-                    if strategy == "satisset" and joint is not None \
-                            and joint[0].outcome in allocators.CONGESTED_OUTCOMES:
-                        cell[strategy] = joint
-                    elif strategy not in cell:
-                        cell[strategy] = _solve(strategy, link, W, qos, system)
+                    if strategy not in cell:
+                        cell[strategy] = _solve(strategy, link, W, qos, system, cell.get("joint"))
                 rows += [(s, qos, xi, *cell[s]) for s in cfg.strategies]
             yield t, seed, pk, rows, fixed["sumopt"][0].rates_mbps
 
@@ -414,7 +417,7 @@ def _write_per_trial(fh, t, seed, pk, rows, scores, n_satisfied, record_timing):
 def _write_aggregate(path, cells, n_trials):
     """One row per (precoder, strategy, xi) cell: its key, then the
     MetricsSummary of its per-trial column sums."""
-    rows = ((*key, *astuple(metrics.aggregate(cells[key], n_trials))) for key in sorted(cells))
+    rows = ((*key, *vars(metrics.aggregate(cells[key], n_trials)).values()) for key in sorted(cells))
     _write_csv(path, AGGREGATE_COLUMNS, AGGREGATE_ROW, rows)
 
 

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from beamalloc import QoSProfile, SystemConfig, allocators
 from beamalloc.allocators import (
@@ -12,6 +12,7 @@ from beamalloc.allocators import (
     joint_opt_generic,
     joint_opt_rzf,
     joint_opt_zf,
+    satis_set_from_joint,
     satis_set_opt,
     satisfied_mask,
     sum_opt,
@@ -460,6 +461,87 @@ def test_every_allocator_spends_the_budget_on_nonnegative_powers(kind, k, extra,
         assert np.all(res.powers >= 0), alloc.__name__
         assert len(res.satisfied) <= k, alloc.__name__
         assert abs(res.powers.sum() - p_max) <= 1e-9 * p_max, (alloc.__name__, res.powers.sum(), p_max)
+
+
+# a feasible RZF instance whose equal split fails the rate guard
+_SATISSET_SCALED = dict(
+    kind="rzf", k=7, extra=0, seed=399, p_max=31.0, omega=0.02,
+    xi=[1325.0, 1482.0, 549.0, 757.0, 619.0, 708.0, 1286.0, 635.0],
+)
+# a feasible RZF instance whose water-filled top-up passes the rate guard
+_RZF_CLOSED_FORM = dict(
+    kind="rzf", k=7, extra=2, seed=234, p_max=22.0, omega=0.02,
+    xi=[1462.0, 1349.0, 1270.0, 604.0, 752.0, 1023.0, 115.0, 845.0],
+)
+
+
+def _kw_case(kind, k, extra, seed, p_max, xi, omega):
+    return _case(kind, k, extra, seed, p_max, np.array(xi[:k]), omega)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["zf", "rzf", "mrt"]),
+    k=st.integers(1, 8),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    p_max=st.floats(0.5, 50.0),
+    xi=st.lists(st.floats(25.0, 1500.0), min_size=8, max_size=8),
+    omega=st.sampled_from([0.0, 0.02]),
+)
+@example(**_SATISSET_SCALED)
+def test_satisset_from_joint_equals_a_fresh_solve(kind, k, extra, seed, p_max, xi, omega):
+    try:
+        H, W, qos, cfg = _kw_case(kind, k, extra, seed, p_max, xi, omega)
+    except PrecoderSingularError:
+        assume(False)
+    link = effective_gains(H, W)
+    jo = joint_opt(link, W, qos, cfg)
+    fresh = satis_set_opt(link, W, qos, cfg)
+    derived = satis_set_from_joint(link, W, qos, cfg, jo)
+    # a feasible outcome carries the minimum powers it topped up, a congested one none
+    assert (jo.min_powers is None) == (jo.outcome in allocators.CONGESTED_OUTCOMES)
+    if jo.min_powers is None:
+        assert derived is jo and fresh.min_powers is None
+    else:
+        assert np.array_equal(derived.min_powers, jo.min_powers)
+        assert np.array_equal(derived.min_powers, fresh.min_powers)
+    assert np.array_equal(derived.powers, fresh.powers)
+    assert np.array_equal(derived.rates_mbps, fresh.rates_mbps)
+    assert (derived.satisfied, derived.outcome, derived.iterations, derived.trace) == (
+        fresh.satisfied, fresh.outcome, fresh.iterations, fresh.trace
+    )
+
+
+def test_the_example_cases_reach_their_outcomes():
+    H, W, qos, cfg = _kw_case(**_SATISSET_SCALED)
+    assert satis_set_opt(H, W, qos, cfg).outcome == "feasible_guard_scaled"
+    H, W, qos, cfg = _kw_case(**_RZF_CLOSED_FORM)
+    assert joint_opt(H, W, qos, cfg).outcome == "feasible_closed_form"
+
+
+def test_each_rate_vector_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rates(*args)
+
+    monkeypatch.setattr(allocators, "rates", counted)
+    cases = [_kw_case(**_RZF_CLOSED_FORM), _seeded_case(1, "zf"), _seeded_case(0, "zf"), _seeded_case(0, "rzf")]
+    for H, W, qos, cfg in cases:
+        link = effective_gains(H, W)
+        calls.clear()
+        jo = joint_opt(link, W, qos, cfg)
+        if jo.outcome == "feasible_closed_form":
+            # RZF's rate guard already scored the topped-up powers
+            assert len(calls) == 1, W.kind
+        else:
+            # the growth loop scores each round once, the best iterate included
+            assert len(calls) <= jo.iterations + 1, W.kind
+        calls.clear()
+        satis_set_from_joint(link, W, qos, cfg, jo)
+        assert len(calls) <= 1, W.kind
 
 
 @pytest.mark.parametrize(

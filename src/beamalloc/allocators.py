@@ -28,10 +28,6 @@ RATE_REL_TOL = 1e-6
 _PINNED_TOL = 1e-8
 _PINNED_MAX_INNER = 100
 
-# outcomes under which the joint and satisfied-set allocators run the same
-# congestion branch, so they return the same powers
-CONGESTED_OUTCOMES = frozenset({"congested_growth", "not_converged"})
-
 
 @dataclass(frozen=True)
 class QoSProfile:
@@ -121,7 +117,11 @@ def sum_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationRes
     return _finish(link, W, cfg, qos, p, 0)
 
 
-def _joint_zf(H, W, qos, cfg, surplus_equal):
+def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
+    """Closed-form joint optimizer for ZF: minimum powers p_min,k = alpha_k *
+    ||w_raw_k||^2 * sigma^2; if they fit the budget everyone is served and the
+    surplus is water-filled, otherwise the cheapest users are served first and
+    the leftover is water-filled across the rest."""
     if W.kind != "zf":
         raise ValueError("ZF allocator requires a ZF precoder")
     link = effective_gains(H, W)
@@ -132,7 +132,7 @@ def _joint_zf(H, W, qos, cfg, surplus_equal):
     p_min = alpha * c
     if p_min.sum() <= p_budget:
         # interference-free: the top-up cannot push anyone below demand
-        return _top_up(link, W, qos, cfg, p_min, None, None if surplus_equal else c)
+        return _top_up(link, W, qos, cfg, p_min, None, c)
     # congestion: largest ascending-cost prefix that fits the budget, ties
     # broken by user index
     order = np.argsort(p_min, kind="stable")
@@ -146,14 +146,6 @@ def _joint_zf(H, W, qos, cfg, surplus_equal):
     if rest.size:
         p[rest] = waterfill(c[rest], leftover)
     return _finish(link, W, cfg, qos, p, 0, outcome="congested_growth")
-
-
-def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
-    """Closed-form joint optimizer for ZF: minimum powers p_min,k = alpha_k *
-    ||w_raw_k||^2 * sigma^2; if they fit the budget everyone is served and the
-    surplus is water-filled, otherwise the cheapest users are served first and
-    the leftover is water-filled across the rest."""
-    return _joint_zf(H, W, qos, cfg, surplus_equal=False)
 
 
 def _top_up(link, W, qos, cfg, p_base, guard, c=None):
@@ -196,7 +188,9 @@ def _top_up(link, W, qos, cfg, p_base, guard, c=None):
     return done(p_base * (p_budget / p_base.sum()), "feasible_guard_scaled")
 
 
-def _joint_rzf(H, W, qos, cfg, surplus_equal):
+def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
+    """Joint optimizer for RZF on the interference-free rate upper bound, with
+    relaxed demands xi_k + omega_k absorbing the neglected interference."""
     if W.kind != "rzf":
         raise ValueError("RZF allocator requires an RZF precoder")
     sigma2 = cfg.noise_power_w
@@ -209,7 +203,7 @@ def _joint_rzf(H, W, qos, cfg, surplus_equal):
     if rep.feasible:
         # exact joint minimum powers for the relaxed demands (true rates hit
         # xi_k + omega_k, so the omega margin absorbs the surplus top-up)
-        return _top_up(link, W, qos, cfg, rep.min_powers, ds, None if surplus_equal else c)
+        return _top_up(link, W, qos, cfg, rep.min_powers, ds, c)
     # congestion: grow the relaxed satisfied set, truncating each new member
     # to exactly its relaxed demand against the current interference; keep the
     # lexicographically best iterate (|Q| first, then sum rate) seen
@@ -242,12 +236,6 @@ def _joint_rzf(H, W, qos, cfg, surplus_equal):
         newly = joiners
         trace.append((int(in_set.sum()), s[1]))
     return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome="congested_growth", r=best_r)
-
-
-def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
-    """Joint optimizer for RZF on the interference-free rate upper bound, with
-    relaxed demands xi_k + omega_k absorbing the neglected interference."""
-    return _joint_rzf(H, W, qos, cfg, surplus_equal=False)
 
 
 def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
@@ -305,7 +293,17 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
     return p, True
 
 
-def _joint_generic(H, W, qos, cfg, surplus_equal):
+def joint_opt_generic(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
+    """Precoder-agnostic joint optimizer.
+
+    When the demands are jointly feasible, the minimum-power solution is
+    topped up by water-filling the surplus.  Under congestion the satisfied
+    set grows from the sum-rate initialization: each round pins the current
+    members at exactly their demands and water-fills the rest; if no user
+    crosses its demand, the cheapest affordable candidate (by pinned-system
+    total power) is admitted instead, so the set keeps growing whenever the
+    budget allows.  Stops when the set stalls; at most K growth rounds.
+    """
     k = len(qos.demands)
     p_budget = cfg.p_max_w
     link = effective_gains(H, W)
@@ -313,7 +311,7 @@ def _joint_generic(H, W, qos, cfg, surplus_equal):
     c_up = cfg.noise_power_w / link.g
     rep = check_feasible(ds, p_budget)
     if rep.feasible:
-        return _top_up(link, W, qos, cfg, rep.min_powers, ds, None if surplus_equal else c_up)
+        return _top_up(link, W, qos, cfg, rep.min_powers, ds, c_up)
     # congestion: sum-rate initialization, then monotone set growth
     p = waterfill(c_up, p_budget)
     r = rates(link, W, p, cfg)
@@ -352,26 +350,11 @@ def _joint_generic(H, W, qos, cfg, surplus_equal):
     return _finish(link, W, cfg, qos, p, n, trace=trace, outcome=outcome, r=r)
 
 
-def joint_opt_generic(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
-    """Precoder-agnostic joint optimizer.
-
-    When the demands are jointly feasible, the minimum-power solution is
-    topped up by water-filling the surplus.  Under congestion the satisfied
-    set grows from the sum-rate initialization: each round pins the current
-    members at exactly their demands and water-fills the rest; if no user
-    crosses its demand, the cheapest affordable candidate (by pinned-system
-    total power) is admitted instead, so the set keeps growing whenever the
-    budget allows.  Stops when the set stalls; at most K growth rounds.
-    """
-    return _joint_generic(H, W, qos, cfg, surplus_equal=False)
-
-
 def satis_set_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
-    """Satisfied-set maximization only: same set growth as the matching joint
-    optimizer, but a feasible instance splits the surplus equally across
-    users instead of water-filling it."""
-    joint = {"zf": _joint_zf, "rzf": _joint_rzf}.get(W.kind, _joint_generic)
-    return joint(H, W, qos, cfg, surplus_equal=True)
+    """Satisfied-set maximization only: joint_opt's certificate and set growth,
+    with a feasible instance's surplus split equally instead of water-filled."""
+    link = effective_gains(H, W)
+    return satis_set_from_joint(link, W, qos, cfg, joint_opt(link, W, qos, cfg))
 
 
 def satis_set_from_joint(link, W: Precoder, qos: QoSProfile, cfg: SystemConfig, joint) -> AllocationResult:

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from beamalloc.allocators import _PINNED_MAX_INNER, _PINNED_TOL
+from beamalloc.allocators import _PINNED_MAX_INNER, _PINNED_TOL, RATE_REL_TOL
 from beamalloc.feasibility import m_matrix_solve
 from beamalloc.waterfill import waterfill
 
@@ -201,6 +201,26 @@ def solve_pinned_per_sweep(ds, pinned, p_budget, p_start):
     if p[s_idx].sum() > p_budget * (1.0 + 1e-12):
         return p, False
     return p, True
+
+
+def satis_set_reference(link, W, qos, cfg, joint):
+    """The satisfied-set allocation of the instance that `joint`, its joint_opt
+    result, solved, written from the strategy's definition: (powers, outcome).
+    Under congestion it is joint's own allocation.  Otherwise each user gets
+    its minimum power plus an equal share of the surplus; under interference
+    (any precoder but ZF) a split that leaves some user below its demand gives
+    way to the minimum powers scaled up to the budget."""
+    if joint.min_powers is None:
+        return joint.powers, joint.outcome
+    p_min, k, budget = joint.min_powers, len(qos.demands), cfg.p_max_w
+    p = p_min + (budget - p_min.sum()) / k
+    if W.kind != "zf":
+        for u in range(k):
+            interference = sum(link.Q[u, j] * p[j] for j in range(k) if j != u)
+            rate = cfg.bandwidth_mhz * np.log2(1.0 + link.Q[u, u] * p[u] / (cfg.noise_power_w + interference))
+            if rate < qos.demands[u] * (1.0 - RATE_REL_TOL):
+                return p_min * (budget / p_min.sum()), "feasible_guard_scaled"
+    return p, "feasible_closed_form"
 
 
 def numeric_grads(weights, biases, x, t, eps=1e-5):

@@ -28,7 +28,8 @@ from beamalloc.precoding import (
 from beamalloc.waterfill import waterfill
 from conftest import make_instance, random_channel
 from oracles import (
-    max_satisfiable_set, simplex_grid_best, solve_pinned_per_sweep, waterfill_objective
+    max_satisfiable_set, satis_set_reference, simplex_grid_best, solve_pinned_per_sweep,
+    waterfill_objective,
 )
 
 B = 500.0
@@ -433,7 +434,8 @@ def test_satisset_returns_joint_powers_when_joint_is_congested(
         "congested_growth", "not_converged",
     )
     assert jo.converged == (jo.outcome != "not_converged")
-    if jo.outcome in allocators.CONGESTED_OUTCOMES:
+    # a congested result carries no minimum powers: the campaign's own rule
+    if jo.min_powers is None:
         assert np.array_equal(ss.powers, jo.powers)
         assert (ss.outcome, ss.iterations, ss.trace) == (jo.outcome, jo.iterations, jo.trace)
     else:
@@ -497,20 +499,20 @@ def test_satisset_from_joint_equals_a_fresh_solve(kind, k, extra, seed, p_max, x
         assume(False)
     link = effective_gains(H, W)
     jo = joint_opt(link, W, qos, cfg)
-    fresh = satis_set_opt(link, W, qos, cfg)
-    derived = satis_set_from_joint(link, W, qos, cfg, jo)
+    p_ref, outcome_ref = satis_set_reference(link, W, qos, cfg, jo)
     # a feasible outcome carries the minimum powers it topped up, a congested one none
-    assert (jo.min_powers is None) == (jo.outcome in allocators.CONGESTED_OUTCOMES)
+    assert (jo.min_powers is None) == (not jo.outcome.startswith("feasible_"))
+    derived = satis_set_from_joint(link, W, qos, cfg, jo)
     if jo.min_powers is None:
-        assert derived is jo and fresh.min_powers is None
-    else:
-        assert np.array_equal(derived.min_powers, jo.min_powers)
-        assert np.array_equal(derived.min_powers, fresh.min_powers)
-    assert np.array_equal(derived.powers, fresh.powers)
-    assert np.array_equal(derived.rates_mbps, fresh.rates_mbps)
-    assert (derived.satisfied, derived.outcome, derived.iterations, derived.trace) == (
-        fresh.satisfied, fresh.outcome, fresh.iterations, fresh.trace
-    )
+        assert derived is jo
+    for ss in (derived, satis_set_opt(link, W, qos, cfg)):
+        assert np.array_equal(ss.powers, p_ref) and ss.outcome == outcome_ref
+        assert np.array_equal(ss.rates_mbps, rates(link, W, ss.powers, cfg))
+        if jo.min_powers is None:
+            assert (ss.iterations, ss.trace, ss.min_powers) == (jo.iterations, jo.trace, None)
+        else:
+            assert np.array_equal(ss.min_powers, jo.min_powers)
+            assert (ss.iterations, ss.trace) == (0, ((len(ss.satisfied), float(ss.rates_mbps.sum())),))
 
 
 def test_the_example_cases_reach_their_outcomes():
@@ -539,9 +541,14 @@ def test_each_rate_vector_is_computed_once(monkeypatch):
         else:
             # the growth loop scores each round once, the best iterate included
             assert len(calls) <= jo.iterations + 1, W.kind
+        joint_calls = len(calls)
         calls.clear()
         satis_set_from_joint(link, W, qos, cfg, jo)
         assert len(calls) <= 1, W.kind
+        # a standalone satisset is joint plus the equal split
+        calls.clear()
+        satis_set_opt(link, W, qos, cfg)
+        assert len(calls) <= joint_calls + 1, W.kind
 
 
 @pytest.mark.parametrize(

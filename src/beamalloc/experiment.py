@@ -500,7 +500,7 @@ def train_models(cfg: ExperimentConfig) -> dict:
     for strategy in sorted(groups):
         with _float_range(f"surrogate.learning_rate = {surr.learning_rate:g} diverges training the {strategy} model"):
             model, report = surrogate.train(groups[strategy][: surr.n_train], surr)
-        model_path = os.path.normpath(os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.json"))
+        model_path = os.path.normpath(os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.npz"))
         surrogate.save_model(model, model_path)
         out[strategy] = (model_path, report)
     return out
@@ -515,7 +515,7 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     Both rows are scored by one rule from their samples' (n, K) rates."""
     try:
         model = surrogate.load_model(model_path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{model_path}: cannot read the model ({exc}); re-run train") from exc
     strategy = model.strategy
     pk = strategy.removeprefix("joint_")

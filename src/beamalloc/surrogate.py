@@ -11,11 +11,11 @@ and reverse-mode gradients through the stack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # Adam moment decay rates and denominator guard
 ADAM_BETA1 = 0.9
@@ -264,18 +264,8 @@ def predict_powers(model: SurrogateModel, gains: np.ndarray, p_max_total: float)
 def save_dataset(records: list[DatasetRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "x": r.x.tolist(),
-                        "p_star": r.p_star.tolist(),
-                        "seed": int(r.seed),
-                        "strategy": r.strategy,
-                        "fingerprint": r.fingerprint,
-                    }
-                )
-            )
-            fh.write("\n")
+            fh.write(json.dumps({"x": r.x.tolist(), "p_star": r.p_star.tolist(), "seed": int(r.seed),
+                                 "strategy": r.strategy, "fingerprint": r.fingerprint}) + "\n")
 
 
 def load_dataset(path) -> list[DatasetRecord]:
@@ -302,32 +292,42 @@ def load_dataset(path) -> list[DatasetRecord]:
 
 
 def save_model(model: SurrogateModel, path) -> None:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "strategy": model.strategy,
-        "fingerprint": model.fingerprint,
-        "layer_sizes": model.layer_sizes,
-        "weights": [w.reshape(-1).tolist() for w in model.weights],  # row-major
-        "biases": [b.tolist() for b in model.biases],
-        "norm_stats": {f.name: getattr(model.norm_stats, f.name).tolist() for f in fields(NormStats)},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))  # the C encoder; json.dump streams through the Python one
+    """One uncompressed npz archive (format 3): `format_version`, `strategy` and `fingerprint`
+    as 0-d arrays, then `weight<i>` and `bias<i>` per layer and the NormStats arrays."""
+    layers = {f"weight{i}": w for i, w in enumerate(model.weights)}
+    layers.update((f"bias{i}", b) for i, b in enumerate(model.biases))
+    with open(path, "wb") as fh:  # through a handle: np.savez adds .npz to a bare name
+        np.savez(fh, allow_pickle=False, format_version=MODEL_FORMAT_VERSION, strategy=model.strategy,
+                 fingerprint=model.fingerprint, **layers, **vars(model.norm_stats))
 
 
 def load_model(path) -> SurrogateModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format: {doc.get('format_version')}")
-    sizes = doc["layer_sizes"]
-    weights = [
-        np.asarray(w, dtype=float).reshape(fi, fo)
-        for w, fi, fo in zip(doc["weights"], sizes[:-1], sizes[1:])
-    ]
-    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-    stats = NormStats(*(np.asarray(doc["norm_stats"][f.name], dtype=float) for f in fields(NormStats)))
+    """Read a format-3 model; a file that is not one raises ValueError naming the cause."""
+    import zipfile  # loaded with numpy already
+
+    try:
+        with open(path, "rb") as fh:  # np.load leaves a path it opened open when the zip is bad
+            if fh.read(1) == b"{":
+                raise ValueError("a format-2 JSON model")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as z:
+                a = {k: z[k] for k in z.files}
+    except (EOFError, TypeError, zipfile.BadZipFile) as exc:  # empty, .npy or truncated
+        raise ValueError(f"not a whole npz archive ({exc})") from exc
+    if a.get("format_version", np.array(None)).tolist() != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format: {a.get('format_version')}")
+    n = sum(k.startswith("weight") for k in a) or 1
+    s = [a.get(k, np.empty(0)).size for k in ["x_min", *(f"bias{i}" for i in range(n))]]  # layer widths
+    want = {"strategy": (), "fingerprint": (), "x_min": s[:1], "x_max": s[:1]}
+    for i in range(n):  # each bias before its weight, so a missing bias is named as such
+        want[f"bias{i}"], want[f"weight{i}"] = s[i + 1 : i + 2], s[i : i + 2]
+    want.update(p_min=s[-1:], p_max=s[-1:])
+    for k, shape in want.items():
+        v, kind = a.get(k), "U" if k in ("strategy", "fingerprint") else "f"
+        if v is None or v.shape != tuple(shape) or v.dtype.kind != kind:
+            raise ValueError(f"{k}: missing" if v is None else f"{k}: {v.dtype} array of shape {v.shape}, "
+                             f"expected {'text' if kind == 'U' else 'float'} of shape {tuple(shape)}")
     return SurrogateModel(
-        weights=weights, biases=biases, norm_stats=stats, strategy=doc.get("strategy", ""),
-        fingerprint=doc["fingerprint"],
+        [a[f"weight{i}"] for i in range(n)], [a[f"bias{i}"] for i in range(n)],
+        NormStats(*(a[k] for k in ("x_min", "x_max", "p_min", "p_max"))), str(a["strategy"]), str(a["fingerprint"]),
     )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -193,7 +195,7 @@ def test_train_and_eval_pipeline(tmp_path, pk):
     trained = train_models(cfg)
     assert set(trained) == {f"joint_{pk}"}
     model_path, report = trained[f"joint_{pk}"]
-    assert model_path == str(tmp_path / "out" / f"model_joint_{pk}.json")
+    assert model_path == str(tmp_path / "out" / f"model_joint_{pk}.npz")
     assert report.train_losses
     eval_path = eval_model(cfg, model_path)
     assert eval_path == str(tmp_path / "out" / f"eval_{pk}.csv")
@@ -215,14 +217,14 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense here\n")
     assert main(["run", "--config", str(bad)]) == 1
-    assert main(["eval", "--model", str(tmp_path / "missing.json"), "--config", cfg_path]) == 1
+    assert main(["eval", "--model", str(tmp_path / "missing.npz"), "--config", cfg_path]) == 1
     capsys.readouterr()
 
 
 def test_cli_missing_or_corrupt_inputs_exit_1(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = zf"))
     dataset = tmp_path / "out" / "dataset.jsonl"
-    model_path = str(tmp_path / "out" / "model_joint_zf.json")
+    model_path = str(tmp_path / "out" / "model_joint_zf.npz")
 
     def exits_1_naming(argv, path):
         assert main(argv) == 1
@@ -234,7 +236,7 @@ def test_cli_missing_or_corrupt_inputs_exit_1(tmp_path, capsys):
     exits_1_naming(train, dataset)
     assert main(["gen-data", "--config", cfg_path]) == 0
     assert main(train) == 0
-    missing_model = str(tmp_path / "missing.json")
+    missing_model = str(tmp_path / "missing.npz")
     exits_1_naming(["eval", "--model", missing_model, "--config", cfg_path], missing_model)
 
     good = dataset.read_text(encoding="utf-8")
@@ -408,13 +410,13 @@ def test_cli_train_and_eval_refuse_what_they_cannot_use(tmp_path, capsys):
     assert "dataset is empty" in capsys.readouterr().err
     assert main(["gen-data", "--config", cfg_path]) == 0
     assert main(["train", "--config", cfg_path]) == 0
-    model_path = out / "model_joint_zf.json"
+    model_path = out / "model_joint_zf.npz"
     assert main(["eval", "--model", str(model_path), "--config", cfg_path]) == 1  # surrogate.n_test = 0
     assert "dataset has no test split" in capsys.readouterr().err
-    doc = json.loads(model_path.read_text())
-    doc["strategy"] = "satisset_zf"
-    other = tmp_path / "satisset_model.json"
-    other.write_text(json.dumps(doc))
+    model = load_model(model_path)
+    model.strategy = "satisset_zf"
+    other = tmp_path / "satisset_model.npz"
+    surrogate.save_model(model, other)
     assert main(["eval", "--model", str(other), "--config", cfg_path]) == 1
     assert "unknown label strategy 'satisset_zf'" in capsys.readouterr().err
 
@@ -463,20 +465,39 @@ _FUZZ_BASE = {
 @example([("surrogate.learning_rate", "1e300")])
 @example([("system.p_max_w", "1e-300")])  # gen-data's RZF column norms vanish
 def test_accepted_config_never_exits_2(overrides):
-    # run, then gen-data -> train -> eval of both models, through the CLI and
-    # under the tier-1 RuntimeWarning filter: each exits 0 or 1, never 2
+    # every stage exits 0 or 1, never 2, also under the tier-1 RuntimeWarning filter
+    for command, code in _cli_stages(overrides):
+        assert code in (0, 1), (command, overrides)
+
+
+def test_fuzz_base_config_runs_every_stage():
+    # without overrides every stage exits 0 and both models are evaluated, so
+    # the fuzz above does not pass on evals that merely miss their model
+    assert _cli_stages([]) == [("run", 0), ("gen-data", 0), ("train", 0), ("eval", 0), ("eval", 0)]
+
+
+def _cli_stages(overrides):
+    """[(command, exit code)] of run, then gen-data -> train -> eval of each
+    model that train prints, through the CLI on _FUZZ_BASE plus `overrides`;
+    after run, a stage that fails ends the list (the next needs its output)."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
         cfg_path = os.path.join(tmp, "fuzz.cfg")
-        settings_ = {**_FUZZ_BASE, **dict(overrides), "output.dir": out}
+        settings_ = {**_FUZZ_BASE, **dict(overrides), "output.dir": os.path.join(tmp, "out")}
         Path(cfg_path).write_text("".join(f"{key} = {value}\n" for key, value in settings_.items()))
-        commands = [["run"], ["gen-data"], ["train"]]
-        commands += [["eval", "--model", os.path.join(out, f"model_joint_{pk}.json")] for pk in ("zf", "rzf")]
-        for command in commands:
-            code = main(command[:1] + ["--config", cfg_path] + command[1:])
-            assert code in (0, 1), (command[0], overrides)
-            if code and command[0] != "run":
-                break  # the next stage needs this one's output
+        stages = []
+        for command in ("run", "gen-data", "train"):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                stages.append((command, main([command, "--config", cfg_path])))
+            if stages[-1][1] and command != "run":
+                return stages
+        # `beamalloc train` prints "<strategy>: <model path> (best epoch ...)" per model
+        for line in printed.getvalue().splitlines():
+            model = line.split(": ", 1)[1].rsplit(" (", 1)[0]
+            stages.append(("eval", main(["eval", "--model", model, "--config", cfg_path])))
+            if stages[-1][1]:
+                break
+        return stages
 
 
 @pytest.mark.parametrize(
@@ -684,7 +705,7 @@ def test_two_precoder_dataset_splits_each_strategy_by_seed(tmp_path, monkeypatch
 def test_cli_eval_refuses_another_system_and_old_models(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = rzf"))
     out = tmp_path / "out"
-    model_path = str(out / "model_joint_rzf.json")
+    model_path = str(out / "model_joint_rzf.npz")
     assert main(["gen-data", "--config", cfg_path]) == 0
     assert main(["train", "--config", cfg_path]) == 0
     fp = fingerprint(parse_config(cfg_path))
@@ -707,14 +728,62 @@ def test_cli_eval_refuses_another_system_and_old_models(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dataset.jsonl" in err and "fingerprint" in err
 
-    doc = json.loads(Path(model_path).read_text())
-    doc["format_version"] = 1
-    del doc["fingerprint"]
-    old = tmp_path / "old_model.json"
+    # the same model as format 2 wrote it: one JSON document
+    model = load_model(model_path)
+    doc = {
+        "format_version": 2, "strategy": model.strategy, "fingerprint": model.fingerprint,
+        "layer_sizes": model.layer_sizes, "weights": [w.reshape(-1).tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+        "norm_stats": {name: getattr(model.norm_stats, name).tolist() for name in ("x_min", "x_max", "p_min", "p_max")},
+    }
+    old = tmp_path / "model_joint_rzf.json"
     old.write_text(json.dumps(doc))
     assert main(["eval", "--model", str(old), "--config", cfg_path]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and str(old) in err and "re-run train" in err
+    assert err.startswith("config error") and str(old) in err and "format-2 JSON model" in err and "re-run train" in err
+
+
+def _saved(save, *args, **arrays):
+    """The bytes that np.save or np.savez writes."""
+    buf = io.BytesIO()
+    save(buf, *args, **arrays)
+    return buf.getvalue()
+
+
+# a bad model file made from a good model's bytes and arrays -> what stderr names
+_BAD_MODELS = {
+    "truncated": (lambda raw, a: raw[: len(raw) // 2], "not a whole npz archive"),
+    "empty": (lambda raw, a: b"", "not a whole npz archive"),
+    "format_2": (lambda raw, a: _saved(np.savez, **{**a, "format_version": np.array(2)}), "unsupported model format: 2"),
+    "no_bias1": (lambda raw, a: _saved(np.savez, **{k: v for k, v in a.items() if k != "bias1"}), "bias1: missing"),
+    "unchained": (lambda raw, a: _saved(np.savez, **{**a, "weight1": a["weight1"][1:]}), "weight1: float64 array"),
+    "object_array": (lambda raw, a: _saved(np.savez, **{**a, "strategy": np.array(["joint_zf", None], dtype=object)}),
+                     "allow_pickle=False"),
+    "npy": (lambda raw, a: _saved(np.save, a["weight0"]), "not a whole npz archive"),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_zf(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trained_zf")
+    cfg_path = _write_config(tmp, SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = zf"))
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train", "--config", cfg_path]) == 0
+    return cfg_path, tmp / "out" / "model_joint_zf.npz"
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MODELS))
+def test_cli_eval_exits_1_on_every_bad_model_file(trained_zf, tmp_path, capsys, case):
+    cfg_path, good = trained_zf
+    with np.load(good, allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    make, cause = _BAD_MODELS[case]
+    bad = tmp_path / f"{case}.npz"
+    bad.write_bytes(make(good.read_bytes(), arrays))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(bad), "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(bad) in err and cause in err and "re-run train" in err
 
 
 def test_campaign_sumopt_reuse_equals_fresh_solve(tmp_path, monkeypatch):

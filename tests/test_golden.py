@@ -81,8 +81,8 @@ MODEL_RTOL = 1e-9  # weights, biases, statistics and the eval scores
 # exactly, and each eval row's time_ms is not compared
 SURROGATE_FILES = {
     "dataset.jsonl": POWER_RTOL,  # x and p_star, as powers.json
-    "model_joint_rzf.json": MODEL_RTOL,
-    "model_joint_zf.json": MODEL_RTOL,
+    "model_joint_rzf.npz": MODEL_RTOL,
+    "model_joint_zf.npz": MODEL_RTOL,
     "eval_rzf.csv": MODEL_RTOL,
     "eval_zf.csv": MODEL_RTOL,
 }
@@ -125,13 +125,15 @@ def _surrogate(workdir):
 
 
 def _read_surrogate_file(path):
-    """A JSON-like value: the dataset's records, the model document, or the eval
-    rows as {column: text}, with the scores as floats and time_ms left out."""
+    """A JSON-like value: the dataset's records, the model's arrays as
+    {name: nested lists}, or the eval rows as {column: text}, with the scores
+    as floats and time_ms left out."""
+    if path.endswith(".npz"):
+        with np.load(path, allow_pickle=False) as archive:
+            return {name: archive[name].tolist() for name in archive.files}
     with open(path, encoding="utf-8") as fh:
         if path.endswith(".jsonl"):
             return [json.loads(line) for line in fh]
-        if path.endswith(".json"):
-            return json.load(fh)
         rows = list(csv.DictReader(fh))
     for row in rows:
         del row["time_ms"]

@@ -248,7 +248,7 @@ def test_model_and_dataset_round_trip(tmp_path):
         assert a.seed == b.seed and a.strategy == b.strategy
 
     model, _ = train(recs, TrainingConfig(hidden=(6,), epochs=5, seed=3))
-    mpath = tmp_path / "model.json"
+    mpath = tmp_path / "model.npz"
     save_model(model, mpath)
     loaded = load_model(mpath)
     x = np.array([0.1, 0.9, 0.4, 0.2])
@@ -261,17 +261,22 @@ def test_model_and_dataset_round_trip(tmp_path):
     assert loaded.layer_sizes == [4, 6, 2]
 
 
-def test_save_model_writes_what_json_dump_writes(tmp_path):
+def test_model_round_trips_bit_for_bit_at_the_given_path(tmp_path):
     recs = [dataclasses.replace(r, fingerprint="0123abcd")
             for r in _records(30, 4, lambda x: x[:2] + 1.0, seed=12)]
-    model, _ = train(recs, TrainingConfig(hidden=(6,), epochs=3, seed=3))
-    assert model.fingerprint == "0123abcd"
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
-        json.dump(json.loads(path.read_text(encoding="utf-8")), fh)
-    assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
-    assert load_model(path).fingerprint == "0123abcd"
+    model, _ = train(recs, TrainingConfig(hidden=(6, 5), epochs=3, seed=3))
+    path = tmp_path / "model"  # no .npz suffix: the file is written at this exact path
+    save_model(model, str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
+    back = load_model(path)
+    pairs = list(zip(model.weights + model.biases, back.weights + back.biases))
+    pairs += [(getattr(model.norm_stats, f.name), getattr(back.norm_stats, f.name))
+              for f in dataclasses.fields(NormStats)]
+    assert len(pairs) == 10
+    for saved, loaded in pairs:
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, saved)
+    assert (back.strategy, back.fingerprint) == ("joint_zf", "0123abcd")
+    assert back.layer_sizes == [4, 6, 5, 2]
 
 
 def test_dataset_records_carry_no_demands(tmp_path):

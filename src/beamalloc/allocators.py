@@ -148,6 +148,12 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
     return _finish(link, W, cfg, qos, p, 0, outcome="congested_growth")
 
 
+def _certificate(ds: DemandSystem, p_budget):
+    """check_feasible's report, or None where sum(nu) > P_max shows congestion
+    without its solve: (I - RQ)^-1 >= I puts the minimum powers at or above nu."""
+    return check_feasible(ds, p_budget) if ds.nu.sum() <= p_budget else None
+
+
 def _top_up(link, W, qos, cfg, p_base, guard, c=None):
     """Top up the minimum powers `p_base` of a feasible instance with the
     surplus, water-filled on the inverse gains `c` or, without `c`, split
@@ -199,8 +205,8 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocat
     link = effective_gains(H, W)
     ds = build_demand_system(link, W, relaxed, sigma2, cfg.bandwidth_mhz)
     c = sigma2 / link.g
-    rep = check_feasible(ds, p_budget)
-    if rep.feasible:
+    rep = _certificate(ds, p_budget)
+    if rep and rep.feasible:
         # exact joint minimum powers for the relaxed demands (true rates hit
         # xi_k + omega_k, so the omega margin absorbs the surplus top-up)
         return _top_up(link, W, qos, cfg, rep.min_powers, ds, c)
@@ -271,14 +277,17 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
     p = p_start.copy()
     p_s, p_c = p[s_idx], p[c_idx]
     for _ in range(_PINNED_MAX_INNER):
-        new_s = b0 + coupling @ p_c
+        new_s = coupling @ p_c
+        new_s += b0
         settled = np.abs(new_s - p_s).max() <= tol
         p[s_idx] = p_s = new_s
         leftover = p_budget - p_s.sum()
         if c_idx.size:
             if leftover > 0:
-                interf = q_c @ p - g_c * p_c
-                new_c = waterfill((sigma2 + interf) / g_c, leftover)
+                cost = q_c @ p - g_c * p_c  # (sigma^2 + interference) / g_kk, in place
+                cost += sigma2
+                cost /= g_c
+                new_c = waterfill(cost, leftover)
             else:
                 new_c = np.zeros(c_idx.size)
             # the sweep settles when neither the pinned nor the complement powers move
@@ -309,8 +318,8 @@ def joint_opt_generic(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> All
     link = effective_gains(H, W)
     ds = build_demand_system(link, W, qos.demands, cfg.noise_power_w, cfg.bandwidth_mhz)
     c_up = cfg.noise_power_w / link.g
-    rep = check_feasible(ds, p_budget)
-    if rep.feasible:
+    rep = _certificate(ds, p_budget)
+    if rep and rep.feasible:
         return _top_up(link, W, qos, cfg, rep.min_powers, ds, c_up)
     # congestion: sum-rate initialization, then monotone set growth
     p = waterfill(c_up, p_budget)

@@ -309,11 +309,16 @@ def _solve(strategy, link, W, qos, system, joint=None):
 def _split_sums(r, mask, counts):
     """Per-row sums of the masked entries of `r`, `counts` of them per row:
     each row-count group's compacted (rows, count) block summed along its last
-    axis adds a row's terms as its compaction's sum does (a masked sum may not)."""
+    axis adds a row's terms as its compaction's sum does (a masked sum may not);
+    compacting the rows stable-sorted by count lays the blocks out one after another."""
+    order = counts.argsort(kind="stable")
+    terms = r[order][mask[order]]
     out = np.zeros(len(r))
-    for m in set(counts.tolist()) - {0}:
-        idx = (counts == m).nonzero()[0]
-        out[idx] = r[idx][mask[idx]].reshape(-1, m).sum(axis=-1)
+    i = j = 0
+    for m, n in enumerate(np.bincount(counts).tolist()):
+        if m and n:
+            out[order[i:i + n]] = terms[j:j + m * n].reshape(n, m).sum(axis=-1)
+        i, j = i + n, j + m * n
     return out
 
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_SAFE_MIN = np.finfo(float).tiny / np.finfo(float).eps  # underflowed terms cost a squared norm above it <= N K eps
+
 
 class PrecoderSingularError(np.linalg.LinAlgError):
     """The Gram matrix is too ill-conditioned for zero forcing."""
@@ -18,9 +20,8 @@ class Precoder:
     kind: str  # "zf" | "rzf"
 
 
-def _solve_normalized(H: np.ndarray, gram: np.ndarray, kind: str) -> Precoder:
-    """W = H gram^{-1}, by one LU solve of the Hermitian gram, with unit-norm columns."""
-    W_raw = np.linalg.solve(gram, H.conj().T).conj().T
+def _normalized(W_raw: np.ndarray, kind: str) -> Precoder:
+    """W_raw = H gram^{-1}, from one LU solve of the Hermitian gram, with unit-norm columns."""
     norms = np.linalg.norm(W_raw, axis=0)
     if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
         raise PrecoderSingularError("precoding column norm vanished")
@@ -30,16 +31,25 @@ def _solve_normalized(H: np.ndarray, gram: np.ndarray, kind: str) -> Precoder:
 def make_zf(H, cond_cap: float = 1e8) -> Precoder:
     """W = H (H^H H)^{-1} with normalized columns.
 
-    Solves the K x K Gram system instead of inverting it.  Raises
-    when the Gram condition number exceeds `cond_cap`; the caller is expected
-    to redraw the user set.
+    Solves the K x K Gram system instead of inverting it.  Raises when the Gram
+    condition number exceeds `cond_cap` (the caller redraws the user set); its SVD
+    runs only when the Frobenius bound cond(H)^2 <= (||H||_F ||H^+||_F)^2 exceeds it.
     """
     H = np.asarray(H)
     gram = H.conj().T @ H
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise PrecoderSingularError(f"Gram condition number {cond:.3e} exceeds cap")
-    return _solve_normalized(H, gram, "zf")
+    try:
+        h_pinv = np.linalg.solve(gram, H.conj().T)
+    except np.linalg.LinAlgError:
+        raise PrecoderSingularError("Gram matrix is singular") from None
+    # undecided near underflow, or within the bound's rounding, (N + K) eps per unit, of the cap
+    with np.errstate(all="ignore"):
+        h2, p2 = np.vdot(H, H).real, np.vdot(h_pinv, h_pinv).real
+        bound = h2 * p2 * (1.0 + 1e-12 * sum(H.shape) * h2 * p2)
+    if not (min(h2, p2) >= _SAFE_MIN and bound <= cond_cap):
+        cond = np.linalg.cond(gram)
+        if not np.isfinite(cond) or cond > cond_cap:
+            raise PrecoderSingularError(f"Gram condition number {cond:.3e} exceeds cap")
+    return _normalized(h_pinv.conj().T, "zf")
 
 
 def make_rzf(H, noise_power: float, p_max: float) -> Precoder:
@@ -50,7 +60,7 @@ def make_rzf(H, noise_power: float, p_max: float) -> Precoder:
     k = H.shape[1]
     rho = k * noise_power / p_max
     gram = H.conj().T @ H + rho * np.eye(k)
-    return _solve_normalized(H, gram, "rzf")
+    return _normalized(np.linalg.solve(gram, H.conj().T).conj().T, "rzf")
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,6 @@ class SurrogateModel:
     strategy: str = ""
     fingerprint: str = ""  # copied from the training records
 
-    @property
-    def layer_sizes(self) -> list:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
 
 @dataclass
 class TrainingConfig:

@@ -16,7 +16,7 @@ def waterfill(inverse_gains: np.ndarray, budget: float) -> np.ndarray:
     c = np.asarray(inverse_gains, dtype=float)
     if c.size == 0:
         raise ValueError("water-filling needs at least one channel")
-    cs = c[np.argsort(c, kind="stable")]  # as the allocators sort; np.sort pages in ~0.2 MB more code
+    cs = c[c.argsort(kind="stable")]  # as the allocators sort; np.sort pages in ~0.2 MB more code
     if not (cs[0] > 0 and cs[-1] < np.inf):  # NaN sorts last and fails both
         raise ValueError("inverse gains must be finite and strictly positive")
     P = float(budget)

@@ -8,6 +8,7 @@ convergence properties and qualitative trend ordering, at fixed seeds.
 
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -411,7 +412,7 @@ output.dir = {out}
         p.write_text(text.format(out=tmp_path / run))
         out = run_campaign(parse_config(str(p)))
         outputs.append(
-            (open(out["per_trial"], "rb").read(), open(out["aggregate"], "rb").read())
+            (Path(out["per_trial"]).read_bytes(), Path(out["aggregate"]).read_bytes())
         )
     ok = outputs[0] == outputs[1]
     _report(10, ok, "two identical-config campaigns produced byte-identical CSVs")

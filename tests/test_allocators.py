@@ -571,6 +571,57 @@ def test_joint_reports_outcome(kind, seed, outcome):
 
 
 # ---------------------------------------------------------------------------
+# sum(nu) > P_max: congestion shown without the certificate's solve
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["rzf", "mrt"]),
+    k=st.integers(1, 7),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    xi_frac=st.lists(st.floats(0.1, 3.0), min_size=7, max_size=7),
+    log_budget=st.floats(-2.0, 2.0),  # the budget around sum(nu)
+)
+def test_nu_above_the_budget_is_never_feasible(kind, k, extra, seed, xi_frac, log_budget):
+    try:
+        H, W, qos, cfg = _case(kind, k, extra, seed, 1.0, B * np.array(xi_frac[:k]), 0.02)
+    except PrecoderSingularError:
+        assume(False)
+    ds = _demand_system(H, W, qos, cfg)
+    p_max = float(ds.nu.sum() * np.exp(log_budget))
+    rep = check_feasible(ds, p_max)
+    if rep.radius_ok:
+        assert np.all(rep.min_powers >= ds.nu)  # (I - RQ)^-1 >= I
+    if ds.nu.sum() > p_max:
+        assert not rep.feasible
+
+
+@pytest.mark.parametrize("joint", [joint_opt_rzf, joint_opt_generic])
+def test_nu_above_the_budget_skips_the_certificate(joint, monkeypatch):
+    H, W, qos, cfg = _case("rzf", 6, 1, 3, 0.5, np.full(6, 600.0), 0.02)
+    for demands in (qos.demands, qos.demands + qos.tolerances):  # generic's, then RZF's relaxed ones
+        ds = build_demand_system(H, W, demands, cfg.noise_power_w, cfg.bandwidth_mhz)
+        assert ds.nu.sum() > cfg.p_max_w
+    calls = []
+
+    def counted(ds, p_budget):
+        calls.append(p_budget)
+        return check_feasible(ds, p_budget)
+
+    monkeypatch.setattr(allocators, "check_feasible", counted)
+    skipped = joint(H, W, qos, cfg)
+    assert calls == []
+    monkeypatch.setattr(allocators, "_certificate", counted)  # the certificate, forced
+    forced = joint(H, W, qos, cfg)
+    assert calls == [cfg.p_max_w]
+    assert np.array_equal(skipped.powers, forced.powers)
+    assert np.array_equal(skipped.rates_mbps, forced.rates_mbps)
+    assert (skipped.outcome, skipped.trace, skipped.satisfied, skipped.iterations) == (
+        forced.outcome, forced.trace, forced.satisfied, forced.iterations)
+    assert skipped.outcome == "congested_growth"
+
+
+# ---------------------------------------------------------------------------
 # pinned-set solver: one factorization per call against a fresh solve per sweep
 
 def _demand_system(H, W, qos, cfg):

@@ -131,8 +131,8 @@ def test_make_trial_deterministic():
 def test_campaign_outputs_and_determinism(tmp_path):
     cfg = parse_config(_write_config(tmp_path))
     out = run_campaign(cfg)
-    per_trial = open(out["per_trial"]).read()
-    agg = open(out["aggregate"]).read()
+    per_trial = Path(out["per_trial"]).read_text()
+    agg = Path(out["aggregate"]).read_text()
     lines = per_trial.strip().splitlines()
     # golden schema, version 1
     assert lines[0] == (
@@ -152,8 +152,20 @@ def test_campaign_outputs_and_determinism(tmp_path):
     # timing is off by default, so reruns are byte-identical
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
     rerun = run_campaign(cfg)
-    assert open(rerun["per_trial"]).read() == per_trial
-    assert open(rerun["aggregate"]).read() == agg
+    assert Path(rerun["per_trial"]).read_text() == per_trial
+    assert Path(rerun["aggregate"]).read_text() == agg
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 30), k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       share=st.floats(0.0, 1.0))
+def test_split_sums_add_each_row_as_its_compaction_does(rows, k, seed, share):
+    # bit for bit: a row's masked entries summed on their own, in row order
+    rng = np.random.default_rng(seed)
+    r = rng.exponential(1000.0, size=(rows, k))
+    mask = rng.random((rows, k)) < share
+    sums = experiment._split_sums(r, mask, mask.sum(axis=-1))
+    assert sums.tolist() == [float(row[m].sum()) if m.any() else 0.0 for row, m in zip(r, mask)]
 
 
 def test_campaign_records_timing_when_asked(tmp_path):
@@ -163,7 +175,7 @@ def test_campaign_records_timing_when_asked(tmp_path):
     out = run_campaign(cfg)
     times = [
         float(line.rsplit(",", 1)[1])
-        for line in open(out["per_trial"]).read().strip().splitlines()[1:]
+        for line in Path(out["per_trial"]).read_text().strip().splitlines()[1:]
     ]
     assert any(t > 0 for t in times)
 
@@ -199,7 +211,7 @@ def test_train_and_eval_pipeline(tmp_path, pk):
     assert report.train_losses
     eval_path = eval_model(cfg, model_path)
     assert eval_path == str(tmp_path / "out" / f"eval_{pk}.csv")
-    lines = open(eval_path).read().strip().splitlines()
+    lines = Path(eval_path).read_text().strip().splitlines()
     assert lines[0] == "method,qos,time_ms,sum_rate,satisfaction_pct"
     rows = [line.split(",") for line in lines[1:]]
     assert {r[0] for r in rows} == {f"model_{pk}", f"surrogate_{pk}"}
@@ -284,7 +296,7 @@ def test_cli_overrides(tmp_path):
     cfg_path = _write_config(tmp_path)
     alt = tmp_path / "alt"
     assert main(["run", "--config", cfg_path, "--trials", "2", "--seed", "99", "--out", str(alt)]) == 0
-    lines = open(alt / "per_trial.csv").read().strip().splitlines()
+    lines = (alt / "per_trial.csv").read_text().strip().splitlines()
     assert {line.split(",")[1] for line in lines[1:]} == {"99", "100"}
 
 
@@ -293,7 +305,7 @@ def test_per_user_demand_point(tmp_path):
     cfg = parse_config(_write_config(tmp_path, text))
     cfg.n_trials = 1
     out = run_campaign(cfg)
-    lines = open(out["per_trial"]).read().strip().splitlines()
+    lines = Path(out["per_trial"]).read_text().strip().splitlines()
     # two sweep points plus the per-user list
     assert len(lines) - 1 == 1 * 2 * 3 * 4
     xi_values = {line.split(",")[4] for line in lines[1:]}
@@ -670,7 +682,7 @@ def test_eval_reads_channels_from_the_dataset(tmp_path, monkeypatch, pk):
 
     monkeypatch.setattr(experiment, "make_trial", replay)
     monkeypatch.setattr(experiment, "build_precoder", replay)
-    lines = open(eval_model(cfg, model_path)).read().splitlines()
+    lines = Path(eval_model(cfg, model_path)).read_text().splitlines()
     monkeypatch.undo()
     rows = [line.split(",") for line in lines[1:]]
     assert [row[:2] + row[3:] for row in rows] == _replayed_eval_rows(cfg, pk, model_path)
@@ -697,7 +709,7 @@ def test_two_precoder_dataset_splits_each_strategy_by_seed(tmp_path, monkeypatch
     assert seen == [[(s, seed) for seed in seeds] for s in ("joint_rzf", "joint_zf")]
     for pk in ("zf", "rzf"):
         model_path = trained[f"joint_{pk}"][0]
-        lines = open(eval_model(cfg, model_path)).read().splitlines()
+        lines = Path(eval_model(cfg, model_path)).read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
         assert [row[:2] + row[3:] for row in rows] == _replayed_eval_rows(cfg, pk, model_path)
 
@@ -732,7 +744,8 @@ def test_cli_eval_refuses_another_system_and_old_models(tmp_path, capsys):
     model = load_model(model_path)
     doc = {
         "format_version": 2, "strategy": model.strategy, "fingerprint": model.fingerprint,
-        "layer_sizes": model.layer_sizes, "weights": [w.reshape(-1).tolist() for w in model.weights],
+        "layer_sizes": [model.weights[0].shape[0]] + [w.shape[1] for w in model.weights],
+        "weights": [w.reshape(-1).tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "norm_stats": {name: getattr(model.norm_stats, name).tolist() for name in ("x_min", "x_max", "p_min", "p_max")},
     }

@@ -27,6 +27,9 @@ RATE_REL_TOL = 1e-6
 
 _PINNED_TOL = 1e-8
 _PINNED_MAX_INNER = 100
+# relative margin of the diagonal congestion bound over P_max; the bound and
+# the certified minimum powers each carry a relative rounding error far below it
+_BOUND_MARGIN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,11 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
 
 
 def _certificate(ds: DemandSystem, p_budget):
-    """check_feasible's report, or None where sum(nu) > P_max shows congestion
-    without its solve: (I - RQ)^-1 >= I puts the minimum powers at or above nu."""
-    return check_feasible(ds, p_budget) if ds.nu.sum() <= p_budget else None
+    """check_feasible's report, or None where sum(alpha sigma^2 / g) > P_max
+    shows congestion without its solve: I - RQ = D - B with D = diag(1/(1 + alpha))
+    and B >= 0 puts the minimum powers at or above D^-1 nu = alpha sigma^2 / g.
+    The margin keeps a rounding of either sum from deciding."""
+    return check_feasible(ds, p_budget) if ds.nu @ (1.0 + ds.alpha) <= p_budget * _BOUND_MARGIN else None
 
 
 def _top_up(link, W, qos, cfg, p_base, guard, c=None):

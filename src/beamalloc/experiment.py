@@ -13,6 +13,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
+from itertools import chain, islice
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rz
 
 _REDRAW_STRIDE = 2654435761  # seed offset per conditioning redraw
 _MAX_REDRAWS = 64
+# trials whose blocks are scored, summed and written together; a chunk holds
+# their rates, so this bounds its memory
+_CHUNK_TRIALS = 32
 
 # strategy -> allocator name, looked up in `allocators` at call time so that a
 # rebound module attribute (a wrapped or replaced allocator) takes effect
@@ -322,35 +326,40 @@ def _split_sums(r, mask, counts):
     return out
 
 
-def _score_block(rows, sumopt_rates, seed, system):
-    """(scores, n_satisfied) of one block's rows of (strategy, qos, xi_mbps,
-    result, ms), each row scored against its own qos, not the one its result
-    was solved for.  `scores` is (rows, 7), in MetricsSummary column order:
+def _score_chunk(blocks, rates, sumopt_rates, demands, system):
+    """(scores, n_satisfied) of a chunk's rows, block after block: each
+    block's rows of `rates` scored against the block's `demands` rows and its
+    own sum-opt rates.  `scores` is (rows, 7), in MetricsSummary column order:
     congested, n_satisfied/K, sum rate, the satisfied and unsatisfied sums,
-    Jain and Lambda, along the last axis of the stacked (rows, K) rates."""
-    r = np.array([row[3].rates_mbps for row in rows])
-    if not (r.any(axis=-1).all() and sumopt_rates.any()):
-        # Jain is undefined on a row of zero rates, Lambda on a zero sum-rate reference
+    Jain and Lambda, each taken along a row's own K rates, so a row's scores
+    do not depend on the rows it is stacked with."""
+    r, refs = np.array(rates), np.array(sumopt_rates)  # (blocks, rows, K), (blocks, K)
+    # Jain is undefined on a row of zero rates, Lambda on a zero sum-rate reference
+    zero = ~(r.any(axis=-1).all(axis=-1) & refs.any(axis=-1))
+    if zero.any():
+        seed = blocks[zero.argmax()][1]
         raise ConfigError(f"system.p_max_w = {system.p_max_w:g} rounds every rate to 0 (seed {seed})")
-    demands = np.array([row[1].demands for row in rows])
-    sat = allocators.satisfied_mask(r, demands)
+    sat = allocators.satisfied_mask(r, demands)  # demands and references broadcast over the blocks
     n_sat = sat.sum(axis=-1)
-    k = r.shape[1]
+    jains, lams = metrics.jain(r / demands), metrics.lambda_objective(r, n_sat, refs[:, None])
+    k = r.shape[-1]
+    r, sat, n_sat = r.reshape(-1, k), sat.reshape(-1, k), n_sat.ravel()
     scores = np.column_stack((
         n_sat < k, n_sat / k, r.sum(axis=-1), _split_sums(r, sat, n_sat), _split_sums(r, ~sat, k - n_sat),
-        metrics.jain(r / demands), metrics.lambda_objective(r, n_sat, sumopt_rates),
+        jains.ravel(), lams.ravel(),
     ))
     return scores, n_sat
 
 
 def _campaign_blocks(cfg: ExperimentConfig, points):
-    """(t, seed, precoder, rows, sum-opt rates) of each (trial, precoder) block
-    in trial order, with rows (strategy, qos, xi_mbps, result, ms) for every
-    strategy at each demand point; each block builds its Link once.  A row
-    keeps the (result, ms) of the solve that produced its powers: demand-free
-    strategies are solved once per block for every demand point, and satisset,
-    when joint is listed, is taken from joint's solve: its congested result,
-    or its feasible minimum powers with the surplus split equally."""
+    """((t, seed, precoder), rates, ms, sum-opt rates) of each (trial,
+    precoder) block in trial order, with one row of rates and ms for every
+    strategy at each demand point, point after point; each block builds its
+    Link once and keeps no allocation result.  A row has the rates and ms of
+    the solve that produced its powers: demand-free strategies are solved once
+    per block for every demand point, and satisset, when joint is listed, is
+    taken from joint's solve: its congested result, or its feasible minimum
+    powers with the surplus split equally."""
     system = cfg.system
     ref_qos = allocators.QoSProfile.uniform(1.0, system.n_users, cfg.omega_frac)
     solve_order = sorted(cfg.strategies, key=lambda s: s != "joint")  # joint first
@@ -363,24 +372,28 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
             link = effective_gains(trial.channel, W)
             fixed = {s: _solve(s, link, W, ref_qos, system) for s in shared}
             rows = []
-            for qos, xi in points:
+            for qos, _ in points:
                 cell = dict(fixed)
                 for strategy in solve_order:
                     if strategy not in cell:
                         cell[strategy] = _solve(strategy, link, W, qos, system, cell.get("joint"))
-                rows += [(s, qos, xi, *cell[s]) for s in cfg.strategies]
-            yield t, seed, pk, rows, fixed["sumopt"][0].rates_mbps
+                rows += [cell[s] for s in cfg.strategies]
+            rates, ms = [res.rates_mbps for res, _ in rows], [row_ms for _, row_ms in rows]
+            yield (t, seed, pk), rates, ms, fixed["sumopt"][0].rates_mbps
 
 
 @_float_range("a system.*, qos.* or surrogate.* value leaves the float range")
 def run_campaign(cfg: ExperimentConfig) -> dict:
     """Full Monte-Carlo sweep; writes the per-trial and aggregated CSVs and
-    returns their paths.  Each block's rows are appended to a temporary file
-    that replaces `per_trial.csv` after the last block, and its scores are
-    added to its precoder's running column sums, trial after trial."""
+    returns their paths.  The trials are scored and written in chunks: each
+    chunk's rows are scored in one pass and appended to a temporary file that
+    replaces `per_trial.csv` after the last chunk, and each block's scores are
+    added to its precoder's running column sums, block after block in trial order."""
     cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
     points = cfg.demand_points()
+    cells = [(s, xi) for _, xi in points for s in cfg.strategies]  # a block's rows, in order
+    demands = np.array([qos.demands for qos, _ in points for _ in cfg.strategies])  # and their demands
     sums = dict.fromkeys(cfg.precoders, 0.0)  # each becomes a (rows, 7) array at its first block
     per_trial_path = os.path.join(cfg.out_dir, "per_trial.csv")
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
@@ -389,15 +402,17 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
     try:
         with fh:
             fh.write(PER_TRIAL_COLUMNS + "\n")
-            for t, seed, pk, rows, sumopt_rates in _campaign_blocks(cfg, points):
-                scores, n_sat = _score_block(rows, sumopt_rates, seed, cfg.system)
-                sums[pk] += scores
-                _write_per_trial(fh, t, seed, pk, rows, scores, n_sat, cfg.record_timing)
+            stream = _campaign_blocks(cfg, points)
+            while chunk := list(islice(stream, _CHUNK_TRIALS * len(cfg.precoders))):
+                blocks, rates, ms, refs = zip(*chunk)
+                scores, n_sat = _score_chunk(blocks, rates, refs, demands, cfg.system)
+                for (_, _, pk), block_scores in zip(blocks, scores.reshape(len(blocks), len(cells), -1)):
+                    sums[pk] += block_scores
+                _write_per_trial(fh, blocks, cells, scores, n_sat, ms, cfg.record_timing)
         os.replace(tmp_path, per_trial_path)
     except BaseException:
         os.remove(tmp_path)  # a failed run leaves the earlier outputs as they were
         raise
-    cells = [(s, xi) for _, xi in points for s in cfg.strategies]  # a block's rows, in order
     _write_aggregate(agg_path, {(pk, *cell): sums[pk][i] for pk in cfg.precoders
                                 for i, cell in enumerate(cells)}, cfg.n_trials)
     return {"per_trial": per_trial_path, "aggregate": agg_path}
@@ -410,12 +425,14 @@ def _write_csv(path, columns, row_format, rows):
         fh.writelines(line.format(*row) for row in rows)
 
 
-def _write_per_trial(fh, t, seed, pk, rows, scores, n_satisfied, record_timing):
-    """Append one block's rows to the open per-trial CSV."""
+def _write_per_trial(fh, blocks, cells, scores, n_satisfied, ms, record_timing):
+    """Append one chunk's rows to the open per-trial CSV: each block's
+    (t, seed, precoder) with each of its cells' (strategy, xi_mbps), in order."""
     line = PER_TRIAL_ROW + "\n"
+    keys = ((*block, *cell) for block in blocks for cell in cells)
     fh.writelines(
-        line.format(t, seed, pk, strategy, xi, s[2], n, int(s[0]), s[5], s[6], ms if record_timing else 0.0)
-        for (strategy, _, xi, _, ms), s, n in zip(rows, scores.tolist(), n_satisfied.tolist())
+        line.format(*key, s[2], n, int(s[0]), s[5], s[6], row_ms if record_timing else 0.0)
+        for key, s, n, row_ms in zip(keys, scores.tolist(), n_satisfied.tolist(), chain.from_iterable(ms))
     )
 
 

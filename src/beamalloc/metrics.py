@@ -34,7 +34,8 @@ def jain(satisfaction_ratios: np.ndarray) -> np.ndarray:
     # the index does not depend on scale: a row whose largest ratio lies beyond
     # 2**±500 is scaled by an exact power of two, so its squares stay finite and nonzero
     e = np.frexp(o.max(axis=-1, keepdims=True))[1]
-    o = np.where(np.abs(e) > 500, np.ldexp(o, -e), o)
+    if np.any(np.abs(e) > 500):
+        o = np.where(np.abs(e) > 500, np.ldexp(o, -e), o)
     s2 = np.sum(o**2, axis=-1)
     if np.any(s2 == 0.0):
         raise ValueError("Jain's index undefined for all-zero ratios")
@@ -44,9 +45,11 @@ def jain(satisfaction_ratios: np.ndarray) -> np.ndarray:
 def lambda_objective(rates_mbps: np.ndarray, n_satisfied, sumopt_rates_mbps: np.ndarray):
     """Normalized joint objective against a paired sum-rate-optimal run:
     Lambda = Omega*(|Q|/K + sum(R)/S), Omega = K*S/(K+S), S = sum-opt rate.
-    Rates along the last axis; one row per entry of `n_satisfied` (= |Q|)."""
-    s = float(np.sum(sumopt_rates_mbps))
-    if s <= 0:
+    Rates along the last axis; one row per entry of `n_satisfied` (= |Q|),
+    against one (K,) reference or reference rows that broadcast against the
+    rate rows (one per row, or one per block of rows)."""
+    s = np.sum(sumopt_rates_mbps, axis=-1)
+    if np.any(s <= 0):
         raise ValueError("sum-rate reference is zero; objective undefined")
     k = np.shape(rates_mbps)[-1]
     omega = k * s / (k + s)

@@ -45,7 +45,10 @@ def make_zf(H, cond_cap: float = 1e8) -> Precoder:
     with np.errstate(all="ignore"):
         h2, p2 = np.vdot(H, H).real, np.vdot(h_pinv, h_pinv).real
         bound = h2 * p2 * (1.0 + 1e-12 * sum(H.shape) * h2 * p2)
-    if not (min(h2, p2) >= _SAFE_MIN and bound <= cond_cap):
+        # the bound holds for an inverse only: a singular gram's consistent solve
+        # makes h_pinv H a projection of trace rank(H) <= K - 1
+        inverse = abs(np.vdot(h_pinv.conj(), H.T) - H.shape[1]) < 0.5  # trace(h_pinv H) = K
+    if not (inverse and min(h2, p2) >= _SAFE_MIN and bound <= cond_cap):
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > cond_cap:
             raise PrecoderSingularError(f"Gram condition number {cond:.3e} exceeds cap")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -581,44 +582,64 @@ def test_joint_reports_outcome(kind, seed, outcome):
     seed=st.integers(0, 2**32 - 1),
     xi_frac=st.lists(st.floats(0.1, 3.0), min_size=7, max_size=7),
     log_budget=st.floats(-2.0, 2.0),  # the budget around sum(nu)
+    near=st.sampled_from([None, -1e-9, 0.0, 1e-12, 1e-9]),  # or next to the certified total
 )
-def test_nu_above_the_budget_is_never_feasible(kind, k, extra, seed, xi_frac, log_budget):
+def test_nu_above_the_budget_is_never_feasible(kind, k, extra, seed, xi_frac, log_budget, near):
     try:
         H, W, qos, cfg = _case(kind, k, extra, seed, 1.0, B * np.array(xi_frac[:k]), 0.02)
     except PrecoderSingularError:
         assume(False)
     ds = _demand_system(H, W, qos, cfg)
     p_max = float(ds.nu.sum() * np.exp(log_budget))
+    if near is not None:
+        total = check_feasible(ds, np.inf).total_min_power
+        assume(np.isfinite(total))
+        p_max = total * (1.0 + near)
     rep = check_feasible(ds, p_max)
+    diagonal = ds.nu * (1.0 + ds.alpha)  # alpha sigma^2 / g
     if rep.radius_ok:
         assert np.all(rep.min_powers >= ds.nu)  # (I - RQ)^-1 >= I
+        # (I - RQ)^-1 >= D^-1 for I - RQ = D - B: equal up to rounding where B vanishes
+        assert np.all(rep.min_powers >= diagonal * (1.0 - 1e-12))
     if ds.nu.sum() > p_max:
         assert not rep.feasible
+    if allocators._certificate(ds, p_max) is None:  # the diagonal bound decided
+        assert diagonal.sum() > p_max and not rep.feasible
+    else:
+        assert allocators._certificate(ds, p_max).feasible == rep.feasible
 
 
 @pytest.mark.parametrize("joint", [joint_opt_rzf, joint_opt_generic])
 def test_nu_above_the_budget_skips_the_certificate(joint, monkeypatch):
     H, W, qos, cfg = _case("rzf", 6, 1, 3, 0.5, np.full(6, 600.0), 0.02)
-    for demands in (qos.demands, qos.demands + qos.tolerances):  # generic's, then RZF's relaxed ones
-        ds = build_demand_system(H, W, demands, cfg.noise_power_w, cfg.bandwidth_mhz)
-        assert ds.nu.sum() > cfg.p_max_w
-    calls = []
+    demands = qos.demands + qos.tolerances if joint is joint_opt_rzf else qos.demands  # RZF's are relaxed
+    ds = build_demand_system(H, W, demands, cfg.noise_power_w, cfg.bandwidth_mhz)
+    nu_sum, diagonal_sum = ds.nu.sum(), ds.nu @ (1.0 + ds.alpha)
+    # a budget below sum(nu), then one between sum(nu) and the diagonal bound
+    # sum(alpha sigma^2 / g), which only the diagonal bound shows to be congested
+    between = replace(cfg, p_max_w=float(np.sqrt(nu_sum * diagonal_sum)))
+    assert nu_sum > cfg.p_max_w and nu_sum < between.p_max_w < diagonal_sum
+    certificate = allocators._certificate
+    for budget in (cfg, between):
+        calls = []
 
-    def counted(ds, p_budget):
-        calls.append(p_budget)
-        return check_feasible(ds, p_budget)
+        def counted(ds, p_budget):
+            calls.append(p_budget)
+            return check_feasible(ds, p_budget)
 
-    monkeypatch.setattr(allocators, "check_feasible", counted)
-    skipped = joint(H, W, qos, cfg)
-    assert calls == []
-    monkeypatch.setattr(allocators, "_certificate", counted)  # the certificate, forced
-    forced = joint(H, W, qos, cfg)
-    assert calls == [cfg.p_max_w]
-    assert np.array_equal(skipped.powers, forced.powers)
-    assert np.array_equal(skipped.rates_mbps, forced.rates_mbps)
-    assert (skipped.outcome, skipped.trace, skipped.satisfied, skipped.iterations) == (
-        forced.outcome, forced.trace, forced.satisfied, forced.iterations)
-    assert skipped.outcome == "congested_growth"
+        monkeypatch.setattr(allocators, "_certificate", certificate)
+        monkeypatch.setattr(allocators, "check_feasible", counted)
+        skipped = joint(H, W, qos, budget)
+        assert calls == []
+        monkeypatch.setattr(allocators, "_certificate", counted)  # the certificate, forced
+        forced = joint(H, W, qos, budget)
+        assert calls == [budget.p_max_w]
+        assert not check_feasible(ds, budget.p_max_w).feasible
+        assert np.array_equal(skipped.powers, forced.powers)
+        assert np.array_equal(skipped.rates_mbps, forced.rates_mbps)
+        assert (skipped.outcome, skipped.trace, skipped.satisfied, skipped.iterations) == (
+            forced.outcome, forced.trace, forced.satisfied, forced.iterations)
+        assert skipped.outcome == "congested_growth"
 
 
 # ---------------------------------------------------------------------------

@@ -69,16 +69,16 @@ def _write_config(tmp_path, text=None, **fmt):
 
 def _scored_rows(monkeypatch, cfg):
     """Run the campaign; per per_trial.csv row, its printed fields, the exact
-    scores the block scoring returned for it (MetricsSummary column order)
+    scores the chunk scoring returned for it (MetricsSummary column order)
     and its satisfied count."""
     blocks = []
-    score_block = experiment._score_block
+    score_chunk = experiment._score_chunk
 
     def spy(*args):
-        blocks.append(score_block(*args))
+        blocks.append(score_chunk(*args))
         return blocks[-1]
 
-    monkeypatch.setattr(experiment, "_score_block", spy)
+    monkeypatch.setattr(experiment, "_score_chunk", spy)
     with open(run_campaign(cfg)["per_trial"]) as fh:
         lines = fh.read().splitlines()[1:]
     scored = [(row, n) for scores, n_sat in blocks for row, n in zip(scores.tolist(), n_sat.tolist())]
@@ -884,19 +884,72 @@ def test_a_failed_campaign_leaves_earlier_outputs_untouched(tmp_path, monkeypatc
     assert out["per_trial"] == str(tmp_path / "out" / "per_trial.csv")
 
 
-def test_cell_means_add_the_trials_left_to_right(tmp_path, monkeypatch):
-    # one cell whose per-trial sum rates are 1.0, 2**-53 and 2**-53: added in
-    # trial order the two halves of an ulp round away and the mean is 1/3; a
-    # compensated sum (math.fsum, or Python 3.12's sum) keeps them
-    text = SMALL_CONFIG + "strategies = joint\nprecoders = zf\nqos.sweep = 300\n"
-    cfg = parse_config(_write_config(tmp_path, text))
-    per_trial = [1.0, 2.0**-53, 2.0**-53]
-    assert math.fsum(per_trial) / 3 == 0.3333333333333334
-    score_block = experiment._score_block
+@pytest.mark.parametrize("zeroed", ["row", "sumopt"])
+def test_a_zero_rate_trial_inside_a_chunk_names_its_seed(tmp_path, monkeypatch, zeroed):
+    # trial 2 of a one-chunk campaign gets a row of zero rates, or a zero
+    # sum-opt reference: the error names that trial's seed, not the chunk's
+    # first, and no per_trial.csv (nor its temporary file) is left behind
+    cfg = parse_config(_write_config(tmp_path))
+    cfg.n_trials = 5
+    assert cfg.n_trials <= experiment._CHUNK_TRIALS
+    campaign_blocks = experiment._campaign_blocks
 
-    def fixed_sum_rate(rows, sumopt_rates, seed, system):
-        scores, n_sat = score_block(rows, sumopt_rates, seed, system)
-        scores[:, 2] = per_trial[seed - cfg.base_seed]
+    def one_zero_trial(cfg, points):
+        for (t, seed, pk), rates, ms, sumopt_rates in campaign_blocks(cfg, points):
+            if t == 2 and pk == "rzf":
+                if zeroed == "row":
+                    rates = [np.zeros_like(rates[0]), *rates[1:]]
+                else:
+                    sumopt_rates = np.zeros_like(sumopt_rates)
+            yield (t, seed, pk), rates, ms, sumopt_rates
+
+    monkeypatch.setattr(experiment, "_campaign_blocks", one_zero_trial)
+    message = rf"system\.p_max_w = {cfg.system.p_max_w:g} rounds every rate to 0 \(seed 13\)"
+    with pytest.raises(ConfigError, match=message):
+        run_campaign(cfg)
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("strategies", ["equal, sumopt, satisset, joint", "satisset"])
+def test_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, strategies):
+    # 40 trials: two chunks at the default size, six (the last one partial) at
+    # 7 and forty at 1; two sweep points plus a qos.per_user point
+    text = SMALL_CONFIG + f"strategies = {strategies}\nqos.per_user = 200, 250, 300, 600, 900, 1000, 1200\n"
+    cfg = parse_config(_write_config(tmp_path, text))
+    cfg.n_trials = 40
+    assert experiment._CHUNK_TRIALS < cfg.n_trials
+
+    def outputs(chunk_trials):
+        monkeypatch.setattr(experiment, "_CHUNK_TRIALS", chunk_trials)
+        cfg.out_dir = str(tmp_path / f"chunk{chunk_trials}")
+        out = run_campaign(cfg)
+        return Path(out["per_trial"]).read_bytes(), Path(out["aggregate"]).read_bytes()
+
+    default = outputs(experiment._CHUNK_TRIALS)
+    assert default[0].count(b"\n") == 1 + cfg.n_trials * 2 * 3 * len(cfg.strategies)
+    assert outputs(1) == default
+    assert outputs(7) == default
+
+
+def test_cell_means_add_the_trials_left_to_right(tmp_path, monkeypatch):
+    # one cell whose per-trial sum rates are 1.0 and three times 2**-53: added
+    # in trial order each half ulp rounds away and the mean is 1/4; a
+    # compensated sum (math.fsum, or Python 3.12's sum) keeps them, and so
+    # does a chunk's own sum added to the running one (2**-53 + 2**-53 is a
+    # whole ulp).  The trials are scored in one chunk, four chunks of one and
+    # two chunks of two.
+    text = SMALL_CONFIG + "strategies = joint\nprecoders = zf\nqos.sweep = 300\nn_trials = 4\n"
+    cfg = parse_config(_write_config(tmp_path, text))
+    per_trial = [1.0, 2.0**-53, 2.0**-53, 2.0**-53]
+    assert math.fsum(per_trial) / 4 != 0.25 != (1.0 + (2.0**-53 + 2.0**-53)) / 4
+    score_chunk = experiment._score_chunk
+    scored = []
+
+    def fixed_sum_rate(*args):
+        scores, n_sat = score_chunk(*args)
+        # one row per trial, trials in order
+        scores[:, 2] = per_trial[len(scored):len(scored) + len(scores)]
+        scored.extend(scores.tolist())
         return scores, n_sat
 
     summaries = []
@@ -906,7 +959,12 @@ def test_cell_means_add_the_trials_left_to_right(tmp_path, monkeypatch):
         summaries.append(aggregate(*args))
         return summaries[-1]
 
-    monkeypatch.setattr(experiment, "_score_block", fixed_sum_rate)
+    monkeypatch.setattr(experiment, "_score_chunk", fixed_sum_rate)
     monkeypatch.setattr(metrics, "aggregate", spy)
-    run_campaign(cfg)
-    assert [(s.n_trials, s.mean_sum_rate) for s in summaries] == [(3, 1 / 3)]
+    for chunk_trials in (experiment._CHUNK_TRIALS, 1, 2):
+        monkeypatch.setattr(experiment, "_CHUNK_TRIALS", chunk_trials)
+        scored.clear()
+        summaries.clear()
+        run_campaign(cfg)
+        assert len(scored) == 4
+        assert [(s.n_trials, s.mean_sum_rate) for s in summaries] == [(4, 0.25)]

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from beamalloc import QoSProfile, SystemConfig
-from beamalloc.allocators import AllocationResult, satisfied_mask, sum_opt
-from beamalloc.experiment import _score_block
+from beamalloc.allocators import satisfied_mask, sum_opt
+from beamalloc.experiment import _score_chunk
 from beamalloc.metrics import (
     aggregate,
     jain,
@@ -125,6 +125,28 @@ def test_lambda_requires_nonzero_reference():
         lambda_objective(np.array([1.0]), 1, np.zeros(1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 40), n_blocks=st.integers(1, 8), n_rows=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-200.0, 200.0))
+@example(k=37, n_blocks=8, n_rows=24, seed=0, log_scale=0.0)
+def test_lambda_with_one_reference_per_row_equals_the_scalar_calls(k, n_blocks, n_rows, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    r = rng.uniform(0.0, 3000.0, size=(n_blocks, n_rows, k)) * (rng.random((n_blocks, n_rows, k)) < 0.9) * scale
+    n_sat = rng.integers(0, k + 1, size=(n_blocks, n_rows))
+    refs = rng.uniform(1.0, 3000.0, size=(n_blocks, k)) * scale  # one per block of rows
+    scalar = [float(lambda_objective(r[b, i], int(n_sat[b, i]), refs[b]))
+              for b in range(n_blocks) for i in range(n_rows)]
+    # a reference per block broadcast over its rows, and one per row
+    by_block = lambda_objective(r, n_sat, refs[:, None])
+    by_row = lambda_objective(r.reshape(-1, k), n_sat.ravel(), refs.repeat(n_rows, axis=0))
+    assert by_block.shape == (n_blocks, n_rows) and by_row.shape == (n_blocks * n_rows,)
+    assert by_block.ravel().tolist() == by_row.tolist() == scalar
+    # one (K,) reference for every row is the same as that row repeated
+    assert (lambda_objective(r, n_sat, refs[0]).tolist()
+            == lambda_objective(r, n_sat, np.broadcast_to(refs[0], refs.shape)[:, None]).tolist())
+
+
 def test_lambda_ratio_terms_scale_invariant():
     ref = np.array([200.0, 90.0])
     a = lambda_objective(np.array([150.0, 80.0]), 1, ref)
@@ -195,16 +217,9 @@ def _check_block(rng, n_rows, k):
     demands[ties] = r[ties]
     masks = satisfied_mask(r, demands)
     sumopt_rates = rng.uniform(1.0, 3000.0, size=k)
-    rows = []
-    for i in range(n_rows):
-        # a shared demand-free solve: its satisfied set belongs to another
-        # profile, and the block scores the row against the row's own demands
-        res = AllocationResult(
-            powers=np.zeros(k), satisfied=frozenset(), rates_mbps=r[i].copy(), iterations=0,
-            trace=(),
-        )
-        rows.append(("joint", QoSProfile.per_user(demands[i]), 1.0, res, 0.0))
-    scores, n_sat = _score_block(rows, sumopt_rates, 1, SystemConfig())
+    # one block whose rows each have their own demands; the rows' results
+    # are gone, so their own satisfied sets cannot be scored by mistake
+    scores, n_sat = _score_chunk([(0, 1, "zf")], [r], [sumopt_rates], demands, SystemConfig())
     assert scores.shape == (n_rows, 7) and scores.dtype == float
     jains = jain(r / demands)
     lams = lambda_objective(r, masks.sum(axis=-1), sumopt_rates)

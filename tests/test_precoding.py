@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from beamalloc.precoding import (
     PrecoderSingularError,
@@ -212,6 +212,9 @@ def test_zf_decision_at_extreme_channel_scales(scale, monkeypatch):
     mix=st.floats(0.0, 1.0),  # pull column 0 toward column 1
     log_ratio=st.floats(-0.1, 0.1) | st.floats(-3.0, 12.0),
 )
+# two equal complex columns: the gram is singular, yet its solve succeeds and
+# gives a small h_pinv whose Frobenius bound (2.4) lies far below the cap
+@example(n_extra=0, k=2, seed=0, spread=3.0, mix=1.0, log_ratio=-0.0625)
 def test_zf_accepts_exactly_when_the_svd_rule_does(n_extra, k, seed, spread, mix, log_ratio):
     rng = np.random.default_rng(seed)
     H = random_channel(k + n_extra, k, seed) * 10.0 ** rng.uniform(-spread, spread, size=k)

@@ -474,54 +474,43 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     surr = cfg.surrogate
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, system.n_users, cfg.omega_frac)
     fp = fingerprint(cfg)
-    records = []
+    rows = []
     for i in range(surr.n_train + surr.n_test):
         seed = cfg.base_seed + i
         trial = make_trial(system, seed)
+        x = surrogate.gains_vector(trial.channel)
         for pk in cfg.precoders:
-            W = build_precoder(trial, system, pk)
-            res = allocators.joint_opt(trial.channel, W, qos, system)
-            records.append(
-                surrogate.DatasetRecord(
-                    x=surrogate.gains_vector(trial.channel),
-                    p_star=res.powers,
-                    seed=seed,
-                    strategy=f"joint_{pk}",
-                    fingerprint=fp,
-                )
-            )
+            res = allocators.joint_opt(trial.channel, build_precoder(trial, system, pk), qos, system)
+            rows.append((x, res.powers, seed, f"joint_{pk}", fp))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, surr.dataset_path)
-    surrogate.save_dataset(records, path)
+    surrogate.save_dataset(surrogate.dataset_from_rows(rows), path)
     return path
 
 
-def _dataset_groups(cfg: ExperimentConfig) -> tuple:
-    """(path, {label strategy: its records in file order}); a missing,
-    unreadable or corrupt file is a ConfigError."""
+def _load_dataset(cfg: ExperimentConfig) -> tuple:
+    """(path, dataset columns); a missing, unreadable or corrupt file is a ConfigError."""
     path = os.path.join(cfg.out_dir, cfg.surrogate.dataset_path)
     try:
-        records = surrogate.load_dataset(path)
+        return path, surrogate.load_dataset(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: cannot read the dataset ({exc}); re-run gen-data") from exc
-    groups = {}
-    for r in records:
-        groups.setdefault(r.strategy, []).append(r)
-    return path, groups
 
 
 def train_models(cfg: ExperimentConfig) -> dict:
     """Train one surrogate per label strategy present in the dataset, on the
-    first n_train records of its group; returns {strategy: (model_path, report)}."""
+    first n_train rows of that strategy; returns {strategy: (model_path, report)}."""
     surr = cfg.surrogate
-    path, groups = _dataset_groups(cfg)
-    if not groups:
+    path, data = _load_dataset(cfg)
+    if not data["strategy"].size:
         raise ConfigError(f"{path}: dataset is empty")
     out = {}
     os.makedirs(os.path.join(cfg.out_dir, surr.model_dir), exist_ok=True)
-    for strategy in sorted(groups):
+    for strategy in sorted(set(data["strategy"].tolist())):
+        rows = np.flatnonzero(data["strategy"] == strategy)[: surr.n_train]
         with _float_range(f"surrogate.learning_rate = {surr.learning_rate:g} diverges training the {strategy} model"):
-            model, report = surrogate.train(groups[strategy][: surr.n_train], surr)
+            model, report = surrogate.train(data["x"][rows], data["p_star"][rows], surr)
+        model.strategy, model.fingerprint = strategy, str(data["fingerprint"][rows[0]])
         model_path = os.path.normpath(os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.npz"))
         surrogate.save_model(model, model_path)
         out[strategy] = (model_path, report)
@@ -532,8 +521,8 @@ def train_models(cfg: ExperimentConfig) -> dict:
 def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     """Compare the model-based solver with the surrogate on the test split
     (rates, satisfaction, per-sample latency) and write the eval CSV.  Each
-    channel is read from its record, H = x.reshape(K, N).T, so no trial is
-    replayed; the config, the model and the records must share a fingerprint.
+    channel is read from its dataset row, H = x.reshape(K, N).T, so no trial is
+    replayed; the config, the model and the test rows must share a fingerprint.
     Both rows are scored by one rule from their samples' (n, K) rates."""
     try:
         model = surrogate.load_model(model_path)
@@ -547,18 +536,20 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     _require_fingerprint(model_path, "the model's", model.fingerprint, fp)
     system = cfg.system
     surr = cfg.surrogate
-    dataset_path, groups = _dataset_groups(cfg)
-    test_split = groups.get(strategy, [])[surr.n_train : surr.n_train + surr.n_test]
-    if not test_split:
+    dataset_path, data = _load_dataset(cfg)
+    test = np.flatnonzero(data["strategy"] == strategy)[surr.n_train : surr.n_train + surr.n_test]
+    if not test.size:
         raise ConfigError("dataset has no test split for this model")
+    for seed, found in zip(data["seed"][test].tolist(), data["fingerprint"][test].tolist()):
+        _require_fingerprint(dataset_path, f"the seed-{seed} record's", found, fp)
     k, n_beams = system.n_users, system.n_beams
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
 
+    gains = data["x"][test]
     model_ms = 0.0
     links, model_rates = [], []
-    for rec in test_split:
-        _require_fingerprint(dataset_path, f"the seed-{rec.seed} record's", rec.fingerprint, fp)
-        H = rec.x.reshape(k, n_beams).T
+    for x in gains:
+        H = x.reshape(k, n_beams).T
         W = (make_zf(H, cond_cap=system.cond_cap) if pk == "zf"
              else make_rzf(H, system.noise_power_w, system.p_max_w))
         t0 = time.perf_counter()
@@ -567,13 +558,12 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
         model_ms += (time.perf_counter() - t0) * 1e3
         links.append((link, W))
         model_rates.append(res.rates_mbps)
-    gains = np.stack([rec.x for rec in test_split])
     t0 = time.perf_counter()
     powers = surrogate.predict_powers(model, gains, system.p_max_w)
     surro_ms = (time.perf_counter() - t0) * 1e3
     surro_rates = np.array([metrics.rates(link, W, p, system) for (link, W), p in zip(links, powers)])
 
-    n = len(test_split)
+    n = test.size
     rows = [
         (f"{method}_{pk}", float(surr.xi_mbps), ms / n, float(r.sum(axis=-1).mean()),
          100.0 * int(allocators.satisfied_mask(r, qos.demands).sum()) / (n * k))

@@ -33,22 +33,13 @@ class NormStats:
     p_max: np.ndarray
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
-    x: np.ndarray  # the whole channel, user-major: x.reshape(K, N).T == H
-    p_star: np.ndarray  # label powers, length K
-    seed: int
-    strategy: str
-    fingerprint: str = ""  # of the settings the labels depend on besides the seed
-
-
 @dataclass
 class SurrogateModel:
     weights: list  # per layer, shape (fan_in, fan_out)
     biases: list  # per layer, shape (fan_out,)
     norm_stats: NormStats
-    strategy: str = ""
-    fingerprint: str = ""  # copied from the training records
+    strategy: str = ""  # the label strategy of its training rows
+    fingerprint: str = ""  # and their fingerprint
 
 
 @dataclass
@@ -170,24 +161,22 @@ def _mse(weights, biases, x, t):
     return float(np.sum((_activations(weights, biases, x)[-1] - t) ** 2) / x.shape[0])
 
 
-def train(
-    records: list[DatasetRecord],
-    tcfg: TrainingConfig | None = None,
-) -> tuple[SurrogateModel, TrainingReport]:
-    """Fit the network on allocator labels; deterministic per tcfg.seed.
+def train(x: np.ndarray, p_star: np.ndarray,
+          tcfg: TrainingConfig | None = None) -> tuple[SurrogateModel, TrainingReport]:
+    """Fit the network on the gain rows `x` (n, N·K) and their label powers
+    `p_star` (n, K); deterministic per tcfg.seed.
 
     Normalization statistics come from the training split only; validation
     loss drives early stopping (best weights are kept).
     """
     tcfg = tcfg or TrainingConfig()
-    if not records:
+    x_all, p_all = np.asarray(x, dtype=float), np.asarray(p_star, dtype=float)
+    n = len(x_all)
+    if not n:
         raise ValueError("empty dataset")
-    x_all = np.stack([r.x for r in records]).astype(float)
-    p_all = np.stack([r.p_star for r in records]).astype(float)
     if not (np.isfinite(x_all).all() and np.isfinite(p_all).all()):
         raise ValueError("dataset contains non-finite gains or labels")
     rng = np.random.default_rng(tcfg.seed)
-    n = len(records)
     n_val = max(1, int(round(tcfg.val_fraction * n))) if n > 1 else 0
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -238,14 +227,7 @@ def train(
             stale += 1
             if stale >= tcfg.patience:
                 break
-    model = SurrogateModel(
-        weights=best[0],
-        biases=best[1],
-        norm_stats=stats,
-        strategy=records[0].strategy,
-        fingerprint=records[0].fingerprint,
-    )
-    return model, report
+    return SurrogateModel(weights=best[0], biases=best[1], norm_stats=stats), report
 
 
 def predict_powers(model: SurrogateModel, gains: np.ndarray, p_max_total: float) -> np.ndarray:
@@ -257,34 +239,46 @@ def predict_powers(model: SurrogateModel, gains: np.ndarray, p_max_total: float)
 # ---------------------------------------------------------------------------
 # serialization
 
-def save_dataset(records: list[DatasetRecord], path) -> None:
+DATASET_COLUMNS = ("x", "p_star", "seed", "strategy", "fingerprint")
+
+
+def dataset_from_rows(rows) -> dict:
+    """Columns from (x, p_star, seed, strategy, fingerprint) rows: `x` (n, N·K) holds each whole
+    channel user-major (x.reshape(K, N).T == H), `p_star` (n, K) its label powers, `seed` (n,) ints
+    (object past int64), `strategy` and `fingerprint` (n,) text."""
+    cols = list(zip(*rows)) or [()] * len(DATASET_COLUMNS)
+    return {k: np.array(v, dtype=t) for k, v, t in zip(DATASET_COLUMNS, cols, (float, float, None, str, str))}
+
+
+def save_dataset(data: dict, path) -> None:
+    """One JSON line per row, keys in DATASET_COLUMNS order: `tolist` writes seeds as ints, text
+    as strings and floats at full repr, one row of `x` and `p_star` at a time."""
+    rows = zip(data["x"], data["p_star"], *(data[k].tolist() for k in DATASET_COLUMNS[2:]))
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({"x": r.x.tolist(), "p_star": r.p_star.tolist(), "seed": int(r.seed),
-                                 "strategy": r.strategy, "fingerprint": r.fingerprint}) + "\n")
+        fh.writelines(json.dumps(dict(zip(DATASET_COLUMNS, (x.tolist(), p.tolist(), *rest)))) + "\n"
+                      for x, p, *rest in rows)
 
 
-def load_dataset(path) -> list[DatasetRecord]:
-    records = []
+def load_dataset(path) -> dict:
+    """The columns of a JSON-lines dataset; other keys (such as the `xi` demands older datasets
+    carried) are ignored, and a missing fingerprint reads as "".  A line that does not parse, or whose
+    `x` or `p_star` is not a flat list as long as the first row's, raises ValueError naming path:line."""
+    rows, first = [], None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                records.append(
-                    DatasetRecord(
-                        x=np.asarray(obj["x"], dtype=float),
-                        p_star=np.asarray(obj["p_star"], dtype=float),
-                        seed=int(obj["seed"]),
-                        strategy=str(obj["strategy"]),
-                        fingerprint=str(obj.get("fingerprint", "")),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
+                x, p = (np.asarray(obj[k], dtype=float) for k in ("x", "p_star"))
+                first = first or (x.shape, p.shape)
+                if (x.shape, p.shape) != first or (x.ndim, p.ndim) != (1, 1):
+                    raise ValueError(f"x and p_star of shapes {x.shape} and {p.shape}, not flat lists as long as the "
+                                     f"first row's {first[0]} and {first[1]}")
+                rows.append((x, p, int(obj["seed"]), str(obj["strategy"]), str(obj.get("fingerprint", ""))))
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad dataset record: {exc}") from exc
-    return records
+    return dataset_from_rows(rows)
 
 
 def save_model(model: SurrogateModel, path) -> None:

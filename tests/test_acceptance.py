@@ -32,7 +32,6 @@ from beamalloc.feasibility import build_demand_system, check_feasible, sinr_targ
 from beamalloc.metrics import jain, lambda_objective, rates
 from beamalloc.precoding import Precoder, make_rzf, make_zf
 from beamalloc.surrogate import (
-    DatasetRecord,
     TrainingConfig,
     _loss_and_grads,
     forward,
@@ -320,26 +319,15 @@ def test_criterion_08_surrogate_quality():
     k = cfg.n_users
     qos = QoSProfile.uniform(250.0, k)
     n_train, n_test = 5000, 1000
-    records = []
-    for i in range(n_train + n_test):
-        trial = make_trial(cfg, 1 + i)
-        W = build_precoder(trial, cfg, "zf")
-        res = joint_opt_zf(trial.channel, W, qos, cfg)
-        records.append(
-            DatasetRecord(
-                x=gains_vector(trial.channel),
-                p_star=res.powers,
-                seed=1 + i,
-                strategy="joint_zf",
-            )
-        )
+    trials = [make_trial(cfg, seed) for seed in range(1, 1 + n_train + n_test)]
+    x = np.stack([gains_vector(trial.channel) for trial in trials])
+    p_star = np.stack([joint_opt_zf(t.channel, build_precoder(t, cfg, "zf"), qos, cfg).powers for t in trials])
     model, _ = train(
-        records[:n_train],
+        x[:n_train],
+        p_star[:n_train],
         TrainingConfig(hidden=(128, 64), epochs=150, patience=10, seed=7),
     )
-    test = records[n_train:]
-    x_te = np.stack([r.x for r in test])
-    p_te = np.stack([r.p_star for r in test])
+    x_te, p_te = x[n_train:], p_star[n_train:]
     pred_norm = forward(model, normalize(x_te, model.norm_stats))
     nmse = float(
         np.mean(np.sum((pred_norm - normalize_powers(p_te, model.norm_stats)) ** 2, axis=1)) / k
@@ -350,8 +338,7 @@ def test_criterion_08_surrogate_quality():
     surro_ms = (time.perf_counter() - t0) * 1e3 / n_test
     model_sat = surro_sat = 0
     model_ms = 0.0
-    for rec, p in zip(test, powers):
-        trial = make_trial(cfg, rec.seed)
+    for trial, p in zip(trials[n_train:], powers):
         W = build_precoder(trial, cfg, "zf")
         t1 = time.perf_counter()
         res = joint_opt_zf(trial.channel, W, qos, cfg)

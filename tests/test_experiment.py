@@ -30,7 +30,7 @@ from beamalloc.experiment import (
 )
 from beamalloc.config import SystemConfig
 from beamalloc.precoding import effective_gains, make_rzf, make_zf
-from beamalloc.surrogate import load_dataset, load_model
+from beamalloc.surrogate import DATASET_COLUMNS, gains_vector, load_dataset, load_model, save_dataset
 
 SMALL_CONFIG = """
 # desk-scale smoke campaign
@@ -185,18 +185,31 @@ def test_gen_dataset_and_labels(tmp_path):
     cfg.surrogate.n_train = 4
     cfg.surrogate.n_test = 2
     path = gen_dataset(cfg)
-    records = load_dataset(path)
-    assert len(records) == 6 * 2  # both precoders
+    data = load_dataset(path)
     k, n = cfg.system.n_users, cfg.system.n_beams
-    for r in records:
-        assert r.x.shape == (k * n,)
-        assert np.all(r.x >= 0)
-        assert r.p_star.sum() <= cfg.system.p_max_w * (1 + 1e-9)
-        assert r.strategy in ("joint_zf", "joint_rzf")
-    assert {r.strategy for r in records} == {"joint_zf", "joint_rzf"}
+    assert data["x"].shape == (6 * 2, k * n)  # both precoders
+    assert data["p_star"].shape == (6 * 2, k)
+    assert np.all(data["x"] >= 0)
+    assert np.all(data["p_star"].sum(axis=1) <= cfg.system.p_max_w * (1 + 1e-9))
+    assert data["strategy"].tolist() == ["joint_zf", "joint_rzf"] * 6
+    assert data["seed"].tolist() == [s for s in range(cfg.base_seed, cfg.base_seed + 6) for _ in cfg.precoders]
+    assert set(data["fingerprint"].tolist()) == {fingerprint(cfg)}
     # regeneration is identical
     again = load_dataset(gen_dataset(cfg))
-    assert all(np.array_equal(a.x, b.x) for a, b in zip(records, again))
+    for key in DATASET_COLUMNS:
+        assert again[key].dtype == data[key].dtype and np.array_equal(again[key], data[key]), key
+
+
+@pytest.mark.parametrize("base_seed", [11, 10**22])  # the second is past int64
+def test_load_then_save_rewrites_a_gen_data_file_byte_for_byte(tmp_path, base_seed):
+    cfg = parse_config(_write_config(tmp_path))
+    cfg.base_seed = base_seed
+    cfg.surrogate.n_train, cfg.surrogate.n_test = 6, 3
+    path = Path(gen_dataset(cfg))
+    copy = tmp_path / "copy.jsonl"
+    save_dataset(load_dataset(path), copy)
+    assert copy.read_bytes() == path.read_bytes()
+    assert json.loads(path.read_text().splitlines()[-1])["seed"] == base_seed + 8
 
 
 @pytest.mark.parametrize("pk", ["zf", "rzf"])
@@ -208,6 +221,7 @@ def test_train_and_eval_pipeline(tmp_path, pk):
     assert set(trained) == {f"joint_{pk}"}
     model_path, report = trained[f"joint_{pk}"]
     assert model_path == str(tmp_path / "out" / f"model_joint_{pk}.npz")
+    assert load_model(model_path).strategy == f"joint_{pk}"  # train names what it trained
     assert report.train_losses
     eval_path = eval_model(cfg, model_path)
     assert eval_path == str(tmp_path / "out" / f"eval_{pk}.csv")
@@ -433,6 +447,25 @@ def test_cli_train_and_eval_refuse_what_they_cannot_use(tmp_path, capsys):
     assert "unknown label strategy 'satisset_zf'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [3, 100])  # a training row, the last test row
+def test_cli_train_and_eval_exit_1_on_a_short_dataset_row(tmp_path, capsys, line):
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train", "--config", cfg_path]) == 0
+    lines = (out / "dataset.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 100
+    row = json.loads(lines[line - 1])
+    lines[line - 1] = json.dumps({**row, "x": row["x"][:-1]}) + "\n"
+    (out / "dataset.jsonl").write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["train"], ["eval", "--model", str(out / f"model_{row['strategy']}.npz")]):
+        assert main([*argv, "--config", cfg_path]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"dataset.jsonl:{line}: bad dataset record" in err, err
+        assert "shapes (48,) and (7,)" in err and "re-run gen-data" in err
+
+
 def test_cli_reports_a_runtime_error_with_exit_2(tmp_path, capsys, monkeypatch):
     def fails(cfg):
         raise RuntimeError("disk on fire")
@@ -627,13 +660,13 @@ def test_dataset_x_is_the_whole_channel(tmp_path):
         system = cfg.system
         k = system.n_users
         assert (system.n_beams, k) == (n, n)
-        records = load_dataset(gen_dataset(cfg))
-        assert {r.strategy for r in records} == {"joint_zf", "joint_rzf"}
-        for rec in records:
-            trial = make_trial(system, rec.seed)
-            H = rec.x.reshape(k, n).T
+        data = load_dataset(gen_dataset(cfg))
+        assert set(data["strategy"].tolist()) == {"joint_zf", "joint_rzf"}
+        for x, seed, strategy in zip(data["x"], data["seed"].tolist(), data["strategy"].tolist()):
+            trial = make_trial(system, seed)
+            H = x.reshape(k, n).T
             assert np.array_equal(H, trial.channel)
-            pk = rec.strategy.removeprefix("joint_")
+            pk = strategy.removeprefix("joint_")
             if pk == "zf":
                 W = make_zf(H, cond_cap=system.cond_cap)
             else:
@@ -689,24 +722,32 @@ def test_eval_reads_channels_from_the_dataset(tmp_path, monkeypatch, pk):
 
 
 def test_two_precoder_dataset_splits_each_strategy_by_seed(tmp_path, monkeypatch):
-    # both precoders' records interleave in one file: each strategy trains on
+    # both precoders' rows interleave in one file: each strategy trains on
     # seeds base_seed .. base_seed + n_train - 1 and is evaluated on the next
     # n_test
     cfg = parse_config(_write_config(tmp_path))
     assert cfg.precoders == ("zf", "rzf")
-    gen_dataset(cfg)
+    data = load_dataset(gen_dataset(cfg))
     train = surrogate.train
     seen = []
 
-    def recording_train(records, settings):
-        seen.append([(r.strategy, r.seed) for r in records])
-        return train(records, settings)
+    def recording_train(x, p_star, settings):
+        seen.append((x.copy(), p_star.copy()))
+        return train(x, p_star, settings)
 
     monkeypatch.setattr(surrogate, "train", recording_train)
     trained = train_models(cfg)
     monkeypatch.undo()
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.surrogate.n_train)
-    assert seen == [[(s, seed) for seed in seeds] for s in ("joint_rzf", "joint_zf")]
+    # x is the channel of each seed's trial, in seed order; p_star tells the
+    # strategies apart, as both see the same channels
+    x = np.stack([gains_vector(make_trial(cfg.system, seed).channel) for seed in seeds])
+    assert [len(got_x) for got_x, _ in seen] == [len(seeds)] * 2
+    for (got_x, got_p), s in zip(seen, ("joint_rzf", "joint_zf")):
+        assert np.array_equal(got_x, x)
+        rows = [np.flatnonzero((data["strategy"] == s) & (data["seed"] == seed)).item() for seed in seeds]
+        assert np.array_equal(got_p, data["p_star"][rows])
+    assert not np.array_equal(seen[0][1], seen[1][1])
     for pk in ("zf", "rzf"):
         model_path = trained[f"joint_{pk}"][0]
         lines = Path(eval_model(cfg, model_path)).read_text().splitlines()
@@ -721,8 +762,8 @@ def test_cli_eval_refuses_another_system_and_old_models(tmp_path, capsys):
     assert main(["gen-data", "--config", cfg_path]) == 0
     assert main(["train", "--config", cfg_path]) == 0
     fp = fingerprint(parse_config(cfg_path))
-    assert {r.fingerprint for r in load_dataset(out / "dataset.jsonl")} == {fp}
-    assert load_model(model_path).fingerprint == fp  # train copies it from the records
+    assert set(load_dataset(out / "dataset.jsonl")["fingerprint"].tolist()) == {fp}
+    assert load_model(model_path).fingerprint == fp  # train copies it from the rows
     assert main(["eval", "--model", model_path, "--config", cfg_path]) == 0
     capsys.readouterr()
 

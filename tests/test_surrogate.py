@@ -8,11 +8,12 @@ import pytest
 from beamalloc import QoSProfile
 from beamalloc.experiment import build_precoder, make_trial
 from beamalloc.surrogate import (
-    DatasetRecord,
+    DATASET_COLUMNS,
     NormStats,
     SurrogateModel,
     TrainingConfig,
     _loss_and_grads,
+    dataset_from_rows,
     denormalize_powers,
     fit_norm_stats,
     forward,
@@ -136,32 +137,27 @@ def test_gradients_match_finite_differences():
             assert np.abs(a - b).max() / denom < 1e-4
 
 
-def _records(n, dim_x, fn, seed=0):
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        x = rng.uniform(0.0, 1.0, size=dim_x)
-        out.append(
-            DatasetRecord(x=x, p_star=fn(x), seed=i, strategy="joint_zf")
-        )
-    return out
+def _dataset(n, dim_x, fn, seed=0, fingerprint=""):
+    """n uniform gain rows, their labels fn(x) and seeds 0 .. n - 1, as dataset columns."""
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, dim_x))
+    return dataset_from_rows((row, fn(row), i, "joint_zf", fingerprint) for i, row in enumerate(x))
 
 
 def test_train_learns_a_constant():
     const = np.array([3.0, 1.0])
-    recs = _records(300, 4, lambda x: const)
-    model, report = train(recs, TrainingConfig(hidden=(16,), epochs=60, seed=1))
+    data = _dataset(300, 4, lambda x: const)
+    model, report = train(data["x"], data["p_star"], TrainingConfig(hidden=(16,), epochs=60, seed=1))
     # degenerate label range normalizes to zero, so check raw predictions
-    p = denormalize_powers(forward(model, normalize(recs[0].x, model.norm_stats)), model.norm_stats)
+    p = denormalize_powers(forward(model, normalize(data["x"][0], model.norm_stats)), model.norm_stats)
     assert np.allclose(p, const, atol=1e-9)
 
 
 def test_train_learns_linear_map():
     rng = np.random.default_rng(5)
     A = rng.uniform(0.2, 1.0, size=(3, 6))
-    recs = _records(3000, 6, lambda x: A @ x, seed=6)
+    data = _dataset(3000, 6, lambda x: A @ x, seed=6)
     model, report = train(
-        recs, TrainingConfig(hidden=(64, 32), epochs=250, patience=30, seed=2)
+        data["x"], data["p_star"], TrainingConfig(hidden=(64, 32), epochs=250, patience=30, seed=2)
     )
     best = report.val_losses[report.best_epoch]
     assert best < 1e-3
@@ -170,9 +166,9 @@ def test_train_learns_linear_map():
 def test_training_loss_trends_down():
     rng = np.random.default_rng(5)
     A = rng.uniform(0.2, 1.0, size=(2, 5))
-    recs = _records(1500, 5, lambda x: A @ x, seed=9)
+    data = _dataset(1500, 5, lambda x: A @ x, seed=9)
     _, report = train(
-        recs,
+        data["x"], data["p_star"],
         TrainingConfig(hidden=(24,), epochs=60, patience=60, seed=3),
     )
     losses = np.asarray(report.train_losses)
@@ -182,73 +178,66 @@ def test_training_loss_trends_down():
 
 
 def test_train_is_deterministic():
-    recs = _records(200, 3, lambda x: x[:2], seed=4)
-    m1, _ = train(recs, TrainingConfig(hidden=(8,), epochs=10, seed=11))
-    m2, _ = train(recs, TrainingConfig(hidden=(8,), epochs=10, seed=11))
+    data = _dataset(200, 3, lambda x: x[:2], seed=4)
+    m1, _ = train(data["x"], data["p_star"], TrainingConfig(hidden=(8,), epochs=10, seed=11))
+    m2, _ = train(data["x"], data["p_star"], TrainingConfig(hidden=(8,), epochs=10, seed=11))
     for a, b in zip(m1.weights, m2.weights):
         assert np.array_equal(a, b)
 
 
 def test_train_rejects_empty_and_divergence():
     with pytest.raises(ValueError):
-        train([], TrainingConfig())
-    recs = _records(64, 3, lambda x: x[:2], seed=8)
-    bad = recs.copy()
-    bad[3] = DatasetRecord(
-        x=np.array([np.nan, 0.0, 0.0]), p_star=recs[3].p_star, seed=3,
-        strategy="joint_zf",
-    )
+        train(np.empty((0, 3)), np.empty((0, 2)), TrainingConfig())
+    data = _dataset(64, 3, lambda x: x[:2], seed=8)
+    bad = data["x"].copy()
+    bad[3] = [np.nan, 0.0, 0.0]
     with pytest.raises(ValueError, match="non-finite"):
-        train(bad, TrainingConfig(hidden=(8,), epochs=5, seed=1))
+        train(bad, data["p_star"], TrainingConfig(hidden=(8,), epochs=5, seed=1))
+    bad = data["p_star"].copy()
+    bad[5, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        train(data["x"], bad, TrainingConfig(hidden=(8,), epochs=5, seed=1))
     # an absurd step size overflows the activations within a couple of epochs
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite loss"):
-        train(recs, TrainingConfig(hidden=(8,), epochs=5, learning_rate=1e160, seed=1))
+        train(data["x"], data["p_star"], TrainingConfig(hidden=(8,), epochs=5, learning_rate=1e160, seed=1))
 
 
 def test_predict_pipeline_budget_and_determinism(cfg):
     qos = QoSProfile.uniform(250.0, cfg.n_users)
-    recs = []
     from beamalloc.allocators import joint_opt_zf
 
-    for i in range(40):
-        tr = make_trial(cfg, 2000 + i)
-        W = build_precoder(tr, cfg, "zf")
-        res = joint_opt_zf(tr.channel, W, qos, cfg)
-        recs.append(
-            DatasetRecord(
-                x=gains_vector(tr.channel),
-                p_star=res.powers,
-                seed=2000 + i,
-                strategy="joint_zf",
-            )
-        )
-    model, _ = train(recs, TrainingConfig(hidden=(16,), epochs=15, seed=5))
-    p1 = predict_powers(model, recs[0].x, cfg.p_max_w)
-    p2 = predict_powers(model, recs[0].x, cfg.p_max_w)
+    trials = [make_trial(cfg, 2000 + i) for i in range(40)]
+    x = np.stack([gains_vector(tr.channel) for tr in trials])
+    p_star = np.stack([joint_opt_zf(tr.channel, build_precoder(tr, cfg, "zf"), qos, cfg).powers for tr in trials])
+    model, _ = train(x, p_star, TrainingConfig(hidden=(16,), epochs=15, seed=5))
+    p1 = predict_powers(model, x[0], cfg.p_max_w)
+    p2 = predict_powers(model, x[0], cfg.p_max_w)
     assert np.array_equal(p1, p2)
     assert p1.shape == (cfg.n_users,)
     assert p1.sum() == pytest.approx(cfg.p_max_w, rel=1e-12)
     assert np.all(p1 >= 0)
     # batch prediction agrees with one-at-a-time; not bit for bit, because BLAS
     # multiplies one row and a stack of rows with different kernels
-    gains = np.stack([r.x for r in recs[:5]])
+    gains = x[:5]
     batch = predict_powers(model, gains, cfg.p_max_w)
     single = np.stack([predict_powers(model, g, cfg.p_max_w) for g in gains])
     assert np.allclose(batch, single, rtol=1e-12, atol=1e-12 * cfg.p_max_w)
 
 
 def test_model_and_dataset_round_trip(tmp_path):
-    recs = _records(30, 4, lambda x: x[:2] + 1.0, seed=12)
+    data = _dataset(30, 4, lambda x: x[:2] + 1.0, seed=12, fingerprint="0123abcd")
+    data["strategy"] = np.where(np.arange(30) % 2, "joint_zf", "joint_rzf")  # both, interleaved
     dpath = tmp_path / "data.jsonl"
-    save_dataset(recs, dpath)
+    save_dataset(data, dpath)
     back = load_dataset(dpath)
-    assert len(back) == 30
-    for a, b in zip(recs, back):
-        assert np.array_equal(a.x, b.x)  # json round-trips doubles exactly
-        assert np.array_equal(a.p_star, b.p_star)
-        assert a.seed == b.seed and a.strategy == b.strategy
+    assert list(back) == list(DATASET_COLUMNS) == list(data)
+    for key in DATASET_COLUMNS:  # json round-trips doubles exactly
+        assert back[key].dtype == data[key].dtype and np.array_equal(back[key], data[key]), key
+    assert [back[k].dtype.kind for k in DATASET_COLUMNS] == ["f", "f", "i", "U", "U"]
+    assert back["x"].shape == (30, 4) and back["p_star"].shape == (30, 2)
 
-    model, _ = train(recs, TrainingConfig(hidden=(6,), epochs=5, seed=3))
+    model, _ = train(data["x"], data["p_star"], TrainingConfig(hidden=(6,), epochs=5, seed=3))
+    model.strategy = "joint_zf"
     mpath = tmp_path / "model.npz"
     save_model(model, mpath)
     loaded = load_model(mpath)
@@ -263,9 +252,10 @@ def test_model_and_dataset_round_trip(tmp_path):
 
 
 def test_model_round_trips_bit_for_bit_at_the_given_path(tmp_path):
-    recs = [dataclasses.replace(r, fingerprint="0123abcd")
-            for r in _records(30, 4, lambda x: x[:2] + 1.0, seed=12)]
-    model, _ = train(recs, TrainingConfig(hidden=(6, 5), epochs=3, seed=3))
+    data = _dataset(30, 4, lambda x: x[:2] + 1.0, seed=12)
+    model, _ = train(data["x"], data["p_star"], TrainingConfig(hidden=(6, 5), epochs=3, seed=3))
+    assert (model.strategy, model.fingerprint) == ("", "")  # the caller names what it trained
+    model.strategy, model.fingerprint = "joint_zf", "0123abcd"
     path = tmp_path / "model"  # no .npz suffix: the file is written at this exact path
     save_model(model, str(path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
@@ -281,10 +271,9 @@ def test_model_round_trips_bit_for_bit_at_the_given_path(tmp_path):
 
 
 def test_dataset_records_carry_no_demands(tmp_path):
-    recs = [dataclasses.replace(r, fingerprint="0123abcd")
-            for r in _records(3, 4, lambda x: x[:2], seed=13)]
+    data = _dataset(3, 4, lambda x: x[:2], seed=13, fingerprint="0123abcd")
     path = tmp_path / "data.jsonl"
-    save_dataset(recs, path)
+    save_dataset(data, path)
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert [sorted(obj) for obj in lines] == [["fingerprint", "p_star", "seed", "strategy", "x"]] * 3
     # a record written while datasets still carried the labeling demands `xi`
@@ -292,16 +281,33 @@ def test_dataset_records_carry_no_demands(tmp_path):
     old.write_text("".join(json.dumps({**obj, "xi": [250.0, 250.0]}) + "\n" for obj in lines),
                    encoding="utf-8")
     back = load_dataset(old)
-    assert len(back) == len(recs)
-    for a, b in zip(back, recs):
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.p_star, b.p_star)
-        assert (a.seed, a.strategy, a.fingerprint) == (b.seed, b.strategy, b.fingerprint)
+    assert list(back) == list(data)
+    for key in DATASET_COLUMNS:
+        assert back[key].dtype == data[key].dtype and np.array_equal(back[key], data[key]), key
 
 
 def test_load_dataset_reports_bad_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"x": [1.0]}\n')
     with pytest.raises(ValueError, match="bad.jsonl:1"):
+        load_dataset(path)
+    # int(inf) raises OverflowError, which is a bad line too
+    path.write_text('{"x": [1.0], "p_star": [1.0], "seed": Infinity, "strategy": "joint_zf"}\n')
+    with pytest.raises(ValueError, match="bad.jsonl:1: bad dataset record: cannot convert float infinity"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("x", [0.5, 0.5, 0.5]), ("x", [0.5] * 5), ("p_star", [1.0]), ("x", [[0.5, 0.5], [0.5, 0.5]]), ("p_star", 1.0),
+])
+def test_load_dataset_rejects_a_row_unlike_the_first(tmp_path, key, value):
+    # every row must hold as many gains and powers as the first, as flat lists
+    path = tmp_path / "data.jsonl"
+    save_dataset(_dataset(4, 4, lambda x: x[:2], seed=14), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), key: value}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"data\.jsonl:3: bad dataset record: x and p_star of shapes"):
         load_dataset(path)
 
 

@@ -9,7 +9,8 @@ Every allocator takes the channel or its prebuilt Link for the precoder W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,14 +41,16 @@ class QoSProfile:
     tolerances: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.demands, dtype=float)
-        t = np.asarray(self.tolerances, dtype=float)
+        # read-only copies: results derive their satisfied sets from them on read
+        d = np.array(self.demands, dtype=float)
+        t = np.array(self.tolerances, dtype=float)
         if not np.all(np.isfinite(d) & (d > 0)):
             raise ValueError("demands must be finite and strictly positive")
         if not np.all(np.isfinite(t) & (t >= 0)):
             raise ValueError("tolerances must be finite and nonnegative")
         if d.shape != t.shape:
             raise ValueError("demands and tolerances must have equal length")
+        d.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "demands", d)
         object.__setattr__(self, "tolerances", t)
 
@@ -63,16 +66,26 @@ class QoSProfile:
 
 @dataclass(frozen=True)
 class AllocationResult:
+    """One allocation; `satisfied` and `trace` derive from its rates and demands on first read."""
+
     powers: np.ndarray
-    satisfied: frozenset  # 0-based user indices meeting their demand
     rates_mbps: np.ndarray
+    demands: np.ndarray = field(repr=False)
     iterations: int
-    trace: tuple  # ((|Q|, sum rate) per iterate)
+    _trace: list | None = field(repr=False)  # the growth's (|Q|, sum rate) list; None for one iterate
     # joint and satisset only: feasible_closed_form, feasible_guard_repaired,
     # feasible_guard_scaled, congested_growth or not_converged
     outcome: str | None = None
     # joint and satisset only: the minimum powers a feasible outcome topped up
     min_powers: np.ndarray | None = None
+
+    @cached_property
+    def satisfied(self) -> frozenset:  # 0-based user indices meeting their demand
+        return frozenset(satisfied_mask(self.rates_mbps, self.demands).nonzero()[0].tolist())
+
+    @cached_property
+    def trace(self) -> tuple:  # ((|Q|, sum rate) per iterate); without growth, the single entry
+        return tuple(self._trace) if self._trace else ((len(self.satisfied), float(self.rates_mbps.sum())),)
 
     @property
     def converged(self) -> bool:
@@ -88,19 +101,11 @@ def satisfied_mask(rates_mbps: np.ndarray, demands: np.ndarray) -> np.ndarray:
 
 
 def _finish(link, W, cfg, qos, p, iterations, trace=None, outcome=None, r=None, min_powers=None):
-    """Score powers `p` against the demands of `qos` on their served rates `r`
-    (full interference); without a trace, the single entry is (|Q|, sum rate)."""
-    r = rates(link, W, p, cfg) if r is None else r
-    q = frozenset(np.flatnonzero(satisfied_mask(r, qos.demands)).tolist())
-    return AllocationResult(
-        powers=p,
-        satisfied=q,
-        rates_mbps=r,
-        iterations=iterations,
-        trace=tuple(trace) if trace else ((len(q), float(r.sum())),),
-        outcome=outcome,
-        min_powers=min_powers,
-    )
+    """The result of powers `p` on their served rates `r` (full interference),
+    scored against the demands of `qos` on read."""
+    if r is None:
+        r = rates(link, W, p, cfg)
+    return AllocationResult(p, r, qos.demands, iterations, trace, outcome, min_powers)
 
 
 def equal_power(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
@@ -219,14 +224,14 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocat
     # to exactly its relaxed demand against the current interference; keep the
     # lexicographically best iterate (|Q| first, then sum rate) seen
     def score(rv):  # (|Q|, sum rate) of a rate vector
-        return (int(satisfied_mask(rv, qos.demands).sum()), float(rv.sum()))
+        return (int(np.count_nonzero(satisfied_mask(rv, qos.demands))), float(rv.sum()))
 
     p = waterfill(c, p_budget)
     r = rates(link, W, p, cfg)
     in_set = satisfied_mask(r, relaxed)
     newly = in_set.copy()
     best_p, best_r, best_score = p.copy(), r, score(r)
-    trace = [(int(in_set.sum()), best_score[1])]
+    trace = [(int(np.count_nonzero(in_set)), best_score[1])]
     n = 0
     # each further round moves at least one user into in_set, so at most K rounds
     while newly.any():
@@ -245,7 +250,7 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocat
         joiners = comp & satisfied_mask(r, relaxed)
         in_set = in_set | joiners
         newly = joiners
-        trace.append((int(in_set.sum()), s[1]))
+        trace.append((int(np.count_nonzero(in_set)), s[1]))
     return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome="congested_growth", r=best_r)
 
 
@@ -267,8 +272,8 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
     g_kk = np.diag(gains)
     if not pinned.any():
         return waterfill(sigma2 / g_kk, p_budget), True
-    s_idx = np.flatnonzero(pinned)
-    c_idx = np.flatnonzero(~pinned)
+    s_idx = pinned.nonzero()[0]
+    c_idx = (~pinned).nonzero()[0]
     r_s, rows_s = ds.R[s_idx], gains[s_idx]
     a = np.eye(len(s_idx)) - r_s[:, None] * rows_s[:, s_idx]
     # a positive solve for one b > 0 certifies the Z-matrix `a` as a nonsingular
@@ -280,13 +285,14 @@ def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
     q_c, g_c = gains[c_idx], g_kk[c_idx]
     tol = _PINNED_TOL * max(1.0, p_budget)
     p = p_start.copy()
-    p_s, p_c = p[s_idx], p[c_idx]
+    p_s, p_c = p[s_idx], p[c_idx]  # copies: the settle test may overwrite the old p_s
     for _ in range(_PINNED_MAX_INNER):
         new_s = coupling @ p_c
         new_s += b0
-        settled = np.abs(new_s - p_s).max() <= tol
+        p_s -= new_s
+        settled = np.abs(p_s, out=p_s).max() <= tol
         p[s_idx] = p_s = new_s
-        leftover = p_budget - p_s.sum()
+        leftover = p_budget - np.add.reduce(p_s)
         if c_idx.size:
             if leftover > 0:
                 cost = q_c @ p - g_c * p_c  # (sigma^2 + interference) / g_kk, in place

@@ -13,11 +13,15 @@ has a strictly positive solution for a b > 0 (Berman & Plemmons, ch. 6, Thm
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .precoding import Precoder, effective_gains
+
+
+_LN2 = math.log(2.0)
 
 
 class DegenerateChannelError(ValueError):
@@ -26,7 +30,7 @@ class DegenerateChannelError(ValueError):
 
 def sinr_targets(demands_mbps: np.ndarray, bandwidth_mhz: float) -> np.ndarray:
     """alpha_k = 2^(xi_k/B) - 1 (xi in Mbps, B in MHz)."""
-    return np.expm1(np.asarray(demands_mbps, dtype=float) / bandwidth_mhz * np.log(2.0))
+    return np.expm1(np.asarray(demands_mbps, dtype=float) / bandwidth_mhz * _LN2)
 
 
 @dataclass(frozen=True)
@@ -69,15 +73,14 @@ def build_demand_system(
 ) -> DemandSystem:
     """(I - RQ) p = nu for the demands; `H` is a channel or the Link of `precoder`."""
     demands = np.asarray(demands_mbps, dtype=float)
-    if np.any(demands <= 0):
+    if (demands <= 0).any():
         raise ValueError("demands must be strictly positive")
     link = effective_gains(H, precoder)
-    if np.any(link.g <= 0):
+    if (link.g <= 0).any():
         raise DegenerateChannelError("zero effective gain |h_k^H w_k|^2")
     alpha = sinr_targets(demands, bandwidth_mhz)
-    r_diag = alpha / ((alpha + 1.0) * link.g)
-    nu = alpha * noise_power / ((alpha + 1.0) * link.g)
-    return DemandSystem(R=r_diag, Qm=link.Q, nu=nu, alpha=alpha, noise_power=noise_power)
+    ag = (alpha + 1.0) * link.g
+    return DemandSystem(alpha / ag, link.Q, alpha * noise_power / ag, alpha, noise_power)
 
 
 def m_matrix_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -87,18 +90,13 @@ def m_matrix_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return None
-    return x if np.all((x > 0) & (x < np.inf)) else None
+    return x if not x.size or (0.0 < x.min() and x.max() < math.inf) else None
 
 
 def check_feasible(ds: DemandSystem, p_max: float) -> FeasibilityReport:
     """Evaluate both serving conditions; infeasibility is reported, not raised."""
-    p_star = m_matrix_solve(np.eye(len(ds.nu)) - ds.R[:, None] * ds.Qm, ds.nu)
+    a = ds.R[:, None] * ds.Qm
+    p_star = m_matrix_solve(np.subtract(np.eye(len(ds.nu)), a, out=a), ds.nu)
     radius_ok = p_star is not None
-    total = float(np.sum(p_star)) if radius_ok else np.inf
-    return FeasibilityReport(
-        min_powers=p_star,
-        total_min_power=total,
-        radius_ok=radius_ok,
-        budget_ok=radius_ok and bool(total <= p_max),
-        system=ds,
-    )
+    total = float(p_star.sum()) if radius_ok else math.inf
+    return FeasibilityReport(p_star, total, radius_ok, radius_ok and bool(total <= p_max), ds)

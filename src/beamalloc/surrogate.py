@@ -261,8 +261,9 @@ def save_dataset(data: dict, path) -> None:
 
 def load_dataset(path) -> dict:
     """The columns of a JSON-lines dataset; other keys (such as the `xi` demands older datasets
-    carried) are ignored, and a missing fingerprint reads as "".  A line that does not parse, or whose
-    `x` or `p_star` is not a flat list as long as the first row's, raises ValueError naming path:line."""
+    carried) are ignored, and a missing fingerprint reads as "".  A line that does not parse, whose seed is
+    not a JSON integer, or whose `x` or `p_star` is not a flat list as long as the first row's raises
+    ValueError naming path:line and, for a length, the first row's line."""
     rows, first = [], None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -271,11 +272,13 @@ def load_dataset(path) -> dict:
             try:
                 obj = json.loads(line)
                 x, p = (np.asarray(obj[k], dtype=float) for k in ("x", "p_star"))
-                first = first or (x.shape, p.shape)
-                if (x.shape, p.shape) != first or (x.ndim, p.ndim) != (1, 1):
-                    raise ValueError(f"x and p_star of shapes {x.shape} and {p.shape}, not flat lists as long as the "
-                                     f"first row's {first[0]} and {first[1]}")
-                rows.append((x, p, int(obj["seed"]), str(obj["strategy"]), str(obj.get("fingerprint", ""))))
+                first = first or (line_no, x.shape, p.shape)
+                if (x.shape, p.shape) != first[1:] or (x.ndim, p.ndim) != (1, 1):
+                    raise ValueError(f"x and p_star of shapes {x.shape} and {p.shape}, not flat lists as long as "
+                                     f"line {first[0]}'s {first[1]} and {first[2]}")
+                if type(obj["seed"]) is not int:  # a JSON integer only: not 12.7, true or "12"
+                    raise ValueError(f"seed {json.dumps(obj['seed'])} is not an integer")
+                rows.append((x, p, obj["seed"], str(obj["strategy"]), str(obj.get("fingerprint", ""))))
             except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad dataset record: {exc}") from exc
     return dataset_from_rows(rows)

@@ -25,9 +25,9 @@ def waterfill(inverse_gains: np.ndarray, budget: float) -> np.ndarray:
     if P == 0.0:
         return np.zeros_like(c)
     # water level if exactly the m cheapest channels are active
-    levels = cs.cumsum()
+    levels = np.add.accumulate(cs)  # as cs.cumsum(), without its axis handling
     levels += P
-    levels /= np.arange(1, c.size + 1)
+    np.divide(levels, np.arange(1.0, c.size + 1), out=levels)
     # the active set is the largest m with level_m > c_m (all m channels above water)
     active = (levels > cs).nonzero()[0]
     if active.size == 0:
@@ -35,8 +35,8 @@ def waterfill(inverse_gains: np.ndarray, budget: float) -> np.ndarray:
         # gives the whole budget to the cheapest channels, split equally
         cheapest = c == cs[0]
         return np.where(cheapest, P / cheapest.sum(), 0.0)
-    p = levels[active[-1]] - c
+    p = np.subtract(levels[active[-1]], c)
     np.maximum(p, 0.0, out=p)
     # strip float residue so the budget is tight to ~1e-16 relative
-    p *= P / p.sum()
+    p *= P / np.add.reduce(p)
     return p

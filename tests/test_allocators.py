@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 
 import numpy as np
@@ -775,6 +775,48 @@ def test_link_is_read_only_and_bound_to_its_precoder():
     ):
         with pytest.raises(ValueError, match="different precoder"):
             call()
+
+
+def test_satisfied_and_trace_are_derived_as_the_eager_finish_built_them(monkeypatch):
+    # each result is paired with the satisfied set and trace that scoring at construction
+    # would have built; both fields are read only after the caller's arrays were overwritten
+    built = {}
+    finish = allocators._finish
+
+    def eager(link, W, cfg, qos, p, iterations, trace=None, outcome=None, r=None, min_powers=None):
+        res = finish(link, W, cfg, qos, p, iterations, trace, outcome, r, min_powers)
+        r = res.rates_mbps
+        q = frozenset(np.flatnonzero(satisfied_mask(r, qos.demands)).tolist())
+        built[id(res)] = (res, q, tuple(trace) if trace else ((len(q), float(r.sum())),))
+        return res
+
+    monkeypatch.setattr(allocators, "_finish", eager)
+    allocs = (equal_power, sum_opt, satis_set_opt, joint_opt)
+    n_results = 0
+    for seed in range(300):
+        for kind in ("zf", "rzf", "mrt"):
+            try:
+                H, W, qos, cfg = _seeded_case(seed, kind)
+            except PrecoderSingularError:
+                continue
+            demands, tolerances = qos.demands.copy(), qos.tolerances.copy()
+            qos = QoSProfile(demands=demands, tolerances=tolerances)
+            assert not qos.demands.flags.writeable and qos.demands is not demands
+            results = [alloc(H, W, qos, cfg) for alloc in allocs]
+            results.append(satis_set_from_joint(effective_gains(H, W), W, qos, cfg, results[-1]))
+            demands *= 1e-3
+            tolerances[:] = 0.0
+            for res in results:
+                got, q, trace = built[id(res)]
+                assert got is res
+                assert res.satisfied == q == frozenset(
+                    np.flatnonzero(satisfied_mask(res.rates_mbps, qos.demands)).tolist())
+                assert res.trace == trace
+                n_results += 1
+    assert n_results >= 4000
+    for name, value in (("satisfied", frozenset()), ("trace", ()), ("powers", None), ("demands", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(res, name, value)
 
 
 def test_no_allocator_satisfies_more_users_than_the_exact_oracle():

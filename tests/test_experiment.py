@@ -466,6 +466,25 @@ def test_cli_train_and_eval_exit_1_on_a_short_dataset_row(tmp_path, capsys, line
         assert "shapes (48,) and (7,)" in err and "re-run gen-data" in err
 
 
+@pytest.mark.parametrize("seed, shown", [(12.7, "12.7"), (True, "true"), ("12", '"12"')])
+def test_cli_train_and_eval_exit_1_on_a_seed_that_is_not_a_json_integer(tmp_path, capsys, seed, shown):
+    # int() would read these as 12, 1 and 12; a test row's seed is what eval's messages name
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train", "--config", cfg_path]) == 0
+    lines = (out / "dataset.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[99])
+    lines[99] = json.dumps({**row, "seed": seed}) + "\n"
+    (out / "dataset.jsonl").write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["train"], ["eval", "--model", str(out / f"model_{row['strategy']}.npz")]):
+        assert main([*argv, "--config", cfg_path]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "dataset.jsonl:100: bad dataset record" in err, err
+        assert f"seed {shown} is not an integer" in err and "re-run gen-data" in err
+
+
 def test_cli_reports_a_runtime_error_with_exit_2(tmp_path, capsys, monkeypatch):
     def fails(cfg):
         raise RuntimeError("disk on fire")

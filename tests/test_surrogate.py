@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -291,9 +292,9 @@ def test_load_dataset_reports_bad_lines(tmp_path):
     path.write_text('{"x": [1.0]}\n')
     with pytest.raises(ValueError, match="bad.jsonl:1"):
         load_dataset(path)
-    # int(inf) raises OverflowError, which is a bad line too
+    # a seed that json does not read as an integer is a bad line too
     path.write_text('{"x": [1.0], "p_star": [1.0], "seed": Infinity, "strategy": "joint_zf"}\n')
-    with pytest.raises(ValueError, match="bad.jsonl:1: bad dataset record: cannot convert float infinity"):
+    with pytest.raises(ValueError, match="bad.jsonl:1: bad dataset record: seed Infinity is not an integer"):
         load_dataset(path)
 
 
@@ -308,6 +309,22 @@ def test_load_dataset_rejects_a_row_unlike_the_first(tmp_path, key, value):
     lines[2] = json.dumps({**json.loads(lines[2]), key: value}) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=r"data\.jsonl:3: bad dataset record: x and p_star of shapes"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("blank_lines", [0, 1])
+def test_load_dataset_names_the_first_rows_line_when_it_is_the_short_one(tmp_path, blank_lines):
+    # the first row is shortened, so the mismatch shows on the next line, a good one; the
+    # message names the first row's line next to it (after blank lines, that is not line 1)
+    path = tmp_path / "data.jsonl"
+    save_dataset(_dataset(3, 4, lambda x: x[:2], seed=14), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), "x": [0.5, 0.5, 0.5]}) + "\n"
+    path.write_text("\n" * blank_lines + "".join(lines), encoding="utf-8")
+    first, bad = 1 + blank_lines, 2 + blank_lines
+    with pytest.raises(ValueError, match=re.escape(
+            f"data.jsonl:{bad}: bad dataset record: x and p_star of shapes (4,) and (2,), "
+            f"not flat lists as long as line {first}'s (3,) and (2,)")):
         load_dataset(path)
 
 

@@ -125,6 +125,12 @@ def sum_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationRes
     return _finish(link, W, cfg, qos, p, 0)
 
 
+def _zf_min_powers(W: Precoder, demands, cfg: SystemConfig):
+    """ZF's c_k = ||w_raw_k||^2 sigma^2 and minimum powers alpha_k c_k, per row of (..., K) demands."""
+    c = W.raw_norms**2 * cfg.noise_power_w
+    return c, sinr_targets(demands, cfg.bandwidth_mhz) * c
+
+
 def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
     """Closed-form joint optimizer for ZF: minimum powers p_min,k = alpha_k *
     ||w_raw_k||^2 * sigma^2; if they fit the budget everyone is served and the
@@ -135,10 +141,8 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
     link = effective_gains(H, W)
     k = len(qos.demands)
     p_budget = cfg.p_max_w
-    c = W.raw_norms**2 * cfg.noise_power_w
-    alpha = sinr_targets(qos.demands, cfg.bandwidth_mhz)
-    p_min = alpha * c
-    if p_min.sum() <= p_budget:
+    c, p_min = _zf_min_powers(W, qos.demands, cfg)
+    if np.add.reduce(p_min) <= p_budget:
         # interference-free: the top-up cannot push anyone below demand
         return _top_up(link, W, qos, cfg, p_min, None, c)
     # congestion: largest ascending-cost prefix that fits the budget, ties
@@ -150,24 +154,37 @@ def joint_opt_zf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocati
     rest = order[m:]
     p = np.zeros(k)
     p[members] = p_min[members]
-    leftover = p_budget - p[members].sum()
+    leftover = p_budget - np.add.reduce(p[members])
     if rest.size:
         p[rest] = waterfill(c[rest], leftover)
     return _finish(link, W, cfg, qos, p, 0, outcome="congested_growth")
 
 
+def _within_bound(ds: DemandSystem, p_budget):
+    """sum(alpha sigma^2 / g) <= P_max per row of `ds`, each a dot of its own: above
+    it, I - RQ = D - B with D = diag(1/(1 + alpha)), B >= 0 puts the minimum powers
+    at or above D^-1 nu = alpha sigma^2 / g.  The margin keeps rounding from deciding."""
+    nu, a1 = ds.nu, 1.0 + ds.alpha
+    diagonal = nu @ a1 if nu.ndim == 1 else np.matmul(nu[..., None, :], a1[..., None])[..., 0, 0]
+    return diagonal <= p_budget * _BOUND_MARGIN
+
+
 def _certificate(ds: DemandSystem, p_budget):
-    """check_feasible's report, or None where sum(alpha sigma^2 / g) > P_max
-    shows congestion without its solve: I - RQ = D - B with D = diag(1/(1 + alpha))
-    and B >= 0 puts the minimum powers at or above D^-1 nu = alpha sigma^2 / g.
-    The margin keeps a rounding of either sum from deciding."""
-    return check_feasible(ds, p_budget) if ds.nu @ (1.0 + ds.alpha) <= p_budget * _BOUND_MARGIN else None
+    """check_feasible's report, or None where the diagonal bound shows congestion."""
+    return check_feasible(ds, p_budget) if _within_bound(ds, p_budget) else None
 
 
-def _top_up(link, W, qos, cfg, p_base, guard, c=None):
+def _topped_up(p_base, p_budget, c=None):
+    """Each row of the (..., K) minimum powers `p_base` plus its surplus, water-filled on `c` or split equally."""
+    surplus = p_budget - np.add.reduce(p_base, -1)
+    return p_base + ((surplus / p_base.shape[-1])[..., None] if c is None else waterfill(c, surplus))
+
+
+def _top_up(link, W, qos, cfg, p_base, guard, c=None, p=None, r=None):
     """Top up the minimum powers `p_base` of a feasible instance with the
     surplus, water-filled on the inverse gains `c` or, without `c`, split
-    equally: the one step in which the joint and satisfied-set allocators differ.
+    equally: the one step in which the joint and satisfied-set allocators differ
+    (`p` and `r`, where given, are that top-up and its rates, from a stack).
 
     Under interference (a true `guard`) the top-up can push a user below its
     demand.  A water-filled top-up is repaired by pinning the violated users at
@@ -177,15 +194,14 @@ def _top_up(link, W, qos, cfg, p_base, guard, c=None):
     last resort, and an equal split's only one.  Returns the result."""
     k = len(qos.demands)
     p_budget = cfg.p_max_w
-    surplus = p_budget - p_base.sum()
-    p = p_base + (surplus / k if c is None else waterfill(c, surplus))
+    p = _topped_up(p_base, p_budget, c) if p is None else p
 
     def done(p, outcome, r=None):
         return _finish(link, W, cfg, qos, p, 0, outcome=outcome, r=r, min_powers=p_base)
 
     if not guard:
-        return done(p, "feasible_closed_form")
-    r = rates(link, W, p, cfg)
+        return done(p, "feasible_closed_form", r)
+    r = rates(link, W, p, cfg) if r is None else r
     pinned = ~satisfied_mask(r, qos.demands)  # the violated users
     if not pinned.any():
         return done(p, "feasible_closed_form", r)
@@ -204,18 +220,20 @@ def _top_up(link, W, qos, cfg, p_base, guard, c=None):
     return done(p_base * (p_budget / p_base.sum()), "feasible_guard_scaled")
 
 
-def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
+def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig, ds=None, rep=None, start=None) -> AllocationResult:
     """Joint optimizer for RZF on the interference-free rate upper bound, with
-    relaxed demands xi_k + omega_k absorbing the neglected interference."""
+    relaxed demands xi_k + omega_k absorbing the neglected interference; a caller
+    may pass their system `ds`, its _certificate `rep` and sum_opt's result `start`."""
     if W.kind != "rzf":
         raise ValueError("RZF allocator requires an RZF precoder")
     sigma2 = cfg.noise_power_w
     p_budget = cfg.p_max_w
     relaxed = qos.demands + qos.tolerances
     link = effective_gains(H, W)
-    ds = build_demand_system(link, W, relaxed, sigma2, cfg.bandwidth_mhz)
+    if ds is None:
+        ds = build_demand_system(link, W, relaxed, sigma2, cfg.bandwidth_mhz)
+        rep = _certificate(ds, p_budget)
     c = sigma2 / link.g
-    rep = _certificate(ds, p_budget)
     if rep and rep.feasible:
         # exact joint minimum powers for the relaxed demands (true rates hit
         # xi_k + omega_k, so the omega margin absorbs the surplus top-up)
@@ -224,10 +242,10 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocat
     # to exactly its relaxed demand against the current interference; keep the
     # lexicographically best iterate (|Q| first, then sum rate) seen
     def score(rv):  # (|Q|, sum rate) of a rate vector
-        return (int(np.count_nonzero(satisfied_mask(rv, qos.demands))), float(rv.sum()))
+        return (int(np.count_nonzero(satisfied_mask(rv, qos.demands))), float(np.add.reduce(rv)))
 
-    p = waterfill(c, p_budget)
-    r = rates(link, W, p, cfg)
+    p = start.powers.copy() if start else waterfill(c, p_budget)  # sum_opt's, on the same c
+    r = start.rates_mbps if start else rates(link, W, p, cfg)
     in_set = satisfied_mask(r, relaxed)
     newly = in_set.copy()
     best_p, best_r, best_score = p.copy(), r, score(r)
@@ -238,7 +256,7 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocat
         n += 1
         interf = link.Q[newly] @ p - link.g[newly] * p[newly]
         p[newly] = ds.alpha[newly] * (interf + sigma2) / link.g[newly]
-        leftover = max(0.0, p_budget - p[in_set].sum())
+        leftover = max(0.0, p_budget - np.add.reduce(p[in_set]))
         comp = ~in_set
         if not comp.any():
             break
@@ -252,6 +270,47 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> Allocat
         newly = joiners
         trace.append((int(np.count_nonzero(in_set)), s[1]))
     return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome="congested_growth", r=best_r)
+
+
+def joint_opt_block(H, W: Precoder, qoss, cfg: SystemConfig, start: AllocationResult):
+    """joint_opt and satis_set_opt of a ZF or RZF block at each point of `qoss`,
+    given its sum_opt result `start`: (powers, rates, outcomes), (2, D, K) arrays
+    with joint's first, each row bit for bit the one-point allocator's.  Closed-form
+    points (ZF within budget, RZF certified) are rows of one stack; the others go
+    through joint_opt_zf or joint_opt_rzf, and a top-up failing the rate guard through _top_up."""
+    link, p_budget = effective_gains(H, W), cfg.p_max_w
+    demands = np.array([qos.demands for qos in qoss])
+    n_points, k = demands.shape
+    if W.kind == "zf":
+        (c, p_min), guards = _zf_min_powers(W, demands, cfg), None
+    elif W.kind == "rzf":  # an uncertified point's minimum powers are inf
+        c = cfg.noise_power_w / link.g
+        ds = build_demand_system(link, W, demands + [q.tolerances for q in qoss], cfg.noise_power_w, cfg.bandwidth_mhz)
+        guards = [DemandSystem(ds.R[i], ds.Qm, ds.nu[i], ds.alpha[i], ds.noise_power) for i in range(n_points)]
+        reps = [check_feasible(g, p_budget) if ok else None for g, ok in zip(guards, _within_bound(ds, p_budget).tolist())]
+        p_min = np.array([rep.min_powers if rep and rep.feasible else np.full(k, np.inf) for rep in reps])
+    else:
+        raise ValueError("the block pass serves ZF and RZF precoders")
+    closed = np.add.reduce(p_min, -1) <= p_budget  # a certified point's total is this sum
+    powers, served = np.empty((2, 2, n_points, k))
+    outcomes = [["feasible_closed_form"] * n_points for _ in range(2)]
+    rows = closed.nonzero()[0]
+    if rows.size:
+        base = p_min[rows]
+        topped = np.array((_topped_up(base, p_budget, c), _topped_up(base, p_budget)))
+        r = rates(link, W, topped, cfg)
+        powers[:, rows], served[:, rows] = topped, r
+        if guards:  # a top-up can push a user below demand: _top_up repairs joint's, scales satisset's
+            met = np.logical_and.reduce(satisfied_mask(r, demands[rows]), -1)
+            for s, i in zip(*(~met).nonzero()):
+                point, guard, wf = rows[i], *((guards[rows[i]], c) if s == 0 else (True, None))
+                res = _top_up(link, W, qoss[point], cfg, base[i], guard, wf, topped[s, i], r[s, i])
+                powers[s, point], served[s, point], outcomes[s][point] = res.powers, res.rates_mbps, res.outcome
+    for i in (~closed).nonzero()[0].tolist():  # satisset shares joint's congested result
+        q = qoss[i]
+        res = joint_opt_rzf(link, W, q, cfg, guards[i], reps[i], start) if guards else joint_opt_zf(link, W, q, cfg)
+        powers[:, i], served[:, i], outcomes[0][i], outcomes[1][i] = res.powers, res.rates_mbps, res.outcome, res.outcome
+    return powers, served, outcomes
 
 
 def _solve_pinned(ds: DemandSystem, pinned, p_budget, p_start):
@@ -388,5 +447,5 @@ def satis_set_from_joint(link, W: Precoder, qos: QoSProfile, cfg: SystemConfig, 
 
 def joint_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
     """Dispatch the joint optimizer matching the precoder kind."""
-    joint = {"zf": joint_opt_zf, "rzf": joint_opt_rzf}.get(W.kind, joint_opt_generic)
+    joint = joint_opt_zf if W.kind == "zf" else joint_opt_rzf if W.kind == "rzf" else joint_opt_generic
     return joint(H, W, qos, cfg)

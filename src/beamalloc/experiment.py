@@ -30,7 +30,9 @@ _MAX_REDRAWS = 64
 _CHUNK_TRIALS = 32
 
 # strategy -> allocator name, looked up in `allocators` at call time so that a
-# rebound module attribute (a wrapped or replaced allocator) takes effect
+# rebound module attribute (a wrapped or replaced allocator) takes effect; a
+# campaign's joint and satisset come from `allocators.joint_opt_block`, which a
+# rebound joint_opt or satis_set_opt does not reach
 KNOWN_STRATEGIES = {
     "equal": "equal_power",
     "sumopt": "sum_opt",
@@ -298,16 +300,10 @@ def build_precoder(trial: Trial, system: SystemConfig, kind: str) -> Precoder:
 # ---------------------------------------------------------------------------
 # campaign
 
-def _solve(strategy, link, W, qos, system, joint=None):
-    """(result, wall ms) of one allocator call, looked up at call time.  Given
-    joint's (result, ms), satisset is taken from joint's result instead, in
-    joint's ms plus its own."""
+def _timed(fn, *args):
+    """(fn(*args), its wall ms)."""
     t0 = time.perf_counter()
-    if strategy == "satisset" and joint is not None:
-        res, ms = allocators.satis_set_from_joint(link, W, qos, system, joint[0]), joint[1]
-    else:
-        res, ms = getattr(allocators, KNOWN_STRATEGIES[strategy])(link, W, qos, system), 0.0
-    return res, ms + (time.perf_counter() - t0) * 1e3
+    return fn(*args), (time.perf_counter() - t0) * 1e3
 
 
 def _split_sums(r, mask, counts):
@@ -355,14 +351,14 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
     """((t, seed, precoder), rates, ms, sum-opt rates) of each (trial,
     precoder) block in trial order, with one row of rates and ms for every
     strategy at each demand point, point after point; each block builds its
-    Link once and keeps no allocation result.  A row has the rates and ms of
-    the solve that produced its powers: demand-free strategies are solved once
-    per block for every demand point, and satisset, when joint is listed, is
-    taken from joint's solve: its congested result, or its feasible minimum
-    powers with the surplus split equally."""
+    Link once and keeps no allocation result.  Demand-free strategies are
+    solved once per block for every demand point, in the ms of that solve.
+    joint and satisset come from one `allocators.joint_opt_block` pass over the
+    block's demand points, looked up at call time, whether one or both are
+    listed; each of their rows is given the pass's ms divided by the points."""
     system = cfg.system
     ref_qos = allocators.QoSProfile.uniform(1.0, system.n_users, cfg.omega_frac)
-    solve_order = sorted(cfg.strategies, key=lambda s: s != "joint")  # joint first
+    qoss = [qos for qos, _ in points]
     shared = [s for s in DEMAND_FREE_STRATEGIES if s == "sumopt" or s in cfg.strategies]
     for t in range(cfg.n_trials):
         seed = cfg.base_seed + t
@@ -370,16 +366,15 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
         for pk in cfg.precoders:
             W = build_precoder(trial, system, pk)
             link = effective_gains(trial.channel, W)
-            fixed = {s: _solve(s, link, W, ref_qos, system) for s in shared}
-            rows = []
-            for qos, _ in points:
-                cell = dict(fixed)
-                for strategy in solve_order:
-                    if strategy not in cell:
-                        cell[strategy] = _solve(strategy, link, W, qos, system, cell.get("joint"))
-                rows += [cell[s] for s in cfg.strategies]
-            rates, ms = [res.rates_mbps for res, _ in rows], [row_ms for _, row_ms in rows]
-            yield (t, seed, pk), rates, ms, fixed["sumopt"][0].rates_mbps
+            fixed = {s: _timed(getattr(allocators, KNOWN_STRATEGIES[s]), link, W, ref_qos, system) for s in shared}
+            cells = {s: [(res.rates_mbps, ms)] * len(points) for s, (res, ms) in fixed.items()}  # (rates, ms) per point
+            if "joint" in cfg.strategies or "satisset" in cfg.strategies:
+                (_, served, _), ms = _timed(allocators.joint_opt_block, link, W, qoss, system, fixed["sumopt"][0])
+                for s, block_rates in zip(("joint", "satisset"), served):
+                    cells[s] = [(r, ms / len(points)) for r in block_rates]
+            rows = [cells[s][i] for i in range(len(points)) for s in cfg.strategies]
+            rates, ms = [r for r, _ in rows], [row_ms for _, row_ms in rows]
+            yield (t, seed, pk), rates, ms, cells["sumopt"][0][0]
 
 
 @_float_range("a system.*, qos.* or surrogate.* value leaves the float range")

@@ -11,16 +11,18 @@ from .precoding import Precoder, effective_gains
 
 
 def sinr(H, precoder: Precoder, powers: np.ndarray, noise_power: float) -> np.ndarray:
-    """Per-user SINR with full mutual interference; `H` may be a Link."""
+    """Per-user SINR with full mutual interference; `H` may be a Link.  Each row
+    of (..., K) powers gets its own gemv Q p, bit for bit a one-row call's."""
     link = effective_gains(H, precoder)
     p = np.asarray(powers, dtype=float)
     signal = p * link.g
-    interference = link.Q @ p - signal
+    received = link.Q @ p if p.ndim == 1 else np.matmul(link.Q, p[..., None])[..., 0]
+    interference = received - signal
     return signal / (interference + noise_power)
 
 
 def rates(H, precoder: Precoder, powers: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Served rate B*log2(1 + SINR) in Mbps (B in MHz)."""
+    """Served rate B*log2(1 + SINR) in Mbps (B in MHz), per row of the powers."""
     g = sinr(H, precoder, powers, cfg.noise_power_w)
     return cfg.bandwidth_mhz * np.log2(1.0 + g)
 

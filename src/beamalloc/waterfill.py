@@ -9,34 +9,41 @@ from __future__ import annotations
 
 import numpy as np
 
+_COUNTS = np.arange(1.0, 65.0)  # the channel counts that divide the running sums; a slice costs less than an arange
 
-def waterfill(inverse_gains: np.ndarray, budget: float) -> np.ndarray:
+
+def waterfill(inverse_gains: np.ndarray, budget) -> np.ndarray:
     """Unique KKT point for inverse gains c_k > 0 and a finite budget P >= 0 in
-    the same power units; the budget is used exactly when it is positive."""
+    the same power units; the budget is used exactly when it is positive.  D
+    budgets in an array give (D, K) powers, each row bit for bit its budget's."""
     c = np.asarray(inverse_gains, dtype=float)
     if c.size == 0:
         raise ValueError("water-filling needs at least one channel")
     cs = c[c.argsort(kind="stable")]  # as the allocators sort; np.sort pages in ~0.2 MB more code
     if not (cs[0] > 0 and cs[-1] < np.inf):  # NaN sorts last and fails both
         raise ValueError("inverse gains must be finite and strictly positive")
-    P = float(budget)
-    if not 0.0 <= P < np.inf:
+    rows = isinstance(budget, np.ndarray) and budget.ndim > 0
+    P = np.asarray(budget, dtype=float) if rows else float(budget)
+    if not (np.all((P >= 0.0) & (P < np.inf)) if rows else 0.0 <= P < np.inf):
         raise ValueError("budget must be finite and nonnegative")
-    if P == 0.0:
-        return np.zeros_like(c)
-    # water level if exactly the m cheapest channels are active
-    levels = np.add.accumulate(cs)  # as cs.cumsum(), without its axis handling
-    levels += P
-    np.divide(levels, np.arange(1.0, c.size + 1), out=levels)
+    # water level if exactly the m cheapest channels are active, one row per budget
+    levels = np.add.accumulate(cs) + (P[:, None] if rows else P)  # as cs.cumsum(), without its axis handling
+    np.divide(levels, _COUNTS[: c.size] if c.size <= _COUNTS.size else np.arange(1.0, c.size + 1), out=levels)
     # the active set is the largest m with level_m > c_m (all m channels above water)
-    active = (levels > cs).nonzero()[0]
-    if active.size == 0:
-        # P below the rounding of the cheapest cost: the KKT limit as P -> 0
-        # gives the whole budget to the cheapest channels, split equally
-        cheapest = c == cs[0]
-        return np.where(cheapest, P / cheapest.sum(), 0.0)
-    p = np.subtract(levels[active[-1]], c)
+    above = levels > cs
+    if rows:  # each row's last channel above water, counted from the top
+        at = np.arange(P.size), (c.size - 1) - above[:, ::-1].argmax(axis=-1)
+        dark, level = ~above[at], levels[at][:, None]
+    else:
+        active = above.nonzero()[0]
+        dark, level = not active.size, levels[active[-1] if active.size else 0]
+    p = np.subtract(level, c)
     np.maximum(p, 0.0, out=p)
+    if np.any(dark) if rows else dark:
+        # P below the rounding of the cheapest cost (or zero): the KKT limit as
+        # P -> 0 gives the whole budget to the cheapest channels, split equally
+        p[dark] = c == cs[0]
     # strip float residue so the budget is tight to ~1e-16 relative
-    p *= P / np.add.reduce(p)
+    scale = P / np.add.reduce(p, -1)
+    p *= scale[:, None] if rows else scale
     return p

@@ -19,7 +19,7 @@ from .feasibility import (
     DemandSystem, build_demand_system, check_feasible, m_matrix_solve, sinr_targets
 )
 from .metrics import rates
-from .precoding import Precoder, effective_gains
+from .precoding import Link, Precoder, effective_gains
 from .waterfill import waterfill
 
 # Relative tolerance for demand-satisfaction membership tests; float noise on
@@ -272,43 +272,62 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig, ds=None, r
     return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome="congested_growth", r=best_r)
 
 
-def joint_opt_block(H, W: Precoder, qoss, cfg: SystemConfig, start: AllocationResult):
-    """joint_opt and satis_set_opt of a ZF or RZF block at each point of `qoss`,
-    given its sum_opt result `start`: (powers, rates, outcomes), (2, D, K) arrays
-    with joint's first, each row bit for bit the one-point allocator's.  Closed-form
-    points (ZF within budget, RZF certified) are rows of one stack; the others go
-    through joint_opt_zf or joint_opt_rzf, and a top-up failing the rate guard through _top_up."""
-    link, p_budget = effective_gains(H, W), cfg.p_max_w
+def _rows_link(links) -> Link:
+    """One Link whose Q, g and precoder raw norms are those of `links`, one row each."""
+    Ws = [link.precoder for link in links]
+    if len({w.kind for w in Ws}) > 1:
+        raise ValueError("the rows of a block share one precoder kind")
+    W = Precoder(np.array([w.W for w in Ws]), np.array([w.raw_norms for w in Ws]), Ws[0].kind)
+    return Link(W, np.array([link.Q for link in links]), np.array([link.g for link in links]))
+
+
+def joint_opt_block(H, W, qoss, cfg: SystemConfig, start: AllocationResult | None = None):
+    """joint_opt and satis_set_opt of ZF or RZF rows, one per point of `qoss`:
+    (powers, rates, outcomes), (2, D, K) arrays with joint's first, each row bit
+    for bit the one-point allocator's.  `H` and `W` are one channel (or its Link)
+    and precoder that every row shares, or lists with one of each per row, all
+    of one kind.  Closed-form rows (ZF within budget, RZF certified) are rows of
+    one stack; the others go through joint_opt_zf or joint_opt_rzf, and a top-up
+    failing the rate guard through _top_up.  A congested RZF row grows from
+    `start`, the shared link's sum_opt result, or else from its own water-fill."""
+    if isinstance(W, Precoder):  # one link broadcast over the rows
+        links = [effective_gains(H, W)] * len(qoss)
+        link = links[0]
+    else:
+        links = [effective_gains(h, w) for h, w in zip(H, W)]
+        link = _rows_link(links)
+    W, p_budget = link.precoder, cfg.p_max_w
     demands = np.array([qos.demands for qos in qoss])
     n_points, k = demands.shape
     if W.kind == "zf":
         (c, p_min), guards = _zf_min_powers(W, demands, cfg), None
-    elif W.kind == "rzf":  # an uncertified point's minimum powers are inf
+    elif W.kind == "rzf":  # an uncertified row's minimum powers are inf
         c = cfg.noise_power_w / link.g
         ds = build_demand_system(link, W, demands + [q.tolerances for q in qoss], cfg.noise_power_w, cfg.bandwidth_mhz)
-        guards = [DemandSystem(ds.R[i], ds.Qm, ds.nu[i], ds.alpha[i], ds.noise_power) for i in range(n_points)]
+        guards = [DemandSystem(ds.R[i], links[i].Q, ds.nu[i], ds.alpha[i], ds.noise_power) for i in range(n_points)]
         reps = [check_feasible(g, p_budget) if ok else None for g, ok in zip(guards, _within_bound(ds, p_budget).tolist())]
         p_min = np.array([rep.min_powers if rep and rep.feasible else np.full(k, np.inf) for rep in reps])
     else:
         raise ValueError("the block pass serves ZF and RZF precoders")
-    closed = np.add.reduce(p_min, -1) <= p_budget  # a certified point's total is this sum
+    closed = np.add.reduce(p_min, -1) <= p_budget  # a certified row's total is this sum
     powers, served = np.empty((2, 2, n_points, k))
     outcomes = [["feasible_closed_form"] * n_points for _ in range(2)]
     rows = closed.nonzero()[0]
     if rows.size:
-        base = p_min[rows]
-        topped = np.array((_topped_up(base, p_budget, c), _topped_up(base, p_budget)))
-        r = rates(link, W, topped, cfg)
+        base, at = p_min[rows], link if link is links[0] else _rows_link([links[i] for i in rows])
+        topped = np.array((_topped_up(base, p_budget, c[rows] if c.ndim > 1 else c), _topped_up(base, p_budget)))
+        r = rates(at, at.precoder, topped, cfg)
         powers[:, rows], served[:, rows] = topped, r
         if guards:  # a top-up can push a user below demand: _top_up repairs joint's, scales satisset's
             met = np.logical_and.reduce(satisfied_mask(r, demands[rows]), -1)
             for s, i in zip(*(~met).nonzero()):
-                point, guard, wf = rows[i], *((guards[rows[i]], c) if s == 0 else (True, None))
-                res = _top_up(link, W, qoss[point], cfg, base[i], guard, wf, topped[s, i], r[s, i])
-                powers[s, point], served[s, point], outcomes[s][point] = res.powers, res.rates_mbps, res.outcome
+                row = rows[i]  # joint's water-fills on the row's c = sigma^2 / g
+                guard, wf = (guards[row], cfg.noise_power_w / links[row].g) if s == 0 else (True, None)
+                res = _top_up(links[row], links[row].precoder, qoss[row], cfg, base[i], guard, wf, topped[s, i], r[s, i])
+                powers[s, row], served[s, row], outcomes[s][row] = res.powers, res.rates_mbps, res.outcome
     for i in (~closed).nonzero()[0].tolist():  # satisset shares joint's congested result
-        q = qoss[i]
-        res = joint_opt_rzf(link, W, q, cfg, guards[i], reps[i], start) if guards else joint_opt_zf(link, W, q, cfg)
+        q, li = qoss[i], links[i]
+        res = joint_opt_rzf(li, li.precoder, q, cfg, guards[i], reps[i], start) if guards else joint_opt_zf(li, li.precoder, q, cfg)
         powers[:, i], served[:, i], outcomes[0][i], outcomes[1][i] = res.powers, res.rates_mbps, res.outcome, res.outcome
     return powers, served, outcomes
 
@@ -430,16 +449,12 @@ def joint_opt_generic(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> All
 
 
 def satis_set_opt(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig) -> AllocationResult:
-    """Satisfied-set maximization only: joint_opt's certificate and set growth,
-    with a feasible instance's surplus split equally instead of water-filled."""
+    """Satisfied-set maximization only: joint_opt's certificate and set growth.
+    Under congestion it is joint_opt's own result, whose branch the two share;
+    a feasible instance's surplus is split equally over joint's minimum powers
+    instead of water-filled."""
     link = effective_gains(H, W)
-    return satis_set_from_joint(link, W, qos, cfg, joint_opt(link, W, qos, cfg))
-
-
-def satis_set_from_joint(link, W: Precoder, qos: QoSProfile, cfg: SystemConfig, joint) -> AllocationResult:
-    """The satis_set_opt result of the instance that `joint`, its joint_opt
-    result, solved: joint's own result under congestion, whose branch the two
-    share, and otherwise joint's minimum powers with the surplus split equally."""
+    joint = joint_opt(link, W, qos, cfg)
     if joint.min_powers is None:
         return joint
     return _top_up(link, W, qos, cfg, joint.min_powers, W.kind != "zf")

@@ -25,8 +25,8 @@ from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rz
 
 _REDRAW_STRIDE = 2654435761  # seed offset per conditioning redraw
 _MAX_REDRAWS = 64
-# trials whose blocks are scored, summed and written together; a chunk holds
-# their rates, so this bounds its memory
+# trials whose blocks are scored, summed and written together, or labeled in
+# one pass; a chunk holds their rates, so this bounds its memory
 _CHUNK_TRIALS = 32
 
 # strategy -> allocator name, looked up in `allocators` at call time so that a
@@ -347,6 +347,23 @@ def _score_chunk(blocks, rates, sumopt_rates, demands, system):
     return scores, n_sat
 
 
+def _chunks(stream, n):
+    """Lists of the next `n` items of the iterator `stream`.  An error that
+    `stream` raises comes after a list of the items before it, so a caller that
+    handles each list in turn reports the first failure in stream order."""
+    while True:
+        chunk = []
+        try:
+            chunk.extend(islice(stream, n))
+        except Exception:
+            if chunk:
+                yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
+
+
 def _campaign_blocks(cfg: ExperimentConfig, points):
     """((t, seed, precoder), rates, ms, sum-opt rates) of each (trial,
     precoder) block in trial order, with one row of rates and ms for every
@@ -397,8 +414,7 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
     try:
         with fh:
             fh.write(PER_TRIAL_COLUMNS + "\n")
-            stream = _campaign_blocks(cfg, points)
-            while chunk := list(islice(stream, _CHUNK_TRIALS * len(cfg.precoders))):
+            for chunk in _chunks(_campaign_blocks(cfg, points), _CHUNK_TRIALS * len(cfg.precoders)):
                 blocks, rates, ms, refs = zip(*chunk)
                 scores, n_sat = _score_chunk(blocks, rates, refs, demands, cfg.system)
                 for (_, _, pk), block_scores in zip(blocks, scores.reshape(len(blocks), len(cells), -1)):
@@ -463,20 +479,22 @@ def _require_fingerprint(path: str, whose: str, found: str, expected: str) -> No
 @_float_range("a system.*, qos.* or surrogate.* value leaves the float range")
 def gen_dataset(cfg: ExperimentConfig) -> str:
     """Label (gain vector -> joint-optimizer powers) pairs, one trial per
-    seed, for every configured precoder."""
+    seed, for every configured precoder.  The trials are drawn in chunks; each
+    precoder labels a chunk in one `allocators.joint_opt_block` pass, its
+    trials as rows, and the rows are kept trial by trial, precoder by precoder."""
     cfg.validate()
     system = cfg.system
     surr = cfg.surrogate
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, system.n_users, cfg.omega_frac)
     fp = fingerprint(cfg)
+    seeds = range(cfg.base_seed, cfg.base_seed + surr.n_train + surr.n_test)
     rows = []
-    for i in range(surr.n_train + surr.n_test):
-        seed = cfg.base_seed + i
-        trial = make_trial(system, seed)
-        x = surrogate.gains_vector(trial.channel)
-        for pk in cfg.precoders:
-            res = allocators.joint_opt(trial.channel, build_precoder(trial, system, pk), qos, system)
-            rows.append((x, res.powers, seed, f"joint_{pk}", fp))
+    for trials in _chunks((make_trial(system, seed) for seed in seeds), _CHUNK_TRIALS):
+        channels = [trial.channel for trial in trials]
+        labels = [allocators.joint_opt_block(channels, [build_precoder(trial, system, pk) for trial in trials],
+                                             [qos] * len(trials), system)[0][0] for pk in cfg.precoders]
+        rows += [(surrogate.gains_vector(trial.channel), p[i], trial.seed, f"joint_{pk}", fp)
+                 for i, trial in enumerate(trials) for pk, p in zip(cfg.precoders, labels)]
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, surr.dataset_path)
     surrogate.save_dataset(surrogate.dataset_from_rows(rows), path)

@@ -15,24 +15,29 @@ _COUNTS = np.arange(1.0, 65.0)  # the channel counts that divide the running sum
 def waterfill(inverse_gains: np.ndarray, budget) -> np.ndarray:
     """Unique KKT point for inverse gains c_k > 0 and a finite budget P >= 0 in
     the same power units; the budget is used exactly when it is positive.  D
-    budgets in an array give (D, K) powers, each row bit for bit its budget's."""
+    budgets in an array give (D, K) powers, each row bit for bit its budget's,
+    over one (K,) c or over (D, K) rows of c, one per budget."""
     c = np.asarray(inverse_gains, dtype=float)
     if c.size == 0:
         raise ValueError("water-filling needs at least one channel")
-    cs = c[c.argsort(kind="stable")]  # as the allocators sort; np.sort pages in ~0.2 MB more code
-    if not (cs[0] > 0 and cs[-1] < np.inf):  # NaN sorts last and fails both
+    order = c.argsort(kind="stable")  # as the allocators sort; np.sort pages in ~0.2 MB more code
+    own = c.ndim > 1  # rows of c, one per budget
+    cs = np.take_along_axis(c, order, -1) if own else c[order]
+    lo, hi = (cs[:, 0].min(), cs[:, -1].max()) if own else (cs[0], cs[-1])
+    if not (lo > 0 and hi < np.inf):  # NaN sorts last and fails both
         raise ValueError("inverse gains must be finite and strictly positive")
-    rows = isinstance(budget, np.ndarray) and budget.ndim > 0
+    rows = own or isinstance(budget, np.ndarray) and budget.ndim > 0
     P = np.asarray(budget, dtype=float) if rows else float(budget)
     if not (np.all((P >= 0.0) & (P < np.inf)) if rows else 0.0 <= P < np.inf):
         raise ValueError("budget must be finite and nonnegative")
     # water level if exactly the m cheapest channels are active, one row per budget
-    levels = np.add.accumulate(cs) + (P[:, None] if rows else P)  # as cs.cumsum(), without its axis handling
-    np.divide(levels, _COUNTS[: c.size] if c.size <= _COUNTS.size else np.arange(1.0, c.size + 1), out=levels)
+    levels = np.add.accumulate(cs, -1) + (P[:, None] if rows else P)  # as cs.cumsum(), without its axis handling
+    k = c.shape[-1]
+    np.divide(levels, _COUNTS[:k] if k <= _COUNTS.size else np.arange(1.0, k + 1), out=levels)
     # the active set is the largest m with level_m > c_m (all m channels above water)
     above = levels > cs
     if rows:  # each row's last channel above water, counted from the top
-        at = np.arange(P.size), (c.size - 1) - above[:, ::-1].argmax(axis=-1)
+        at = np.arange(len(levels)), (k - 1) - above[:, ::-1].argmax(axis=-1)
         dark, level = ~above[at], levels[at][:, None]
     else:
         active = above.nonzero()[0]
@@ -42,7 +47,8 @@ def waterfill(inverse_gains: np.ndarray, budget) -> np.ndarray:
     if np.any(dark) if rows else dark:
         # P below the rounding of the cheapest cost (or zero): the KKT limit as
         # P -> 0 gives the whole budget to the cheapest channels, split equally
-        p[dark] = c == cs[0]
+        cheapest = c == cs[..., :1]
+        p[dark] = cheapest[dark] if own else cheapest
     # strip float residue so the budget is tight to ~1e-16 relative
     scale = P / np.add.reduce(p, -1)
     p *= scale[:, None] if rows else scale

@@ -13,7 +13,6 @@ from beamalloc.allocators import (
     joint_opt_generic,
     joint_opt_rzf,
     joint_opt_zf,
-    satis_set_from_joint,
     satis_set_opt,
     satisfied_mask,
     sum_opt,
@@ -503,17 +502,16 @@ def test_satisset_from_joint_equals_a_fresh_solve(kind, k, extra, seed, p_max, x
     p_ref, outcome_ref = satis_set_reference(link, W, qos, cfg, jo)
     # a feasible outcome carries the minimum powers it topped up, a congested one none
     assert (jo.min_powers is None) == (not jo.outcome.startswith("feasible_"))
-    derived = satis_set_from_joint(link, W, qos, cfg, jo)
+    ss = satis_set_opt(link, W, qos, cfg)
     if jo.min_powers is None:
-        assert derived is jo
-    for ss in (derived, satis_set_opt(link, W, qos, cfg)):
-        assert np.array_equal(ss.powers, p_ref) and ss.outcome == outcome_ref
-        assert np.array_equal(ss.rates_mbps, rates(link, W, ss.powers, cfg))
-        if jo.min_powers is None:
-            assert (ss.iterations, ss.trace, ss.min_powers) == (jo.iterations, jo.trace, None)
-        else:
-            assert np.array_equal(ss.min_powers, jo.min_powers)
-            assert (ss.iterations, ss.trace) == (0, ((len(ss.satisfied), float(ss.rates_mbps.sum())),))
+        assert np.array_equal(ss.powers, jo.powers) and ss.outcome == jo.outcome
+    assert np.array_equal(ss.powers, p_ref) and ss.outcome == outcome_ref
+    assert np.array_equal(ss.rates_mbps, rates(link, W, ss.powers, cfg))
+    if jo.min_powers is None:
+        assert (ss.iterations, ss.trace, ss.min_powers) == (jo.iterations, jo.trace, None)
+    else:
+        assert np.array_equal(ss.min_powers, jo.min_powers)
+        assert (ss.iterations, ss.trace) == (0, ((len(ss.satisfied), float(ss.rates_mbps.sum())),))
 
 
 def test_the_example_cases_reach_their_outcomes():
@@ -543,10 +541,7 @@ def test_each_rate_vector_is_computed_once(monkeypatch):
             # the growth loop scores each round once, the best iterate included
             assert len(calls) <= jo.iterations + 1, W.kind
         joint_calls = len(calls)
-        calls.clear()
-        satis_set_from_joint(link, W, qos, cfg, jo)
-        assert len(calls) <= 1, W.kind
-        # a standalone satisset is joint plus the equal split
+        # satisset is joint plus the equal split
         calls.clear()
         satis_set_opt(link, W, qos, cfg)
         assert len(calls) <= joint_calls + 1, W.kind
@@ -803,7 +798,7 @@ def test_satisfied_and_trace_are_derived_as_the_eager_finish_built_them(monkeypa
             qos = QoSProfile(demands=demands, tolerances=tolerances)
             assert not qos.demands.flags.writeable and qos.demands is not demands
             results = [alloc(H, W, qos, cfg) for alloc in allocs]
-            results.append(satis_set_from_joint(effective_gains(H, W), W, qos, cfg, results[-1]))
+            results.append(satis_set_opt(effective_gains(H, W), W, qos, cfg))
             demands *= 1e-3
             tolerances[:] = 0.0
             for res in results:

@@ -944,6 +944,35 @@ def test_a_failed_campaign_leaves_earlier_outputs_untouched(tmp_path, monkeypatc
     assert out["per_trial"] == str(tmp_path / "out" / "per_trial.csv")
 
 
+def _draw_fails_at_seed_3(monkeypatch):
+    def fails(system, seed):
+        if seed == 3:
+            raise ConfigError(f"no drop at seed {seed}")
+        return make_trial(system, seed)
+
+    monkeypatch.setattr(experiment, "make_trial", fails)
+
+
+def test_a_draw_failure_is_reported_after_the_earlier_trials_of_its_chunk(tmp_path, monkeypatch):
+    # seeds 1 and 2 are drawn and solved before seed 3 fails to draw; they are
+    # scored first, so the error names seed 1, the first failing trial
+    cfg = parse_config(_write_config(tmp_path, SMALL_CONFIG + "base_seed = 1\nsystem.p_max_w = 1e-30\n"))
+    cfg.n_trials = 5
+    _draw_fails_at_seed_3(monkeypatch)
+    with pytest.raises(ConfigError, match=r"system\.p_max_w = 1e-30 rounds every rate to 0 \(seed 1\)"):
+        run_campaign(cfg)
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_a_draw_failure_is_reported_after_gen_data_labels_the_earlier_trials(tmp_path, monkeypatch):
+    # seeds 1 and 2 are labeled before seed 3's draw failure is raised, and
+    # their RZF precoder leaves the float range first
+    cfg = parse_config(_write_config(tmp_path, SMALL_CONFIG + "base_seed = 1\nsystem.p_max_w = 1e-300\n"))
+    _draw_fails_at_seed_3(monkeypatch)
+    with pytest.raises(ConfigError, match="leaves the float range: precoding column norm vanished"):
+        gen_dataset(cfg)
+
+
 @pytest.mark.parametrize("zeroed", ["row", "sumopt"])
 def test_a_zero_rate_trial_inside_a_chunk_names_its_seed(tmp_path, monkeypatch, zeroed):
     # trial 2 of a one-chunk campaign gets a row of zero rates, or a zero

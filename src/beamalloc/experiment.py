@@ -397,33 +397,24 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
 @_float_range("a system.*, qos.* or surrogate.* value leaves the float range")
 def run_campaign(cfg: ExperimentConfig) -> dict:
     """Full Monte-Carlo sweep; writes the per-trial and aggregated CSVs and
-    returns their paths.  The trials are scored and written in chunks: each
-    chunk's rows are scored in one pass and appended to a temporary file that
-    replaces `per_trial.csv` after the last chunk, and each block's scores are
-    added to its precoder's running column sums, block after block in trial order."""
+    returns their paths.  The trials are scored in chunks, one pass each; their
+    rows are appended to a new file that is published as `per_trial.csv` after the
+    last chunk, and each block's scores join its precoder's running column sums in trial order."""
     cfg.validate()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     points = cfg.demand_points()
     cells = [(s, xi) for _, xi in points for s in cfg.strategies]  # a block's rows, in order
     demands = np.array([qos.demands for qos, _ in points for _ in cfg.strategies])  # and their demands
     sums = dict.fromkeys(cfg.precoders, 0.0)  # each becomes a (rows, 7) array at its first block
     per_trial_path = os.path.join(cfg.out_dir, "per_trial.csv")
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
-    tmp_path = f"{per_trial_path}.{os.getpid()}.tmp"
-    fh = open(tmp_path, "w", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.write(PER_TRIAL_COLUMNS + "\n")
-            for chunk in _chunks(_campaign_blocks(cfg, points), _CHUNK_TRIALS * len(cfg.precoders)):
-                blocks, rates, ms, refs = zip(*chunk)
-                scores, n_sat = _score_chunk(blocks, rates, refs, demands, cfg.system)
-                for (_, _, pk), block_scores in zip(blocks, scores.reshape(len(blocks), len(cells), -1)):
-                    sums[pk] += block_scores
-                _write_per_trial(fh, blocks, cells, scores, n_sat, ms, cfg.record_timing)
-        os.replace(tmp_path, per_trial_path)
-    except BaseException:
-        os.remove(tmp_path)  # a failed run leaves the earlier outputs as they were
-        raise
+    with surrogate.publish(per_trial_path) as fh:
+        fh.write(PER_TRIAL_COLUMNS + "\n")
+        for chunk in _chunks(_campaign_blocks(cfg, points), _CHUNK_TRIALS * len(cfg.precoders)):
+            blocks, rates, ms, refs = zip(*chunk)
+            scores, n_sat = _score_chunk(blocks, rates, refs, demands, cfg.system)
+            for (_, _, pk), block_scores in zip(blocks, scores.reshape(len(blocks), len(cells), -1)):
+                sums[pk] += block_scores
+            _write_per_trial(fh, blocks, cells, scores, n_sat, ms, cfg.record_timing)
     _write_aggregate(agg_path, {(pk, *cell): sums[pk][i] for pk in cfg.precoders
                                 for i, cell in enumerate(cells)}, cfg.n_trials)
     return {"per_trial": per_trial_path, "aggregate": agg_path}
@@ -431,7 +422,7 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
 
 def _write_csv(path, columns, row_format, rows):
     line = row_format + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with surrogate.publish(path) as fh:
         fh.write(columns + "\n")
         fh.writelines(line.format(*row) for row in rows)
 
@@ -495,7 +486,6 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
                                              [qos] * len(trials), system)[0][0] for pk in cfg.precoders]
         rows += [(surrogate.gains_vector(trial.channel), p[i], trial.seed, f"joint_{pk}", fp)
                  for i, trial in enumerate(trials) for pk, p in zip(cfg.precoders, labels)]
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, surr.dataset_path)
     surrogate.save_dataset(surrogate.dataset_from_rows(rows), path)
     return path
@@ -518,7 +508,6 @@ def train_models(cfg: ExperimentConfig) -> dict:
     if not data["strategy"].size:
         raise ConfigError(f"{path}: dataset is empty")
     out = {}
-    os.makedirs(os.path.join(cfg.out_dir, surr.model_dir), exist_ok=True)
     for strategy in sorted(set(data["strategy"].tolist())):
         rows = np.flatnonzero(data["strategy"] == strategy)[: surr.n_train]
         with _float_range(f"surrogate.learning_rate = {surr.learning_rate:g} diverges training the {strategy} model"):
@@ -582,7 +571,6 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
          100.0 * int(allocators.satisfied_mask(r, qos.demands).sum()) / (n * k))
         for method, ms, r in (("model", model_ms, np.array(model_rates)), ("surrogate", surro_ms, surro_rates))
     ]
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"eval_{pk}.csv")
     _write_csv(path, EVAL_COLUMNS, EVAL_ROW, rows)
     return path

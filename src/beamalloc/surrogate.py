@@ -11,6 +11,8 @@ and reverse-mode gradients through the stack.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,6 +244,26 @@ def predict_powers(model: SurrogateModel, gains: np.ndarray, p_max_total: float)
 DATASET_COLUMNS = ("x", "p_star", "seed", "strategy", "fingerprint")
 
 
+@contextmanager
+def publish(path, binary=False):
+    """Write `path` as a new file in its directory, made if missing: yield a handle on a fresh
+    `<path>.<pid>.tmp`, then unlink `path` and rename the temp file into place.  If the body or the
+    unlink raises, the temp file is removed and `path` keeps its bytes.  No file holding data is
+    truncated or renamed over (on ext4 with auto_da_alloc either forces a writeback); none is fsynced."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    os.rename(tmp, path)  # a stop just before it leaves the whole new file at tmp
+
+
 def dataset_from_rows(rows) -> dict:
     """Columns from (x, p_star, seed, strategy, fingerprint) rows: `x` (n, N·K) holds each whole
     channel user-major (x.reshape(K, N).T == H), `p_star` (n, K) its label powers, `seed` (n,) ints
@@ -254,7 +276,7 @@ def save_dataset(data: dict, path) -> None:
     """One JSON line per row, keys in DATASET_COLUMNS order: `tolist` writes seeds as ints, text
     as strings and floats at full repr, one row of `x` and `p_star` at a time."""
     rows = zip(data["x"], data["p_star"], *(data[k].tolist() for k in DATASET_COLUMNS[2:]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with publish(path) as fh:
         fh.writelines(json.dumps(dict(zip(DATASET_COLUMNS, (x.tolist(), p.tolist(), *rest)))) + "\n"
                       for x, p, *rest in rows)
 
@@ -289,7 +311,7 @@ def save_model(model: SurrogateModel, path) -> None:
     as 0-d arrays, then `weight<i>` and `bias<i>` per layer and the NormStats arrays."""
     layers = {f"weight{i}": w for i, w in enumerate(model.weights)}
     layers.update((f"bias{i}", b) for i, b in enumerate(model.biases))
-    with open(path, "wb") as fh:  # through a handle: np.savez adds .npz to a bare name
+    with publish(path, binary=True) as fh:  # through a handle: np.savez adds .npz to a bare name
         np.savez(fh, allow_pickle=False, format_version=MODEL_FORMAT_VERSION, strategy=model.strategy,
                  fingerprint=model.fingerprint, **layers, **vars(model.norm_stats))
 

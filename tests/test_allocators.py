@@ -838,3 +838,33 @@ def test_no_allocator_satisfies_more_users_than_the_exact_oracle():
                     assert served["joint_opt"] == best, (seed, demands[0], served, best)
     # the cells cover both uncongested and congested instances
     assert k in sizes and min(sizes) < k
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(["zf", "rzf"]),
+    xi=st.lists(st.floats(50.0, 1500.0), min_size=8, max_size=8),
+    per_user=st.booleans(),
+    perm_seed=st.integers(0, 2**32 - 1),
+)
+def test_permuting_the_users_permutes_every_allocation(n, seed, kind, xi, per_user, perm_seed):
+    # a make_trial drop at N = K and the same drop with its users (channel
+    # columns and demands) permuted: every allocator permutes its powers,
+    # rates and satisfied set the same way
+    cfg = SystemConfig(n_beams=n, n_users=n)
+    H = make_trial(cfg, seed).channel
+    perm = np.random.default_rng(perm_seed).permutation(n)
+    demands = np.array(xi[:n]) if per_user else np.full(n, xi[0])
+    allocs = (equal_power, sum_opt, joint_opt, satis_set_opt)
+    results = []
+    for Hc, d in ((H, demands), (H[:, perm], demands[perm])):
+        W = make_zf(Hc, cond_cap=cfg.cond_cap) if kind == "zf" else make_rzf(Hc, cfg.noise_power_w, cfg.p_max_w)
+        results.append([alloc(Hc, W, QoSProfile.per_user(d), cfg) for alloc in allocs])
+    for alloc, a, b in zip(allocs, *results):
+        name = alloc.__name__
+        np.testing.assert_allclose(b.powers, a.powers[perm], rtol=1e-9, atol=1e-9 * cfg.p_max_w, err_msg=name)
+        np.testing.assert_allclose(b.rates_mbps, a.rates_mbps[perm], rtol=1e-9,
+                                   atol=1e-9 * a.rates_mbps.max(), err_msg=name)
+        assert b.satisfied == {j for j in range(n) if perm[j] in a.satisfied}, name

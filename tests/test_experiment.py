@@ -9,6 +9,7 @@ import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -942,6 +943,90 @@ def test_a_failed_campaign_leaves_earlier_outputs_untouched(tmp_path, monkeypatc
     # no temporary file remains, and both CSVs keep the first run's bytes
     assert {name: (tmp_path / "out" / name).read_bytes() for name in os.listdir(tmp_path / "out")} == before
     assert out["per_trial"] == str(tmp_path / "out" / "per_trial.csv")
+
+
+# every file that run, gen-data, train and eval write under SMALL_CONFIG
+_OUTPUTS = ("per_trial.csv", "aggregate.csv", "dataset.jsonl", "model_joint_zf.npz", "model_joint_rzf.npz",
+            "eval_zf.csv", "eval_rzf.csv")
+
+
+def _every_command(cfg_path, out):
+    """Exit codes of run, gen-data, train and eval of both models, all writing into `out`."""
+    codes = [main([command, "--config", cfg_path]) for command in ("run", "gen-data", "train")]
+    return codes + [main(["eval", "--model", str(out / f"model_joint_{pk}.npz"), "--config", cfg_path])
+                    for pk in ("zf", "rzf")]
+
+
+def _contents(out):
+    return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+
+def test_every_output_is_written_as_a_new_file(tmp_path, monkeypatch, capsys):
+    # eval's time_ms reads 0, so two runs of one config write the same bytes
+    monkeypatch.setattr(experiment, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    for name in ("first", "fresh", "links"):
+        (tmp_path / name).mkdir()
+    cfg_path, out, links = _write_config(tmp_path / "first"), tmp_path / "first" / "out", tmp_path / "links"
+    assert _every_command(cfg_path, out) == [0] * 5
+    assert sorted(os.listdir(out)) == sorted(_OUTPUTS)
+    for name in _OUTPUTS:
+        os.link(out / name, links / name)
+    first = _contents(links)
+
+    renamed = []  # (destination, whether it existed)
+    for fn in ("rename", "replace"):
+        def spy(src, dst, *args, real=getattr(os, fn), **kwargs):
+            renamed.append((os.path.basename(dst), os.path.exists(dst)))
+            return real(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, fn, spy)
+    # the second run draws other trials, so every output's bytes change
+    second = SMALL_CONFIG + "base_seed = 12\n"
+    assert _every_command(_write_config(tmp_path / "first", second), out) == [0] * 5
+    assert sorted(renamed) == sorted((name, False) for name in _OUTPUTS)  # never onto an existing file
+    assert _every_command(_write_config(tmp_path / "fresh", second), tmp_path / "fresh" / "out") == [0] * 5
+    # the first files were not rewritten in place; the second run's equal a fresh directory's; no *.tmp is left
+    assert _contents(links) == first
+    assert all(first[name] != (out / name).read_bytes() for name in _OUTPUTS)
+    assert _contents(out) == _contents(tmp_path / "fresh" / "out")
+    capsys.readouterr()
+
+
+def _fail_midway(monkeypatch, command):
+    """Make `command`'s writer raise once part of its file is written."""
+    full = OSError(28, "No space left on device")
+    if command == "run":  # per_trial.csv is published, aggregate.csv fails after its header
+        monkeypatch.setattr(experiment, "AGGREGATE_ROW", "{:d}")
+    elif command == "gen-data":  # at the third dataset line
+        lines = []
+
+        def dumps(obj):
+            lines.append(obj)
+            if len(lines) == 3:
+                raise full
+            return json.dumps(obj)
+
+        monkeypatch.setattr(surrogate, "json", SimpleNamespace(dumps=dumps))
+    elif command == "train":  # the first model, after its archive's first bytes
+        def savez(fh, **arrays):
+            fh.write(b"PK\x03\x04")
+            raise full
+
+        monkeypatch.setattr(surrogate.np, "savez", savez)
+    else:  # eval, after the CSV header
+        monkeypatch.setattr(experiment, "EVAL_ROW", "{:d}")
+
+
+@pytest.mark.parametrize("command", ["run", "gen-data", "train", "eval"])
+def test_a_failed_write_leaves_earlier_outputs_untouched(tmp_path, monkeypatch, capsys, command):
+    cfg_path, out = _write_config(tmp_path), tmp_path / "out"
+    assert _every_command(cfg_path, out) == [0] * 5
+    before = _contents(out)
+    _fail_midway(monkeypatch, command)
+    args = ["--model", str(out / "model_joint_zf.npz")] if command == "eval" else []
+    assert main([command, *args, "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _contents(out) == before  # each earlier file keeps its bytes, and no temporary file remains
 
 
 def _draw_fails_at_seed_3(monkeypatch):

@@ -19,7 +19,7 @@ from .feasibility import (
     DemandSystem, build_demand_system, check_feasible, m_matrix_solve, sinr_targets
 )
 from .metrics import rates
-from .precoding import Link, Precoder, effective_gains
+from .precoding import Precoder, effective_gains, stack_links
 from .waterfill import waterfill
 
 # Relative tolerance for demand-satisfaction membership tests; float noise on
@@ -272,15 +272,6 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig, ds=None, r
     return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome="congested_growth", r=best_r)
 
 
-def _rows_link(links) -> Link:
-    """One Link whose Q, g and precoder raw norms are those of `links`, one row each."""
-    Ws = [link.precoder for link in links]
-    if len({w.kind for w in Ws}) > 1:
-        raise ValueError("the rows of a block share one precoder kind")
-    W = Precoder(np.array([w.W for w in Ws]), np.array([w.raw_norms for w in Ws]), Ws[0].kind)
-    return Link(W, np.array([link.Q for link in links]), np.array([link.g for link in links]))
-
-
 def joint_opt_block(H, W, qoss, cfg: SystemConfig, start: AllocationResult | None = None):
     """joint_opt and satis_set_opt of ZF or RZF rows, one per point of `qoss`:
     (powers, rates, outcomes), (2, D, K) arrays with joint's first, each row bit
@@ -295,7 +286,7 @@ def joint_opt_block(H, W, qoss, cfg: SystemConfig, start: AllocationResult | Non
         link = links[0]
     else:
         links = [effective_gains(h, w) for h, w in zip(H, W)]
-        link = _rows_link(links)
+        link = stack_links(links)
     W, p_budget = link.precoder, cfg.p_max_w
     demands = np.array([qos.demands for qos in qoss])
     n_points, k = demands.shape
@@ -314,7 +305,7 @@ def joint_opt_block(H, W, qoss, cfg: SystemConfig, start: AllocationResult | Non
     outcomes = [["feasible_closed_form"] * n_points for _ in range(2)]
     rows = closed.nonzero()[0]
     if rows.size:
-        base, at = p_min[rows], link if link is links[0] else _rows_link([links[i] for i in rows])
+        base, at = p_min[rows], link if link is links[0] else stack_links([links[i] for i in rows])
         topped = np.array((_topped_up(base, p_budget, c[rows] if c.ndim > 1 else c), _topped_up(base, p_budget)))
         r = rates(at, at.precoder, topped, cfg)
         powers[:, rows], served[:, rows] = topped, r

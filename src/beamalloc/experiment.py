@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from itertools import chain, islice
@@ -21,7 +22,7 @@ from . import allocators, metrics, surrogate
 from .channel import AttenuationOverflowError, apply_atmosphere, build_channel, cloud_attenuation_db, drop_users
 from .config import InvalidConfigError, SystemConfig
 from .feasibility import sinr_targets
-from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
+from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf, stack_links
 
 _REDRAW_STRIDE = 2654435761  # seed offset per conditioning redraw
 _MAX_REDRAWS = 64
@@ -29,18 +30,16 @@ _MAX_REDRAWS = 64
 # one pass; a chunk holds their rates, so this bounds its memory
 _CHUNK_TRIALS = 32
 
-# strategy -> allocator name, looked up in `allocators` at call time so that a
-# rebound module attribute (a wrapped or replaced allocator) takes effect; a
-# campaign's joint and satisset come from `allocators.joint_opt_block`, which a
-# rebound joint_opt or satis_set_opt does not reach
-KNOWN_STRATEGIES = {
-    "equal": "equal_power",
-    "sumopt": "sum_opt",
-    "satisset": "satis_set_opt",
-    "joint": "joint_opt",
+KNOWN_STRATEGIES = ("equal", "sumopt", "satisset", "joint")
+# a strategy whose powers do not depend on the demands -> its allocator, looked up in `allocators` at
+# call time so that a rebound attribute takes effect; joint and satisset come from `joint_opt_block`
+DEMAND_FREE_STRATEGIES = {"sumopt": "sum_opt", "equal": "equal_power"}
+# precoder kind -> its construction from an (N, K) channel by this module's make_zf/make_rzf, read at call time
+PRECODERS = {
+    "zf": lambda H, system: make_zf(H, cond_cap=system.cond_cap),
+    "rzf": lambda H, system: make_rzf(H, system.noise_power_w, system.p_max_w),
 }
-KNOWN_PRECODERS = ("zf", "rzf")
-DEMAND_FREE_STRATEGIES = ("sumopt", "equal")  # powers do not depend on the demands
+KNOWN_PRECODERS = tuple(PRECODERS)
 
 # each CSV's header and its row format, one field per column: floats as
 # .10g, the congested flag as 0/1, ints and text as is
@@ -93,7 +92,7 @@ class ExperimentConfig:
     qos_sweep: tuple = (200.0, 400.0, 600.0, 800.0, 1000.0, 1200.0)
     qos_per_user: tuple | None = None
     omega_frac: float = 0.02
-    strategies: tuple = tuple(KNOWN_STRATEGIES)
+    strategies: tuple = KNOWN_STRATEGIES
     precoders: tuple = KNOWN_PRECODERS
     n_trials: int = 200
     base_seed: int = 1
@@ -277,7 +276,7 @@ def make_trial(system: SystemConfig, seed: int) -> Trial:
                     f"{exc} at system.beam_radius_km = {system.beam_radius_km:g} (seed {seed})"
                 ) from exc
         try:
-            zf = make_zf(H, cond_cap=system.cond_cap)
+            zf = PRECODERS["zf"](H, system)
         except PrecoderSingularError:
             continue
         # sigma^2 / ||h_k||^2 bounds every inverse gain sigma^2 / g_k of a unit-norm precoder from below
@@ -290,11 +289,10 @@ def make_trial(system: SystemConfig, seed: int) -> Trial:
 
 
 def build_precoder(trial: Trial, system: SystemConfig, kind: str) -> Precoder:
-    if kind == "zf":
-        return trial.zf
-    if kind == "rzf":
-        return make_rzf(trial.channel, system.noise_power_w, system.p_max_w)
-    raise ConfigError(f"unknown precoder {kind!r}")
+    """The trial's precoder of `kind`: its ZF one, or one built from its channel."""
+    if kind not in PRECODERS:
+        raise ConfigError(f"unknown precoder {kind!r}")
+    return trial.zf if kind == "zf" else PRECODERS[kind](trial.channel, system)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +381,7 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
         for pk in cfg.precoders:
             W = build_precoder(trial, system, pk)
             link = effective_gains(trial.channel, W)
-            fixed = {s: _timed(getattr(allocators, KNOWN_STRATEGIES[s]), link, W, ref_qos, system) for s in shared}
+            fixed = {s: _timed(getattr(allocators, DEMAND_FREE_STRATEGIES[s]), link, W, ref_qos, system) for s in shared}
             cells = {s: [(res.rates_mbps, ms)] * len(points) for s, (res, ms) in fixed.items()}  # (rates, ms) per point
             if "joint" in cfg.strategies or "satisset" in cfg.strategies:
                 (_, served, _), ms = _timed(allocators.joint_opt_block, link, W, qoss, system, fixed["sumopt"][0])
@@ -397,9 +395,9 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
 @_float_range("a system.*, qos.* or surrogate.* value leaves the float range")
 def run_campaign(cfg: ExperimentConfig) -> dict:
     """Full Monte-Carlo sweep; writes the per-trial and aggregated CSVs and
-    returns their paths.  The trials are scored in chunks, one pass each; their
-    rows are appended to a new file that is published as `per_trial.csv` after the
-    last chunk, and each block's scores join its precoder's running column sums in trial order."""
+    returns their paths.  The trials are scored in chunks, one pass each; their rows are appended
+    to a new file published as `per_trial.csv` after `aggregate.csv`, so a run that fails keeps both
+    earlier files, and each block's scores join its precoder's running column sums in trial order."""
     cfg.validate()
     points = cfg.demand_points()
     cells = [(s, xi) for _, xi in points for s in cfg.strategies]  # a block's rows, in order
@@ -415,8 +413,8 @@ def run_campaign(cfg: ExperimentConfig) -> dict:
             for (_, _, pk), block_scores in zip(blocks, scores.reshape(len(blocks), len(cells), -1)):
                 sums[pk] += block_scores
             _write_per_trial(fh, blocks, cells, scores, n_sat, ms, cfg.record_timing)
-    _write_aggregate(agg_path, {(pk, *cell): sums[pk][i] for pk in cfg.precoders
-                                for i, cell in enumerate(cells)}, cfg.n_trials)
+        _write_aggregate(agg_path, {(pk, *cell): sums[pk][i] for pk in cfg.precoders
+                                    for i, cell in enumerate(cells)}, cfg.n_trials)
     return {"per_trial": per_trial_path, "aggregate": agg_path}
 
 
@@ -452,8 +450,6 @@ def fingerprint(cfg: ExperimentConfig) -> str:
     """Eight hex digits naming every setting a dataset label depends on
     besides its seed: the `system.*` values, `qos.omega_frac` and
     `surrogate.xi_mbps`.  Numbers are hashed as floats, so 200 and 200.0 agree."""
-    import zlib  # already loaded by numpy; only gen-data and eval need it
-
     values = (*astuple(cfg.system), cfg.omega_frac, cfg.surrogate.xi_mbps)
     return f"{zlib.crc32(repr(tuple(map(float, values))).encode()):08x}"
 
@@ -474,8 +470,7 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     precoder labels a chunk in one `allocators.joint_opt_block` pass, its
     trials as rows, and the rows are kept trial by trial, precoder by precoder."""
     cfg.validate()
-    system = cfg.system
-    surr = cfg.surrogate
+    system, surr = cfg.system, cfg.surrogate
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, system.n_users, cfg.omega_frac)
     fp = fingerprint(cfg)
     seeds = range(cfg.base_seed, cfg.base_seed + surr.n_train + surr.n_test)
@@ -492,27 +487,39 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
 
 
 def _load_dataset(cfg: ExperimentConfig) -> tuple:
-    """(path, dataset columns); a missing, unreadable or corrupt file is a ConfigError."""
+    """(dataset columns, the config's fingerprint); a missing, unreadable, corrupt or empty file, or
+    a row of another fingerprint (the first such row's seed is named), is a ConfigError."""
     path = os.path.join(cfg.out_dir, cfg.surrogate.dataset_path)
     try:
-        return path, surrogate.load_dataset(path)
+        data = surrogate.load_dataset(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: cannot read the dataset ({exc}); re-run gen-data") from exc
+    if not data["strategy"].size:
+        raise ConfigError(f"{path}: dataset is empty")
+    fp = fingerprint(cfg)
+    i = (data["fingerprint"] != fp).argmax()  # the first foreign row, or row 0 if none is
+    _require_fingerprint(path, f"the seed-{data['seed'][i]} record's", data["fingerprint"][i], fp)
+    return data, fp
+
+
+def _split(data: dict, strategy: str, surr: SurrogateSection) -> tuple:
+    """(train rows, test rows) of `strategy`: its first n_train rows, then the next n_test."""
+    return np.split(np.flatnonzero(data["strategy"] == strategy), [surr.n_train, surr.n_train + surr.n_test])[:2]
 
 
 def train_models(cfg: ExperimentConfig) -> dict:
-    """Train one surrogate per label strategy present in the dataset, on the
-    first n_train rows of that strategy; returns {strategy: (model_path, report)}."""
+    """Train one surrogate per label strategy present in the dataset, on the first n_train rows of
+    that strategy, then save them all; returns {strategy: (model_path, report)}."""
     surr = cfg.surrogate
-    path, data = _load_dataset(cfg)
-    if not data["strategy"].size:
-        raise ConfigError(f"{path}: dataset is empty")
+    data, fp = _load_dataset(cfg)
     out = {}
     for strategy in sorted(set(data["strategy"].tolist())):
-        rows = np.flatnonzero(data["strategy"] == strategy)[: surr.n_train]
+        rows = _split(data, strategy, surr)[0]
         with _float_range(f"surrogate.learning_rate = {surr.learning_rate:g} diverges training the {strategy} model"):
             model, report = surrogate.train(data["x"][rows], data["p_star"][rows], surr)
-        model.strategy, model.fingerprint = strategy, str(data["fingerprint"][rows[0]])
+        model.strategy, model.fingerprint = strategy, fp
+        out[strategy] = (model, report)
+    for strategy, (model, report) in out.items():
         model_path = os.path.normpath(os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.npz"))
         surrogate.save_model(model, model_path)
         out[strategy] = (model_path, report)
@@ -524,52 +531,46 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     """Compare the model-based solver with the surrogate on the test split
     (rates, satisfaction, per-sample latency) and write the eval CSV.  Each
     channel is read from its dataset row, H = x.reshape(K, N).T, so no trial is
-    replayed; the config, the model and the test rows must share a fingerprint.
-    Both rows are scored by one rule from their samples' (n, K) rates."""
+    replayed; the config, the model and the dataset must share a fingerprint.
+    Both methods' (n, K) powers are scored in one rates call over the stacked
+    test links, and each row by one rule from its method's rates."""
     try:
         model = surrogate.load_model(model_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{model_path}: cannot read the model ({exc}); re-run train") from exc
     strategy = model.strategy
     pk = strategy.removeprefix("joint_")
-    if not strategy.startswith("joint_") or pk not in KNOWN_PRECODERS:
+    if not strategy.startswith("joint_") or pk not in PRECODERS:
         raise ConfigError(f"{model_path}: unknown label strategy {strategy!r}")
-    fp = fingerprint(cfg)
-    _require_fingerprint(model_path, "the model's", model.fingerprint, fp)
-    system = cfg.system
-    surr = cfg.surrogate
-    dataset_path, data = _load_dataset(cfg)
-    test = np.flatnonzero(data["strategy"] == strategy)[surr.n_train : surr.n_train + surr.n_test]
+    _require_fingerprint(model_path, "the model's", model.fingerprint, fingerprint(cfg))
+    system, surr = cfg.system, cfg.surrogate
+    data = _load_dataset(cfg)[0]
+    test = _split(data, strategy, surr)[1]
     if not test.size:
         raise ConfigError("dataset has no test split for this model")
-    for seed, found in zip(data["seed"][test].tolist(), data["fingerprint"][test].tolist()):
-        _require_fingerprint(dataset_path, f"the seed-{seed} record's", found, fp)
     k, n_beams = system.n_users, system.n_beams
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
 
     gains = data["x"][test]
     model_ms = 0.0
-    links, model_rates = [], []
+    links, model_powers = [], []
     for x in gains:
         H = x.reshape(k, n_beams).T
-        W = (make_zf(H, cond_cap=system.cond_cap) if pk == "zf"
-             else make_rzf(H, system.noise_power_w, system.p_max_w))
+        W = PRECODERS[pk](H, system)
         t0 = time.perf_counter()
         link = effective_gains(H, W)
         res = allocators.joint_opt(link, W, qos, system)
         model_ms += (time.perf_counter() - t0) * 1e3
-        links.append((link, W))
-        model_rates.append(res.rates_mbps)
-    t0 = time.perf_counter()
-    powers = surrogate.predict_powers(model, gains, system.p_max_w)
-    surro_ms = (time.perf_counter() - t0) * 1e3
-    surro_rates = np.array([metrics.rates(link, W, p, system) for (link, W), p in zip(links, powers)])
+        links.append(link)
+        model_powers.append(res.powers)
+    powers, surro_ms = _timed(surrogate.predict_powers, model, gains, system.p_max_w)
+    link = stack_links(links)
+    served = metrics.rates(link, link.precoder, np.array((model_powers, powers)), system)  # (2, n, K)
 
-    n = test.size
     rows = [
-        (f"{method}_{pk}", float(surr.xi_mbps), ms / n, float(r.sum(axis=-1).mean()),
-         100.0 * int(allocators.satisfied_mask(r, qos.demands).sum()) / (n * k))
-        for method, ms, r in (("model", model_ms, np.array(model_rates)), ("surrogate", surro_ms, surro_rates))
+        (f"{method}_{pk}", float(surr.xi_mbps), ms / len(r), float(r.sum(axis=-1).mean()),
+         100.0 * int(allocators.satisfied_mask(r, qos.demands).sum()) / r.size)
+        for method, ms, r in zip(("model", "surrogate"), (model_ms, surro_ms), served)
     ]
     path = os.path.join(cfg.out_dir, f"eval_{pk}.csv")
     _write_csv(path, EVAL_COLUMNS, EVAL_ROW, rows)

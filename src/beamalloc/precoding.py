@@ -85,3 +85,12 @@ def effective_gains(H, precoder: Precoder) -> Link:
     Q = np.abs(np.asarray(H).conj().T @ precoder.W) ** 2
     Q.flags.writeable = False
     return Link(precoder=precoder, Q=Q, g=np.diag(Q))
+
+
+def stack_links(links) -> Link:
+    """One Link whose Q, g and precoder W and raw norms are those of `links`, one row each."""
+    Ws = [link.precoder for link in links]
+    if len({w.kind for w in Ws}) > 1:
+        raise ValueError("the rows of a block share one precoder kind")
+    W = Precoder(np.array([w.W for w in Ws]), np.array([w.raw_norms for w in Ws]), Ws[0].kind)
+    return Link(W, np.array([link.Q for link in links]), np.array([link.g for link in links]))

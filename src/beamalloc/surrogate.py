@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
@@ -318,8 +319,6 @@ def save_model(model: SurrogateModel, path) -> None:
 
 def load_model(path) -> SurrogateModel:
     """Read a format-3 model; a file that is not one raises ValueError naming the cause."""
-    import zipfile  # loaded with numpy already
-
     try:
         with open(path, "rb") as fh:  # np.load leaves a path it opened open when the zip is bad
             if fh.read(1) == b"{":

@@ -427,6 +427,25 @@ def test_build_precoder_rejects_unknown_kind():
         build_precoder(make_trial(system, 5), system, "mrt")
 
 
+def test_every_precoder_is_built_through_the_rebindable_constructors(tmp_path, monkeypatch):
+    # make_trial, build_precoder and eval all go through PRECODERS, which looks
+    # make_zf and make_rzf up in the module at call time
+    assert experiment.KNOWN_PRECODERS == tuple(experiment.PRECODERS) == ("zf", "rzf")
+    built = []
+    for name in ("make_zf", "make_rzf"):
+        real = getattr(experiment, name)
+        monkeypatch.setattr(experiment, name, lambda *args, real=real, **kw: built.append(real(*args, **kw)) or built[-1])
+    cfg = parse_config(_write_config(tmp_path))
+    trial = make_trial(cfg.system, 5)
+    assert [w.kind for w in built] == ["zf"] * (trial.redraws + 1) and build_precoder(trial, cfg.system, "zf") is built[-1]
+    assert build_precoder(trial, cfg.system, "rzf") is built[-1] and built[-1].kind == "rzf"
+    gen_dataset(cfg)
+    paths = train_models(cfg)
+    del built[:]
+    eval_model(cfg, paths["joint_rzf"][0])
+    assert [w.kind for w in built] == ["rzf"] * cfg.surrogate.n_test
+
+
 def test_cli_train_and_eval_refuse_what_they_cannot_use(tmp_path, capsys):
     text = SMALL_CONFIG.replace("precoders = zf, rzf", "precoders = zf") + "surrogate.n_train = 8\nsurrogate.n_test = 0\n"
     cfg_path = _write_config(tmp_path, text)
@@ -741,6 +760,50 @@ def test_eval_reads_channels_from_the_dataset(tmp_path, monkeypatch, pk):
     assert [row[:2] + row[3:] for row in rows] == _replayed_eval_rows(cfg, pk, model_path)
 
 
+def _per_sample_eval_csv(cfg, model_path):
+    """The eval CSV with time_ms 0, scored sample by sample: the model's rates
+    are its joint_opt result's, the surrogate's one metrics.rates call each."""
+    model = load_model(model_path)
+    pk = model.strategy.removeprefix("joint_")
+    system, surr = cfg.system, cfg.surrogate
+    k = system.n_users
+    data = load_dataset(os.path.join(cfg.out_dir, surr.dataset_path))
+    test = np.flatnonzero(data["strategy"] == model.strategy)[surr.n_train : surr.n_train + surr.n_test]
+    qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
+    gains = data["x"][test]
+    model_rates, surro_rates = [], []
+    for x, p in zip(gains, surrogate.predict_powers(model, gains, system.p_max_w)):
+        H = x.reshape(k, system.n_beams).T
+        W = make_zf(H, cond_cap=system.cond_cap) if pk == "zf" else make_rzf(H, system.noise_power_w, system.p_max_w)
+        link = effective_gains(H, W)
+        model_rates.append(allocators.joint_opt(link, W, qos, system).rates_mbps)
+        surro_rates.append(metrics.rates(link, W, p, system))
+    n = len(test)
+    rows = [
+        experiment.EVAL_ROW.format(f"{method}_{pk}", float(surr.xi_mbps), 0.0, float(r.sum(axis=-1).mean()),
+                                   100.0 * int(allocators.satisfied_mask(r, qos.demands).sum()) / (n * k))
+        for method, r in (("model", np.array(model_rates)), ("surrogate", np.array(surro_rates)))
+    ]
+    return "\n".join([experiment.EVAL_COLUMNS, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("xi", [250, 900])  # feasible, and congested for most drops
+@pytest.mark.parametrize("pk", ["zf", "rzf"])
+def test_eval_scores_both_methods_in_one_rates_call(tmp_path, monkeypatch, pk, xi):
+    # the stacked call writes the bytes that per-sample scoring writes
+    text = SMALL_CONFIG.replace("precoders = zf, rzf", f"precoders = {pk}") + f"surrogate.xi_mbps = {xi}\n"
+    cfg = parse_config(_write_config(tmp_path, text))
+    gen_dataset(cfg)
+    model_path = train_models(cfg)[f"joint_{pk}"][0]
+    monkeypatch.setattr(experiment, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    rates, calls = metrics.rates, []
+    monkeypatch.setattr(metrics, "rates", lambda *args: calls.append(args) or rates(*args))
+    csv_text = Path(eval_model(cfg, model_path)).read_text()
+    assert len(calls) == 1 and calls[0][2].shape == (2, cfg.surrogate.n_test, cfg.system.n_users)
+    monkeypatch.undo()
+    assert csv_text == _per_sample_eval_csv(cfg, model_path)
+
+
 def test_two_precoder_dataset_splits_each_strategy_by_seed(tmp_path, monkeypatch):
     # both precoders' rows interleave in one file: each strategy trains on
     # seeds base_seed .. base_seed + n_train - 1 and is evaluated on the next
@@ -773,6 +836,32 @@ def test_two_precoder_dataset_splits_each_strategy_by_seed(tmp_path, monkeypatch
         lines = Path(eval_model(cfg, model_path)).read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
         assert [row[:2] + row[3:] for row in rows] == _replayed_eval_rows(cfg, pk, model_path)
+
+
+def test_cli_train_refuses_a_dataset_made_under_another_config(tmp_path, capsys):
+    def config(name, extra=""):
+        path = tmp_path / name
+        path.write_text(_one_line_per_key(SMALL_CONFIG + extra).format(out=tmp_path / "out"))
+        return str(path)
+
+    cfg_path, dataset = config("run.cfg"), str(tmp_path / "out" / "dataset.jsonl")
+    assert main(["gen-data", "--config", config("budget.cfg", "system.p_max_w = 100\n")]) == 0
+    assert main(["train", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and dataset in err and "the seed-11 record's fingerprint" in err
+
+    # a dataset joined from two: this config's rows, then rows made under p_max_w = 100 from seed 100
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train", "--config", cfg_path]) == 0
+    rows = Path(dataset).read_text()
+    foreign = "system.p_max_w = 100\nbase_seed = 100\nsurrogate.dataset_path = foreign.jsonl\n"
+    assert main(["gen-data", "--config", config("foreign.cfg", foreign)]) == 0
+    Path(dataset).write_text(rows + (tmp_path / "out" / "foreign.jsonl").read_text())
+    capsys.readouterr()
+    for argv in (["train"], ["eval", "--model", str(tmp_path / "out" / "model_joint_zf.npz")]):
+        assert main([*argv, "--config", cfg_path]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and dataset in err and "the seed-100 record's fingerprint" in err
 
 
 def test_cli_eval_refuses_another_system_and_old_models(tmp_path, capsys):
@@ -993,7 +1082,8 @@ def test_every_output_is_written_as_a_new_file(tmp_path, monkeypatch, capsys):
 
 
 def _fail_midway(monkeypatch, command):
-    """Make `command`'s writer raise once part of its file is written."""
+    """Make `command`'s writer raise once part of its file is written, or
+    train's second model fail to train."""
     full = OSError(28, "No space left on device")
     if command == "run":  # per_trial.csv is published, aggregate.csv fails after its header
         monkeypatch.setattr(experiment, "AGGREGATE_ROW", "{:d}")
@@ -1013,18 +1103,33 @@ def _fail_midway(monkeypatch, command):
             raise full
 
         monkeypatch.setattr(surrogate.np, "savez", savez)
+    elif command == "train:second-model":  # training the second model, after the first is trained
+        train, trained = surrogate.train, []
+
+        def fails_second(*args):
+            trained.append(args)
+            if len(trained) == 2:
+                raise OSError(12, "Cannot allocate memory")
+            return train(*args)
+
+        monkeypatch.setattr(surrogate, "train", fails_second)
     else:  # eval, after the CSV header
         monkeypatch.setattr(experiment, "EVAL_ROW", "{:d}")
 
 
-@pytest.mark.parametrize("command", ["run", "gen-data", "train", "eval"])
-def test_a_failed_write_leaves_earlier_outputs_untouched(tmp_path, monkeypatch, capsys, command):
+# another draw of trials and another training seed: a rerun that published any file would change its bytes
+_RERUN_CONFIG = SMALL_CONFIG + "base_seed = 12\nsurrogate.seed = 5\n"
+
+
+@pytest.mark.parametrize("case", ["run", "gen-data", "train", "train:second-model", "eval"])
+def test_a_failed_write_leaves_earlier_outputs_untouched(tmp_path, monkeypatch, capsys, case):
     cfg_path, out = _write_config(tmp_path), tmp_path / "out"
     assert _every_command(cfg_path, out) == [0] * 5
     before = _contents(out)
-    _fail_midway(monkeypatch, command)
+    _fail_midway(monkeypatch, case)
+    command = case.partition(":")[0]
     args = ["--model", str(out / "model_joint_zf.npz")] if command == "eval" else []
-    assert main([command, *args, "--config", cfg_path]) == 2
+    assert main([command, *args, "--config", _write_config(tmp_path, _RERUN_CONFIG)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert _contents(out) == before  # each earlier file keeps its bytes, and no temporary file remains
 

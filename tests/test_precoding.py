@@ -7,6 +7,7 @@ from beamalloc.precoding import (
     effective_gains,
     make_rzf,
     make_zf,
+    stack_links,
 )
 from conftest import random_channel
 
@@ -233,3 +234,16 @@ def test_zf_accepts_exactly_when_the_svd_rule_does(n_extra, k, seed, spread, mix
     else:
         assert accept
         _assert_is_reference(W, H)
+
+
+def test_stack_links_gives_each_link_a_row():
+    Hs = [random_channel(5, 4, seed) for seed in (3, 4, 5)]
+    links = [effective_gains(H, make_rzf(H, 1.0, 10.0)) for H in Hs]
+    link = stack_links(links)
+    assert link.precoder.kind == "rzf"
+    for i, one in enumerate(links):
+        for got, want in ((link.Q, one.Q), (link.g, one.g), (link.precoder.W, one.precoder.W),
+                          (link.precoder.raw_norms, one.precoder.raw_norms)):
+            assert np.array_equal(got[i], want)
+    with pytest.raises(ValueError, match="share one precoder kind"):
+        stack_links([links[0], effective_gains(Hs[0], make_zf(Hs[0]))])

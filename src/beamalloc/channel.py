@@ -145,7 +145,7 @@ def drop_users(cfg: SystemConfig, seed: int) -> UserDrop:
 
 
 def _powers(y: np.ndarray, n: int) -> np.ndarray:
-    """(n, *y.shape) array of y**0 ... y**(n-1), by doubling."""
+    """y**0 ... y**(n-1) of a 1-D y as an (n, M) array, or of each row of a 2-D y as (rows, n, M), by doubling."""
     p = np.empty((n,) + y.shape)
     p[0] = 1.0
     p[1] = y
@@ -154,19 +154,23 @@ def _powers(y: np.ndarray, n: int) -> np.ndarray:
         m = min(k - 1, n - k)
         np.multiply(p[1:m + 1], p[k - 1], out=p[k:k + m])  # y^(j+1) * y^(k-1)
         k += m
-    return p
+    return p.swapaxes(0, -2)
 
 
 def bessel_j0_j1(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J0(u) and J1(u) of finite float values, within 1e-15 of the exact values
-    for |u| <= 100 and with J1(u)/u accurate to 1e-15 relative near 0."""
+    for |u| <= 100 and with J1(u)/u accurate to 1e-15 relative near 0.  Each row along
+    the last axis is its own matrix product, so it does not depend on the rows stacked with it."""
     shape = np.shape(u)
     u = np.asarray(u, dtype=float).reshape(-1)
     x = np.abs(u)
     xl = np.maximum(x, _BESSEL_SWITCH)
     v = np.minimum(x, _BESSEL_SWITCH)
     v /= xl  # u/8 below the switch and 8/u above it: one set of powers serves both
-    r = _BESSEL_RATIONAL @ _powers(v * v, _BESSEL_RATIONAL.shape[1])
+    m = shape[-1] if u.size > 1 else 1  # the row length
+    r = np.empty((len(_BESSEL_RATIONAL), u.size))  # (fits, rows x m), filled by one gemm per row
+    np.matmul(_BESSEL_RATIONAL, _powers((v * v).reshape(-1, m), _BESSEL_RATIONAL.shape[1]),
+              out=r.reshape(len(r), -1, m).swapaxes(0, 1))
     r = np.divide(r[:6], r[6:], out=r[:6])  # P0, Q0, P1, Q1, g0, g1
     # Hankel form, in place: rows 0 and 2 become J0 and J1.  cos u and sin u come
     # from one tan: with t = tan(u/2), (1 + t^2) cos u = 1 - t^2, (1 + t^2) sin u = 2t.
@@ -203,51 +207,58 @@ def beam_gain(offset_angle: np.ndarray | float, cfg: SystemConfig) -> np.ndarray
 
     theta_3dB = atan(beam_3db_radius/sat_height), with `beam_3db_radius_km`
     75 km by default, half the 150 km drop-disc radius `beam_radius_km`.
+    The last two axes of `offset_angle` (all of it, if it has fewer) are one
+    drop's angles; leading axes stack drops, each evaluated as if alone.
     """
     theta = np.asarray(offset_angle, dtype=float)
     theta_3db = np.arctan2(cfg.beam_3db_radius_km, cfg.sat_height_km)
     u = _U_3DB * np.sin(theta) / np.sin(theta_3db)
-    out = np.ones_like(u)
-    nz = np.abs(u) > 1e-9
-    un = u[nz]
-    j0_u, j1_u = bessel_j0_j1(un)
-    out[nz] = (j1_u / (2.0 * un) + 36.0 * _j3(un, j0_u, j1_u) / un**3) ** 2
-    result = cfg.peak_beam_gain * out
+    u = u.reshape(-1, math.prod(theta.shape[-2:]) or 1)  # one row per drop
+    zero = np.abs(u) <= 1e-9
+    u[zero] = 1.0  # a finite stand-in, so nothing divides by 0; these entries take the limit
+    j0_u, j1_u = bessel_j0_j1(u)
+    out = np.where(zero, 1.0, (j1_u / (2.0 * u) + 36.0 * _j3(u, j0_u, j1_u) / u**3) ** 2)
+    result = cfg.peak_beam_gain * out.reshape(theta.shape)
     return float(result) if np.ndim(result) == 0 else result
 
 
 def _j3(u: np.ndarray, j0_u: np.ndarray, j1_u: np.ndarray) -> np.ndarray:
-    """Bessel J3 of a nonzero float array, given J0(u) and J1(u).  The upward
+    """Bessel J3 of rows of nonzero floats, given J0(u) and J1(u).  The upward
     recurrence J3 = 4(2 J1/u - J0)/u - J1 cancels badly for small u (it is
-    unusable below u ~ 0.01), so |u| < 4 uses the power series instead."""
+    unusable below u ~ 0.01), so |u| < 4 uses the power series instead, one
+    matrix-vector product per row over that row's arguments."""
     out = 4.0 * (2.0 * j1_u / u - j0_u) / u - j1_u
     small = np.abs(u) < 4.0
     us = u[small]
-    out[small] = (0.5 * us) ** 3 * (_J3_SERIES @ _powers(-0.25 * us * us, len(_J3_SERIES)))
+    rows = np.split(-0.25 * us * us, small.sum(axis=-1).cumsum()[:-1])
+    out[small] = (0.5 * us) ** 3 * np.concatenate([_J3_SERIES @ _powers(y, len(_J3_SERIES)) for y in rows])
     return out
 
 
-def _boresight_angles(drop: UserDrop, cfg: SystemConfig) -> np.ndarray:
-    """(N, K) off-boresight angles between beam-center and user directions as
-    seen from the satellite."""
+def _boresight_angles(centers: np.ndarray, positions: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """(T, N, K) off-boresight angles between beam-center and user directions
+    as seen from the satellite, for (T, N, 2) beam centers and (T, K, 2) user
+    positions; each drop's b @ u.T is its own matrix product."""
     h = cfg.sat_height_km
-    b = drop.beam_centers  # (N, 2)
-    u = drop.positions  # (K, 2)
-    dot = b @ u.T + h * h  # (N, K)
-    nb = np.sqrt(np.sum(b * b, axis=1) + h * h)  # (N,)
-    nu = np.sqrt(np.sum(u * u, axis=1) + h * h)  # (K,)
-    cosang = dot / (nb[:, None] * nu[None, :])
+    dot = centers @ positions.transpose(0, 2, 1) + h * h  # (T, N, K)
+    nb = np.sqrt(np.sum(centers * centers, axis=-1) + h * h)  # (T, N)
+    nu = np.sqrt(np.sum(positions * positions, axis=-1) + h * h)  # (T, K)
+    cosang = dot / (nb[:, :, None] * nu[:, None, :])
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def build_channel(drop: UserDrop, cfg: SystemConfig) -> np.ndarray:
-    """The real (N, K) channel [H]_nk = lambda*sqrt(G_R*G_nk) /
-    (4*pi*d_k*sqrt(K_B*T*B)); deterministic in the drop."""
-    angles = _boresight_angles(drop, cfg)
-    gains = beam_gain(angles, cfg)  # (N, K)
-    d_m = drop.distances_km[None, :] * 1e3
+def build_channel(drops: UserDrop | list[UserDrop], cfg: SystemConfig) -> np.ndarray:
+    """The real channel [H]_nk = lambda*sqrt(G_R*G_nk) / (4*pi*d_k*sqrt(K_B*T*B)):
+    (N, K) for one drop, (T, N, K) for a sequence of T drops, built in one pass.
+    Deterministic in each drop: a drop's channel has the same bits alone and in
+    any stack."""
+    stack = [drops] if isinstance(drops, UserDrop) else drops
+    centers, positions, d_km = (np.array([getattr(d, f) for d in stack]) for f in ("beam_centers", "positions", "distances_km"))
+    gains = beam_gain(_boresight_angles(centers, positions, cfg), cfg)  # (T, N, K)
+    d_m = d_km[:, None, :] * 1e3
     amp = cfg.wavelength_m * np.sqrt(cfg.rx_gain * gains)
-    return amp / (4.0 * np.pi * d_m * np.sqrt(cfg.noise_norm))
+    H = amp / (4.0 * np.pi * d_m * np.sqrt(cfg.noise_norm))
+    return H if stack is drops else H[0]
 
 
 def _water_permittivity(f_ghz: float, temp_k: float) -> tuple[float, float]:

@@ -12,7 +12,7 @@ import math
 import os
 import time
 import zlib
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from itertools import chain, islice
 
@@ -259,14 +259,16 @@ class Trial:
     zf: Precoder  # the ZF precoder whose construction passed the conditioning test
 
 
-def make_trial(system: SystemConfig, seed: int) -> Trial:
+def make_trial(system: SystemConfig, seed: int, first: tuple | None = None) -> Trial:
     """Drop users and build the channel, redrawing deterministically until the
     ZF construction passes its conditioning test; both precoders then see the
-    same channels, and the trial keeps that ZF precoder."""
+    same channels, and the trial keeps that ZF precoder.  `first` is the first
+    attempt's (drop, channel), the channel None if it is still to be built."""
     for attempt in range(_MAX_REDRAWS):
         eff_seed = seed + attempt * _REDRAW_STRIDE
-        drop = drop_users(system, eff_seed)
-        H = build_channel(drop, system)
+        drop, H = first if first and not attempt else (drop_users(system, eff_seed), None)
+        if H is None:
+            H = build_channel(drop, system)
         if system.atmospherics:
             try:
                 H = apply_atmosphere(H, drop, system, eff_seed)
@@ -286,6 +288,21 @@ def make_trial(system: SystemConfig, seed: int) -> Trial:
     raise ConfigError(
         f"no drop meets system.cond_cap = {system.cond_cap:g} in {_MAX_REDRAWS} redraws (seed {seed})"
     )
+
+
+def _make_trials(system: SystemConfig, seeds):
+    """make_trial of each seed, in order, their first drops' channels built in one `build_channel` pass per
+    batch: a chunk of seeds, capped at 2,048 channel entries (a whole chunk at N = K = 7, one trial at 37)."""
+    step = max(1, min(_CHUNK_TRIALS, 2048 // (system.n_beams * system.n_users)))
+    for i in range(0, len(seeds), step):
+        batch = seeds[i:i + step]
+        drops = [drop_users(system, seed) for seed in batch]
+        try:
+            channels = build_channel(drops, system)
+        except ArithmeticError:  # each trial builds its own, so the first failing seed in order raises
+            channels = [None] * len(batch)
+        for seed, drop, H in zip(batch, drops, channels):
+            yield make_trial(system, seed, (drop, H))
 
 
 def build_precoder(trial: Trial, system: SystemConfig, kind: str) -> Precoder:
@@ -375,9 +392,8 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
     ref_qos = allocators.QoSProfile.uniform(1.0, system.n_users, cfg.omega_frac)
     qoss = [qos for qos, _ in points]
     shared = [s for s in DEMAND_FREE_STRATEGIES if s == "sumopt" or s in cfg.strategies]
-    for t in range(cfg.n_trials):
+    for t, trial in enumerate(_make_trials(system, range(cfg.base_seed, cfg.base_seed + cfg.n_trials))):
         seed = cfg.base_seed + t
-        trial = make_trial(system, seed)
         for pk in cfg.precoders:
             W = build_precoder(trial, system, pk)
             link = effective_gains(trial.channel, W)
@@ -475,7 +491,7 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     fp = fingerprint(cfg)
     seeds = range(cfg.base_seed, cfg.base_seed + surr.n_train + surr.n_test)
     rows = []
-    for trials in _chunks((make_trial(system, seed) for seed in seeds), _CHUNK_TRIALS):
+    for trials in _chunks(_make_trials(system, seeds), _CHUNK_TRIALS):
         channels = [trial.channel for trial in trials]
         labels = [allocators.joint_opt_block(channels, [build_precoder(trial, system, pk) for trial in trials],
                                              [qos] * len(trials), system)[0][0] for pk in cfg.precoders]
@@ -509,7 +525,7 @@ def _split(data: dict, strategy: str, surr: SurrogateSection) -> tuple:
 
 def train_models(cfg: ExperimentConfig) -> dict:
     """Train one surrogate per label strategy present in the dataset, on the first n_train rows of
-    that strategy, then save them all; returns {strategy: (model_path, report)}."""
+    that strategy, then save them all, publishing the files together; returns {strategy: (model_path, report)}."""
     surr = cfg.surrogate
     data, fp = _load_dataset(cfg)
     out = {}
@@ -519,10 +535,11 @@ def train_models(cfg: ExperimentConfig) -> dict:
             model, report = surrogate.train(data["x"][rows], data["p_star"][rows], surr)
         model.strategy, model.fingerprint = strategy, fp
         out[strategy] = (model, report)
-    for strategy, (model, report) in out.items():
-        model_path = os.path.normpath(os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.npz"))
-        surrogate.save_model(model, model_path)
-        out[strategy] = (model_path, report)
+    with ExitStack() as published:  # every model's temp file is written before any is published
+        for strategy, (model, report) in out.items():
+            model_path = os.path.normpath(os.path.join(cfg.out_dir, surr.model_dir, f"model_{strategy}.npz"))
+            surrogate.save_model(model, published.enter_context(surrogate.publish(model_path, binary=True)))
+            out[strategy] = (model_path, report)
     return out
 
 

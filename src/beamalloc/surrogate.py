@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,10 +309,11 @@ def load_dataset(path) -> dict:
 
 def save_model(model: SurrogateModel, path) -> None:
     """One uncompressed npz archive (format 3): `format_version`, `strategy` and `fingerprint`
-    as 0-d arrays, then `weight<i>` and `bias<i>` per layer and the NormStats arrays."""
+    as 0-d arrays, then `weight<i>` and `bias<i>` per layer and the NormStats arrays, published at
+    `path`, or written into `path` if it is an open binary handle (such as one `publish` yields)."""
     layers = {f"weight{i}": w for i, w in enumerate(model.weights)}
     layers.update((f"bias{i}", b) for i, b in enumerate(model.biases))
-    with publish(path, binary=True) as fh:  # through a handle: np.savez adds .npz to a bare name
+    with nullcontext(path) if hasattr(path, "write") else publish(path, binary=True) as fh:  # np.savez adds .npz to a name
         np.savez(fh, allow_pickle=False, format_version=MODEL_FORMAT_VERSION, strategy=model.strategy,
                  fingerprint=model.fingerprint, **layers, **vars(model.norm_stats))
 

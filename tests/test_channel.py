@@ -150,6 +150,7 @@ def test_beam_gain_matches_scipy_pattern(cfg):
     assert np.max(np.abs(beam_gain(theta, cfg) - oracle)) <= 1e-13 * cfg.peak_beam_gain
     assert beam_gain(0.0, cfg) == cfg.peak_beam_gain
     assert beam_gain(np.zeros(3), cfg).tolist() == [cfg.peak_beam_gain] * 3
+    assert beam_gain(np.zeros((2, 0)), cfg).shape == (2, 0)
 
 
 def test_bessel_j0_j1_matches_scipy():
@@ -166,7 +167,7 @@ def test_bessel_j0_j1_matches_scipy():
     u = np.linspace(0.0, 150.0, 3001)
     (j0_u, j1_u), (j0_neg, j1_neg) = bessel_j0_j1(u), bessel_j0_j1(-u)
     assert np.array_equal(j0_neg, j0_u) and np.array_equal(j1_neg, -j1_u)
-    for shaped in (u[7], u[:12].reshape(3, 4)):  # results keep the input's shape
+    for shaped in (u[7], u[:12].reshape(3, 4), u[:0]):  # results keep the input's shape
         for got, want in zip(bessel_j0_j1(shaped), (j0(shaped), j1(shaped))):
             assert np.shape(got) == np.shape(shaped) and np.allclose(got, want, rtol=0, atol=1e-15)
 

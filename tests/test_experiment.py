@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -29,6 +30,7 @@ from beamalloc.experiment import (
     run_campaign,
     train_models,
 )
+from beamalloc.channel import UserDrop, drop_users, geometry_from_positions
 from beamalloc.config import SystemConfig
 from beamalloc.precoding import effective_gains, make_rzf, make_zf
 from beamalloc.surrogate import DATASET_COLUMNS, gains_vector, load_dataset, load_model, save_dataset
@@ -1021,10 +1023,10 @@ def test_a_failed_campaign_leaves_earlier_outputs_untouched(tmp_path, monkeypatc
     before = {name: (tmp_path / "out" / name).read_bytes() for name in os.listdir(tmp_path / "out")}
     assert set(before) == {"per_trial.csv", "aggregate.csv"}
 
-    def fails_at_the_third_seed(system, seed):
+    def fails_at_the_third_seed(system, seed, *first):
         if seed == cfg.base_seed + 2:
             raise ConfigError(f"no drop at seed {seed}")
-        return make_trial(system, seed)
+        return make_trial(system, seed, *first)
 
     monkeypatch.setattr(experiment, "make_trial", fails_at_the_third_seed)
     with pytest.raises(ConfigError, match="no drop at seed 13"):
@@ -1083,7 +1085,7 @@ def test_every_output_is_written_as_a_new_file(tmp_path, monkeypatch, capsys):
 
 def _fail_midway(monkeypatch, command):
     """Make `command`'s writer raise once part of its file is written, or
-    train's second model fail to train."""
+    train's second model fail to train or to save."""
     full = OSError(28, "No space left on device")
     if command == "run":  # per_trial.csv is published, aggregate.csv fails after its header
         monkeypatch.setattr(experiment, "AGGREGATE_ROW", "{:d}")
@@ -1113,6 +1115,16 @@ def _fail_midway(monkeypatch, command):
             return train(*args)
 
         monkeypatch.setattr(surrogate, "train", fails_second)
+    elif command == "train:second-save":  # saving the second model, after the first is written
+        save, saved = surrogate.save_model, []
+
+        def fails_second_save(*args):
+            saved.append(args)
+            if len(saved) == 2:
+                raise full
+            return save(*args)
+
+        monkeypatch.setattr(surrogate, "save_model", fails_second_save)
     else:  # eval, after the CSV header
         monkeypatch.setattr(experiment, "EVAL_ROW", "{:d}")
 
@@ -1121,7 +1133,7 @@ def _fail_midway(monkeypatch, command):
 _RERUN_CONFIG = SMALL_CONFIG + "base_seed = 12\nsurrogate.seed = 5\n"
 
 
-@pytest.mark.parametrize("case", ["run", "gen-data", "train", "train:second-model", "eval"])
+@pytest.mark.parametrize("case", ["run", "gen-data", "train", "train:second-model", "train:second-save", "eval"])
 def test_a_failed_write_leaves_earlier_outputs_untouched(tmp_path, monkeypatch, capsys, case):
     cfg_path, out = _write_config(tmp_path), tmp_path / "out"
     assert _every_command(cfg_path, out) == [0] * 5
@@ -1135,10 +1147,10 @@ def test_a_failed_write_leaves_earlier_outputs_untouched(tmp_path, monkeypatch, 
 
 
 def _draw_fails_at_seed_3(monkeypatch):
-    def fails(system, seed):
+    def fails(system, seed, *first):
         if seed == 3:
             raise ConfigError(f"no drop at seed {seed}")
-        return make_trial(system, seed)
+        return make_trial(system, seed, *first)
 
     monkeypatch.setattr(experiment, "make_trial", fails)
 
@@ -1161,6 +1173,84 @@ def test_a_draw_failure_is_reported_after_gen_data_labels_the_earlier_trials(tmp
     _draw_fails_at_seed_3(monkeypatch)
     with pytest.raises(ConfigError, match="leaves the float range: precoding column norm vanished"):
         gen_dataset(cfg)
+
+
+def _third_trial_fails_in_its_batch(monkeypatch, how):
+    """Every drop of seed 3, its first and each redraw, puts user 1 on user 0's
+    spot (so no redraw passes the conditioning test) or every user on the
+    horizon (so the cloud attenuation overflows); spies record the size of each
+    batch build and the seeds of each scored or labeled chunk's rows."""
+    draw, build, score, label = (experiment.drop_users, experiment.build_channel, experiment._score_chunk,
+                                 allocators.joint_opt_block)
+    seen = {"built": [], "scored": [], "labeled": []}
+
+    def drop_users(system, seed):
+        drop = draw(system, seed)
+        if seed % experiment._REDRAW_STRIDE != 3:
+            return drop
+        if how == "cloud":
+            return dataclasses.replace(drop, elevations_deg=np.zeros_like(drop.elevations_deg))
+        positions = drop.positions.copy()
+        positions[1] = positions[0]
+        d, elev = geometry_from_positions(positions, system)
+        return dataclasses.replace(drop, positions=positions, distances_km=d, elevations_deg=elev)
+
+    def build_channel(drops, system):
+        seen["built"].append(1 if isinstance(drops, UserDrop) else len(drops))
+        return build(drops, system)
+
+    def score_chunk(blocks, *args):
+        seen["scored"].append([seed for _, seed, _ in blocks])
+        return score(blocks, *args)
+
+    def joint_opt_block(links, *args):
+        if isinstance(links, list):  # gen-data's rows of channels, not a campaign block's one Link
+            seen["labeled"].append(len(links))
+        return label(links, *args)
+
+    monkeypatch.setattr(experiment, "drop_users", drop_users)
+    monkeypatch.setattr(experiment, "build_channel", build_channel)
+    monkeypatch.setattr(experiment, "_score_chunk", score_chunk)
+    monkeypatch.setattr(allocators, "joint_opt_block", joint_opt_block)
+    return seen
+
+
+@pytest.mark.parametrize("how, message", [
+    ("redraws", r"no drop meets system\.cond_cap = 1e\+08 in 64 redraws \(seed 3\)"),
+    ("cloud", r"elevation angle too small; cloud path diverges at system\.beam_radius_km = 150 \(seed 3\)"),
+])
+def test_a_trial_failing_inside_a_batch_is_named_after_the_earlier_trials(tmp_path, monkeypatch, how, message):
+    # seeds 1 to 5 are one batch; seed 3 fails in its own make_trial, so seeds 1
+    # and 2 are scored, or labeled by both precoders, before its error is raised
+    cfg = parse_config(_write_config(tmp_path, SMALL_CONFIG + "base_seed = 1\nsystem.atmospherics = true\n"))
+    cfg.n_trials, cfg.surrogate.n_train, cfg.surrogate.n_test = 5, 5, 0
+    seen = _third_trial_fails_in_its_batch(monkeypatch, how)
+    with pytest.raises(ConfigError, match=message):
+        run_campaign(cfg)
+    with pytest.raises(ConfigError, match=message):
+        gen_dataset(cfg)
+    # each command builds the five first drops in one pass; a redraw is a one-drop build
+    assert seen["built"] == ([5] + [1] * 63) * 2 if how == "redraws" else [5, 5]
+    assert seen["scored"] == [[1, 1, 2, 2]] and seen["labeled"] == [2, 2]
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_a_float_error_in_a_batch_build_is_raised_at_its_own_trial(tmp_path, monkeypatch):
+    # seed 3's channel overflows: the batch of seeds 1 to 5 falls back to one
+    # build per trial, so seed 1's zero rates are scored and named first, as
+    # when every trial built its own channel
+    cfg = parse_config(_write_config(tmp_path, SMALL_CONFIG + "base_seed = 1\nsystem.p_max_w = 1e-30\n"))
+    cfg.n_trials = 5
+    build, third = experiment.build_channel, drop_users(cfg.system, 3).positions
+
+    def overflows_at_seed_3(drops, system):
+        if any(np.array_equal(d.positions, third) for d in ([drops] if isinstance(drops, UserDrop) else drops)):
+            raise FloatingPointError("overflow encountered in multiply")
+        return build(drops, system)
+
+    monkeypatch.setattr(experiment, "build_channel", overflows_at_seed_3)
+    with pytest.raises(ConfigError, match=r"system\.p_max_w = 1e-30 rounds every rate to 0 \(seed 1\)"):
+        run_campaign(cfg)
 
 
 @pytest.mark.parametrize("zeroed", ["row", "sumopt"])

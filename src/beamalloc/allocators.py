@@ -19,7 +19,7 @@ from .feasibility import (
     DemandSystem, build_demand_system, check_feasible, m_matrix_solve, sinr_targets
 )
 from .metrics import rates
-from .precoding import Precoder, effective_gains, stack_links
+from .precoding import Precoder, effective_gains
 from .waterfill import waterfill
 
 # Relative tolerance for demand-satisfaction membership tests; float noise on
@@ -276,26 +276,24 @@ def joint_opt_block(H, W, qoss, cfg: SystemConfig, start: AllocationResult | Non
     """joint_opt and satis_set_opt of ZF or RZF rows, one per point of `qoss`:
     (powers, rates, outcomes), (2, D, K) arrays with joint's first, each row bit
     for bit the one-point allocator's.  `H` and `W` are one channel (or its Link)
-    and precoder that every row shares, or lists with one of each per row, all
-    of one kind.  Closed-form rows (ZF within budget, RZF certified) are rows of
+    and precoder that every row shares, or a stacked Link and its precoder with
+    one row per point.  Closed-form rows (ZF within budget, RZF certified) are rows of
     one stack; the others go through joint_opt_zf or joint_opt_rzf, and a top-up
     failing the rate guard through _top_up.  A congested RZF row grows from
     `start`, the shared link's sum_opt result, or else from its own water-fill."""
-    if isinstance(W, Precoder):  # one link broadcast over the rows
-        links = [effective_gains(H, W)] * len(qoss)
-        link = links[0]
-    else:
-        links = [effective_gains(h, w) for h, w in zip(H, W)]
-        link = stack_links(links)
+    link = effective_gains(H, W)
     W, p_budget = link.precoder, cfg.p_max_w
     demands = np.array([qos.demands for qos in qoss])
     n_points, k = demands.shape
+    own = link.Q.ndim > 2  # each row has its own Link, a row of `link`
+    links = link if own else [link] * n_points
     if W.kind == "zf":
         (c, p_min), guards = _zf_min_powers(W, demands, cfg), None
     elif W.kind == "rzf":  # an uncertified row's minimum powers are inf
         c = cfg.noise_power_w / link.g
         ds = build_demand_system(link, W, demands + [q.tolerances for q in qoss], cfg.noise_power_w, cfg.bandwidth_mhz)
-        guards = [DemandSystem(ds.R[i], links[i].Q, ds.nu[i], ds.alpha[i], ds.noise_power) for i in range(n_points)]
+        Qs = np.broadcast_to(link.Q, (n_points, k, k))
+        guards = [DemandSystem(ds.R[i], Qs[i], ds.nu[i], ds.alpha[i], ds.noise_power) for i in range(n_points)]
         reps = [check_feasible(g, p_budget) if ok else None for g, ok in zip(guards, _within_bound(ds, p_budget).tolist())]
         p_min = np.array([rep.min_powers if rep and rep.feasible else np.full(k, np.inf) for rep in reps])
     else:
@@ -305,16 +303,16 @@ def joint_opt_block(H, W, qoss, cfg: SystemConfig, start: AllocationResult | Non
     outcomes = [["feasible_closed_form"] * n_points for _ in range(2)]
     rows = closed.nonzero()[0]
     if rows.size:
-        base, at = p_min[rows], link if link is links[0] else stack_links([links[i] for i in rows])
+        base, at = p_min[rows], link[rows] if own else link
         topped = np.array((_topped_up(base, p_budget, c[rows] if c.ndim > 1 else c), _topped_up(base, p_budget)))
         r = rates(at, at.precoder, topped, cfg)
         powers[:, rows], served[:, rows] = topped, r
         if guards:  # a top-up can push a user below demand: _top_up repairs joint's, scales satisset's
             met = np.logical_and.reduce(satisfied_mask(r, demands[rows]), -1)
             for s, i in zip(*(~met).nonzero()):
-                row = rows[i]  # joint's water-fills on the row's c = sigma^2 / g
-                guard, wf = (guards[row], cfg.noise_power_w / links[row].g) if s == 0 else (True, None)
-                res = _top_up(links[row], links[row].precoder, qoss[row], cfg, base[i], guard, wf, topped[s, i], r[s, i])
+                row, li = rows[i], links[rows[i]]  # joint's water-fills on the row's c = sigma^2 / g
+                guard, wf = (guards[row], cfg.noise_power_w / li.g) if s == 0 else (True, None)
+                res = _top_up(li, li.precoder, qoss[row], cfg, base[i], guard, wf, topped[s, i], r[s, i])
                 powers[s, row], served[s, row], outcomes[s][row] = res.powers, res.rates_mbps, res.outcome
     for i in (~closed).nonzero()[0].tolist():  # satisset shares joint's congested result
         q, li = qoss[i], links[i]

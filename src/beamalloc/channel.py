@@ -217,7 +217,8 @@ def beam_gain(offset_angle: np.ndarray | float, cfg: SystemConfig) -> np.ndarray
     zero = np.abs(u) <= 1e-9
     u[zero] = 1.0  # a finite stand-in, so nothing divides by 0; these entries take the limit
     j0_u, j1_u = bessel_j0_j1(u)
-    out = np.where(zero, 1.0, (j1_u / (2.0 * u) + 36.0 * _j3(u, j0_u, j1_u) / u**3) ** 2)
+    out = (j1_u / (2.0 * u) + 36.0 * _j3(u, j0_u, j1_u) / u**3) ** 2
+    out[zero] = 1.0
     result = cfg.peak_beam_gain * out.reshape(theta.shape)
     return float(result) if np.ndim(result) == 0 else result
 
@@ -230,20 +231,22 @@ def _j3(u: np.ndarray, j0_u: np.ndarray, j1_u: np.ndarray) -> np.ndarray:
     out = 4.0 * (2.0 * j1_u / u - j0_u) / u - j1_u
     small = np.abs(u) < 4.0
     us = u[small]
-    rows = np.split(-0.25 * us * us, small.sum(axis=-1).cumsum()[:-1])
-    out[small] = (0.5 * us) ** 3 * np.concatenate([_J3_SERIES @ _powers(y, len(_J3_SERIES)) for y in rows])
+    y, n = -0.25 * us * us, len(_J3_SERIES)
+    series = _J3_SERIES @ _powers(y, n) if len(u) == 1 else np.concatenate(
+        [_J3_SERIES @ _powers(row, n) for row in np.split(y, small.sum(axis=-1).cumsum()[:-1])])
+    out[small] = (0.5 * us) ** 3 * series
     return out
 
 
 def _boresight_angles(centers: np.ndarray, positions: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """(T, N, K) off-boresight angles between beam-center and user directions
     as seen from the satellite, for (T, N, 2) beam centers and (T, K, 2) user
-    positions; each drop's b @ u.T is its own matrix product."""
+    positions, or (N, K) for one drop's; each drop's b @ u.T is its own matrix product."""
     h = cfg.sat_height_km
-    dot = centers @ positions.transpose(0, 2, 1) + h * h  # (T, N, K)
+    dot = centers @ positions.swapaxes(-1, -2) + h * h  # (T, N, K)
     nb = np.sqrt(np.sum(centers * centers, axis=-1) + h * h)  # (T, N)
     nu = np.sqrt(np.sum(positions * positions, axis=-1) + h * h)  # (T, K)
-    cosang = dot / (nb[:, :, None] * nu[:, None, :])
+    cosang = dot / (nb[..., :, None] * nu[..., None, :])
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
@@ -252,13 +255,13 @@ def build_channel(drops: UserDrop | list[UserDrop], cfg: SystemConfig) -> np.nda
     (N, K) for one drop, (T, N, K) for a sequence of T drops, built in one pass.
     Deterministic in each drop: a drop's channel has the same bits alone and in
     any stack."""
-    stack = [drops] if isinstance(drops, UserDrop) else drops
-    centers, positions, d_km = (np.array([getattr(d, f) for d in stack]) for f in ("beam_centers", "positions", "distances_km"))
-    gains = beam_gain(_boresight_angles(centers, positions, cfg), cfg)  # (T, N, K)
-    d_m = d_km[:, None, :] * 1e3
+    one = isinstance(drops, UserDrop)
+    centers, positions, d_km = (getattr(drops, f) if one else np.array([getattr(d, f) for d in drops])
+                                for f in ("beam_centers", "positions", "distances_km"))
+    gains = beam_gain(_boresight_angles(centers, positions, cfg), cfg)  # (N, K) or (T, N, K)
+    d_m = d_km[..., None, :] * 1e3
     amp = cfg.wavelength_m * np.sqrt(cfg.rx_gain * gains)
-    H = amp / (4.0 * np.pi * d_m * np.sqrt(cfg.noise_norm))
-    return H if stack is drops else H[0]
+    return amp / (4.0 * np.pi * d_m * np.sqrt(cfg.noise_norm))
 
 
 def _water_permittivity(f_ghz: float, temp_k: float) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from . import allocators, metrics, surrogate
 from .channel import AttenuationOverflowError, apply_atmosphere, build_channel, cloud_attenuation_db, drop_users
 from .config import InvalidConfigError, SystemConfig
 from .feasibility import sinr_targets
-from .precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf, stack_links
+from .precoding import Link, Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
 
 _REDRAW_STRIDE = 2654435761  # seed offset per conditioning redraw
 _MAX_REDRAWS = 64
@@ -34,7 +34,7 @@ KNOWN_STRATEGIES = ("equal", "sumopt", "satisset", "joint")
 # a strategy whose powers do not depend on the demands -> its allocator, looked up in `allocators` at
 # call time so that a rebound attribute takes effect; joint and satisset come from `joint_opt_block`
 DEMAND_FREE_STRATEGIES = {"sumopt": "sum_opt", "equal": "equal_power"}
-# precoder kind -> its construction from an (N, K) channel by this module's make_zf/make_rzf, read at call time
+# precoder kind -> its construction from an (N, K) channel or a (T, N, K) stack by this module's make_zf/make_rzf, read at call time
 PRECODERS = {
     "zf": lambda H, system: make_zf(H, cond_cap=system.cond_cap),
     "rzf": lambda H, system: make_rzf(H, system.noise_power_w, system.p_max_w),
@@ -263,24 +263,26 @@ def make_trial(system: SystemConfig, seed: int, first: tuple | None = None) -> T
     """Drop users and build the channel, redrawing deterministically until the
     ZF construction passes its conditioning test; both precoders then see the
     same channels, and the trial keeps that ZF precoder.  `first` is the first
-    attempt's (drop, channel), the channel None if it is still to be built."""
+    attempt's (drop, channel, ZF precoder): the channel None if it is still to be
+    built, the precoder None if the channel still takes its atmosphere and ZF."""
     for attempt in range(_MAX_REDRAWS):
         eff_seed = seed + attempt * _REDRAW_STRIDE
-        drop, H = first if first and not attempt else (drop_users(system, eff_seed), None)
-        if H is None:
-            H = build_channel(drop, system)
-        if system.atmospherics:
+        drop, H, zf = first if first and not attempt else (drop_users(system, eff_seed), None, None)
+        if zf is None:
+            if H is None:
+                H = build_channel(drop, system)
+            if system.atmospherics:
+                try:
+                    H = apply_atmosphere(H, drop, system, eff_seed)
+                except AttenuationOverflowError as exc:
+                    # the beam layout, not the draw, puts users near the horizon
+                    raise ConfigError(
+                        f"{exc} at system.beam_radius_km = {system.beam_radius_km:g} (seed {seed})"
+                    ) from exc
             try:
-                H = apply_atmosphere(H, drop, system, eff_seed)
-            except AttenuationOverflowError as exc:
-                # the beam layout, not the draw, puts users near the horizon
-                raise ConfigError(
-                    f"{exc} at system.beam_radius_km = {system.beam_radius_km:g} (seed {seed})"
-                ) from exc
-        try:
-            zf = PRECODERS["zf"](H, system)
-        except PrecoderSingularError:
-            continue
+                zf = PRECODERS["zf"](H, system)
+            except PrecoderSingularError:
+                continue
         # sigma^2 / ||h_k||^2 bounds every inverse gain sigma^2 / g_k of a unit-norm precoder from below
         if not system.noise_power_w / np.square(H).sum(axis=0).max() > 0:
             raise ConfigError(f"system.noise_power_w = {system.noise_power_w:g} rounds an inverse gain to 0 (seed {seed})")
@@ -291,18 +293,26 @@ def make_trial(system: SystemConfig, seed: int, first: tuple | None = None) -> T
 
 
 def _make_trials(system: SystemConfig, seeds):
-    """make_trial of each seed, in order, their first drops' channels built in one `build_channel` pass per
-    batch: a chunk of seeds, capped at 2,048 channel entries (a whole chunk at N = K = 7, one trial at 37)."""
+    """make_trial of each seed, in order, their first drops' channels and ZF precoders built in one pass
+    per batch (`build_channel`, each trial's atmosphere, then `make_zf`): a chunk of seeds, capped at 2,048
+    channel entries (a whole chunk at N = K = 7, one trial at 37).  Where a pass fails, each trial builds
+    what it could not, so the first failing seed in order raises and a row that fails ZF redraws alone."""
     step = max(1, min(_CHUNK_TRIALS, 2048 // (system.n_beams * system.n_users)))
     for i in range(0, len(seeds), step):
         batch = seeds[i:i + step]
         drops = [drop_users(system, seed) for seed in batch]
+        firsts = [(drop, None, None) for drop in drops]
         try:
             channels = build_channel(drops, system)
-        except ArithmeticError:  # each trial builds its own, so the first failing seed in order raises
-            channels = [None] * len(batch)
-        for seed, drop, H in zip(batch, drops, channels):
-            yield make_trial(system, seed, (drop, H))
+            firsts = [(drop, H, None) for drop, H in zip(drops, channels)]
+            if system.atmospherics:
+                channels = np.stack([apply_atmosphere(H, drop, system, seed) for seed, drop, H in zip(batch, drops, channels)])
+            zf = PRECODERS["zf"](channels, system)
+            firsts = [(drop, H, zf[j]) for j, (drop, H) in enumerate(zip(drops, channels))]
+        except (ArithmeticError, np.linalg.LinAlgError, AttenuationOverflowError):
+            pass
+        for seed, first in zip(batch, firsts):
+            yield make_trial(system, seed, first)
 
 
 def build_precoder(trial: Trial, system: SystemConfig, kind: str) -> Precoder:
@@ -310,6 +320,15 @@ def build_precoder(trial: Trial, system: SystemConfig, kind: str) -> Precoder:
     if kind not in PRECODERS:
         raise ConfigError(f"unknown precoder {kind!r}")
     return trial.zf if kind == "zf" else PRECODERS[kind](trial.channel, system)
+
+
+def _chunk_link(trials, system: SystemConfig, kind: str):
+    """The stacked Link of a chunk of trials under their precoders of `kind`, row for row and bit
+    for bit each trial's own: their ZF precoders (np.stack keeps each row's layout), or one pass over their channels."""
+    H = np.stack([t.channel for t in trials])
+    W = PRECODERS[kind](H, system) if kind != "zf" else Precoder(
+        np.stack([t.zf.W for t in trials]), np.stack([t.zf.raw_norms for t in trials]), "zf")
+    return effective_gains(H, W)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +401,9 @@ def _chunks(stream, n):
 def _campaign_blocks(cfg: ExperimentConfig, points):
     """((t, seed, precoder), rates, ms, sum-opt rates) of each (trial,
     precoder) block in trial order, with one row of rates and ms for every
-    strategy at each demand point, point after point; each block builds its
-    Link once and keeps no allocation result.  Demand-free strategies are
-    solved once per block for every demand point, in the ms of that solve.
+    strategy at each demand point, point after point; each block's Link is its
+    row of its chunk's stacked Link, and it keeps no allocation result.
+    Demand-free strategies are solved once per block for every demand point, in the ms of that solve.
     joint and satisset come from one `allocators.joint_opt_block` pass over the
     block's demand points, looked up at call time, whether one or both are
     listed; each of their rows is given the pass's ms divided by the points."""
@@ -392,20 +411,25 @@ def _campaign_blocks(cfg: ExperimentConfig, points):
     ref_qos = allocators.QoSProfile.uniform(1.0, system.n_users, cfg.omega_frac)
     qoss = [qos for qos, _ in points]
     shared = [s for s in DEMAND_FREE_STRATEGIES if s == "sumopt" or s in cfg.strategies]
-    for t, trial in enumerate(_make_trials(system, range(cfg.base_seed, cfg.base_seed + cfg.n_trials))):
-        seed = cfg.base_seed + t
-        for pk in cfg.precoders:
-            W = build_precoder(trial, system, pk)
-            link = effective_gains(trial.channel, W)
-            fixed = {s: _timed(getattr(allocators, DEMAND_FREE_STRATEGIES[s]), link, W, ref_qos, system) for s in shared}
-            cells = {s: [(res.rates_mbps, ms)] * len(points) for s, (res, ms) in fixed.items()}  # (rates, ms) per point
-            if "joint" in cfg.strategies or "satisset" in cfg.strategies:
-                (_, served, _), ms = _timed(allocators.joint_opt_block, link, W, qoss, system, fixed["sumopt"][0])
-                for s, block_rates in zip(("joint", "satisset"), served):
-                    cells[s] = [(r, ms / len(points)) for r in block_rates]
-            rows = [cells[s][i] for i in range(len(points)) for s in cfg.strategies]
-            rates, ms = [r for r, _ in rows], [row_ms for _, row_ms in rows]
-            yield (t, seed, pk), rates, ms, cells["sumopt"][0][0]
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_trials)
+    for trials in _chunks(_make_trials(system, seeds), _CHUNK_TRIALS):
+        try:
+            links = {pk: _chunk_link(trials, system, pk) for pk in cfg.precoders}
+        except (ArithmeticError, np.linalg.LinAlgError):
+            links = dict.fromkeys(cfg.precoders)  # each trial builds its own at its turn: the first failing one raises
+        for i, trial in enumerate(trials):
+            for pk in cfg.precoders:
+                link = links[pk][i] if links[pk] else effective_gains(trial.channel, build_precoder(trial, system, pk))
+                W = link.precoder
+                fixed = {s: _timed(getattr(allocators, DEMAND_FREE_STRATEGIES[s]), link, W, ref_qos, system) for s in shared}
+                cells = {s: [(res.rates_mbps, ms)] * len(points) for s, (res, ms) in fixed.items()}  # (rates, ms) per point
+                if "joint" in cfg.strategies or "satisset" in cfg.strategies:
+                    (_, served, _), ms = _timed(allocators.joint_opt_block, link, W, qoss, system, fixed["sumopt"][0])
+                    for s, block_rates in zip(("joint", "satisset"), served):
+                        cells[s] = [(r, ms / len(points)) for r in block_rates]
+                rows = [cells[s][d] for d in range(len(points)) for s in cfg.strategies]
+                rates, ms = [r for r, _ in rows], [row_ms for _, row_ms in rows]
+                yield (trial.seed - cfg.base_seed, trial.seed, pk), rates, ms, cells["sumopt"][0][0]
 
 
 @_float_range("a system.*, qos.* or surrogate.* value leaves the float range")
@@ -483,8 +507,8 @@ def _require_fingerprint(path: str, whose: str, found: str, expected: str) -> No
 def gen_dataset(cfg: ExperimentConfig) -> str:
     """Label (gain vector -> joint-optimizer powers) pairs, one trial per
     seed, for every configured precoder.  The trials are drawn in chunks; each
-    precoder labels a chunk in one `allocators.joint_opt_block` pass, its
-    trials as rows, and the rows are kept trial by trial, precoder by precoder."""
+    precoder labels a chunk in one `allocators.joint_opt_block` pass over its stacked
+    Link, trials as rows, and the rows are kept trial by trial, precoder by precoder."""
     cfg.validate()
     system, surr = cfg.system, cfg.surrogate
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, system.n_users, cfg.omega_frac)
@@ -492,9 +516,8 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     seeds = range(cfg.base_seed, cfg.base_seed + surr.n_train + surr.n_test)
     rows = []
     for trials in _chunks(_make_trials(system, seeds), _CHUNK_TRIALS):
-        channels = [trial.channel for trial in trials]
-        labels = [allocators.joint_opt_block(channels, [build_precoder(trial, system, pk) for trial in trials],
-                                             [qos] * len(trials), system)[0][0] for pk in cfg.precoders]
+        labels = [allocators.joint_opt_block(link, link.precoder, [qos] * len(trials), system)[0][0]
+                  for link in (_chunk_link(trials, system, pk) for pk in cfg.precoders)]
         rows += [(surrogate.gains_vector(trial.channel), p[i], trial.seed, f"joint_{pk}", fp)
                  for i, trial in enumerate(trials) for pk, p in zip(cfg.precoders, labels)]
     path = os.path.join(cfg.out_dir, surr.dataset_path)
@@ -569,20 +592,21 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, k, cfg.omega_frac)
 
     gains = data["x"][test]
+    channels = gains.reshape(len(test), k, n_beams).swapaxes(1, 2)
+    Ws = PRECODERS[pk](channels, system)
     model_ms = 0.0
-    links, model_powers = [], []
-    for x in gains:
-        H = x.reshape(k, n_beams).T
-        W = PRECODERS[pk](H, system)
+    model_powers, Qs = [], []
+    for i, H in enumerate(channels):
+        W = Ws[i]
         t0 = time.perf_counter()
         link = effective_gains(H, W)
         res = allocators.joint_opt(link, W, qos, system)
         model_ms += (time.perf_counter() - t0) * 1e3
-        links.append(link)
         model_powers.append(res.powers)
+        Qs.append(link.Q)
     powers, surro_ms = _timed(surrogate.predict_powers, model, gains, system.p_max_w)
-    link = stack_links(links)
-    served = metrics.rates(link, link.precoder, np.array((model_powers, powers)), system)  # (2, n, K)
+    Q = np.stack(Qs)  # the loop's links, as rows of one
+    served = metrics.rates(Link(Ws, Q, Q.diagonal(0, -2, -1)), Ws, np.array((model_powers, powers)), system)  # (2, n, K)
 
     rows = [
         (f"{method}_{pk}", float(surr.xi_mbps), ms / len(r), float(r.sum(axis=-1).mean()),

@@ -15,7 +15,7 @@ from beamalloc.allocators import joint_opt, joint_opt_block, satis_set_opt, sum_
 from beamalloc.config import SystemConfig
 from beamalloc.experiment import build_precoder, make_trial
 from beamalloc.feasibility import build_demand_system, check_feasible
-from beamalloc.precoding import PrecoderSingularError, effective_gains, make_rzf, make_zf
+from beamalloc.precoding import Precoder, PrecoderSingularError, effective_gains, make_rzf, make_zf
 from beamalloc.waterfill import waterfill
 from conftest import random_channel
 from oracles import waterfill_reference
@@ -181,10 +181,11 @@ def test_block_pass_serves_only_zf_and_rzf():
 # rows with links of their own, as gen-data labels a chunk of trials
 
 def _assert_rows_equal_cells(Hs, Ws, qoss, cfg):
-    """Each row of joint_opt_block over the rows' own channels and precoders
-    equals joint_opt and satis_set_opt on that row's Link; returns the branches
-    that the rows reached."""
-    powers, served, outcomes = joint_opt_block(list(Hs), list(Ws), list(qoss), cfg)
+    """Each row of joint_opt_block over the stacked Link of the rows' own
+    channels and precoders equals joint_opt and satis_set_opt on that row's
+    Link; returns the branches that the rows reached."""
+    W = Precoder(np.stack([w.W for w in Ws]), np.stack([w.raw_norms for w in Ws]), Ws[0].kind)
+    powers, served, outcomes = joint_opt_block(effective_gains(np.stack(Hs), W), W, list(qoss), cfg)
     assert powers.shape == served.shape == (2, len(qoss), len(qoss[0].demands))
     reached = set()
     for i, (H, W, qos) in enumerate(zip(Hs, Ws, qoss)):
@@ -254,14 +255,6 @@ def test_rows_with_their_own_links_reach_every_branch():
         "rzf feasible_closed_form", "rzf feasible_guard_repaired", "rzf feasible_guard_scaled",
         "rzf rejected by the bound", "rzf rejected by the certificate",
     }, reached
-
-
-def test_rows_share_one_precoder_kind():
-    H = random_channel(4, 4, 0)
-    cfg = SystemConfig(n_beams=4, n_users=4)
-    Ws = [make_zf(H), make_rzf(H, cfg.noise_power_w, cfg.p_max_w)]
-    with pytest.raises(ValueError, match="one precoder kind"):
-        joint_opt_block([H, H], Ws, [QoSProfile.uniform(100.0, 4)] * 2, cfg)
 
 
 @pytest.mark.parametrize("xi", [250.0, 900.0])

@@ -32,7 +32,7 @@ def test_each_drop_of_a_batch_gets_the_bits_of_its_own_build(n, atmospherics, ba
     for s, drop, H in zip(seeds, drops, channels):
         assert H.tobytes() == build_channel(drop, system).tobytes()
         # the trial made from the batch's channel, with its atmosphere and any redraws, is the one-seed trial
-        assert _bits(make_trial(system, s, (drop, H))) == _bits(make_trial(system, s))
+        assert _bits(make_trial(system, s, (drop, H, None))) == _bits(make_trial(system, s))
 
 
 @pytest.mark.parametrize("n, batches", [(4, [32, 8]), (7, [32, 8]), (19, [5] * 8), (37, [1] * 40)])

@@ -445,7 +445,7 @@ def test_every_precoder_is_built_through_the_rebindable_constructors(tmp_path, m
     paths = train_models(cfg)
     del built[:]
     eval_model(cfg, paths["joint_rzf"][0])
-    assert [w.kind for w in built] == ["rzf"] * cfg.surrogate.n_test
+    assert [(w.kind, w.W.shape[0]) for w in built] == [("rzf", cfg.surrogate.n_test)]  # one stacked build
 
 
 def test_cli_train_and_eval_refuse_what_they_cannot_use(tmp_path, capsys):
@@ -1203,10 +1203,10 @@ def _third_trial_fails_in_its_batch(monkeypatch, how):
         seen["scored"].append([seed for _, seed, _ in blocks])
         return score(blocks, *args)
 
-    def joint_opt_block(links, *args):
-        if isinstance(links, list):  # gen-data's rows of channels, not a campaign block's one Link
-            seen["labeled"].append(len(links))
-        return label(links, *args)
+    def joint_opt_block(link, *args):
+        if link.Q.ndim > 2:  # gen-data's stacked Link of a chunk's trials, not a campaign block's one Link
+            seen["labeled"].append(len(link.Q))
+        return label(link, *args)
 
     monkeypatch.setattr(experiment, "drop_users", drop_users)
     monkeypatch.setattr(experiment, "build_channel", build_channel)
@@ -1251,6 +1251,26 @@ def test_a_float_error_in_a_batch_build_is_raised_at_its_own_trial(tmp_path, mon
     monkeypatch.setattr(experiment, "build_channel", overflows_at_seed_3)
     with pytest.raises(ConfigError, match=r"system\.p_max_w = 1e-30 rounds every rate to 0 \(seed 1\)"):
         run_campaign(cfg)
+
+
+def test_a_failed_chunk_precoder_pass_is_raised_at_its_own_trial(tmp_path, monkeypatch):
+    # the RZF solve of seed 3's channel fails: the chunk's one RZF pass falls
+    # back to one build per trial at each trial's turn, so seed 1's zero rates
+    # are scored and named first, as when every trial built its own precoder
+    cfg = parse_config(_write_config(tmp_path, SMALL_CONFIG + "base_seed = 1\nsystem.p_max_w = 1e-30\n"))
+    cfg.n_trials = 5
+    rzf, third, rows = experiment.make_rzf, make_trial(cfg.system, 3).channel, []
+
+    def fails_at_seed_3(H, *args):
+        rows.append(len(H) if H.ndim > 2 else 1)
+        if any(np.array_equal(h, third) for h in (H if H.ndim > 2 else [H])):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return rzf(H, *args)
+
+    monkeypatch.setattr(experiment, "make_rzf", fails_at_seed_3)
+    with pytest.raises(ConfigError, match=r"system\.p_max_w = 1e-30 rounds every rate to 0 \(seed 1\)"):
+        run_campaign(cfg)
+    assert rows == [5, 1, 1, 1]  # the chunk's pass, then seeds 1, 2 and 3 one at a time
 
 
 @pytest.mark.parametrize("zeroed", ["row", "sumopt"])

@@ -7,7 +7,6 @@ from beamalloc.precoding import (
     effective_gains,
     make_rzf,
     make_zf,
-    stack_links,
 )
 from conftest import random_channel
 
@@ -236,14 +235,14 @@ def test_zf_accepts_exactly_when_the_svd_rule_does(n_extra, k, seed, spread, mix
         _assert_is_reference(W, H)
 
 
-def test_stack_links_gives_each_link_a_row():
-    Hs = [random_channel(5, 4, seed) for seed in (3, 4, 5)]
-    links = [effective_gains(H, make_rzf(H, 1.0, 10.0)) for H in Hs]
-    link = stack_links(links)
-    assert link.precoder.kind == "rzf"
-    for i, one in enumerate(links):
-        for got, want in ((link.Q, one.Q), (link.g, one.g), (link.precoder.W, one.precoder.W),
-                          (link.precoder.raw_norms, one.precoder.raw_norms)):
-            assert np.array_equal(got[i], want)
-    with pytest.raises(ValueError, match="share one precoder kind"):
-        stack_links([links[0], effective_gains(Hs[0], make_zf(Hs[0]))])
+def test_a_stacked_link_gives_each_row_its_own_link():
+    Hs = np.stack([random_channel(5, 4, seed) for seed in (3, 4, 5)])
+    for make in (make_zf, lambda h: make_rzf(h, 1.0, 10.0)):
+        link = effective_gains(Hs, make(Hs))
+        assert link.Q.shape == (3, 4, 4) and link.g.shape == link.precoder.raw_norms.shape == (3, 4)
+        for i, H in enumerate(Hs):
+            one, row = effective_gains(H, make(H)), link[i]
+            assert row.precoder.kind == one.precoder.kind
+            for got, want in ((row.Q, one.Q), (row.g, one.g), (row.precoder.W, one.precoder.W),
+                              (row.precoder.raw_norms, one.precoder.raw_norms)):
+                assert got.tobytes() == want.tobytes()

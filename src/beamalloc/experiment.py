@@ -40,6 +40,8 @@ PRECODERS = {
     "rzf": lambda H, system: make_rzf(H, system.noise_power_w, system.p_max_w),
 }
 KNOWN_PRECODERS = tuple(PRECODERS)
+# a dataset row's or a model's label strategy -> the precoder its labels were made under
+LABEL_STRATEGIES = {f"joint_{pk}": pk for pk in PRECODERS}
 
 # each CSV's header and its row format, one field per column: floats as
 # .10g, the congested flag as 0/1, ints and text as is
@@ -518,7 +520,8 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     for trials in _chunks(_make_trials(system, seeds), _CHUNK_TRIALS):
         labels = [allocators.joint_opt_block(link, link.precoder, [qos] * len(trials), system)[0][0]
                   for link in (_chunk_link(trials, system, pk) for pk in cfg.precoders)]
-        rows += [(surrogate.gains_vector(trial.channel), p[i], trial.seed, f"joint_{pk}", fp)
+        gains = [surrogate.gains_vector(trial.channel) for trial in trials]  # shared by a trial's rows
+        rows += [(gains[i], p[i], trial.seed, f"joint_{pk}", fp)
                  for i, trial in enumerate(trials) for pk, p in zip(cfg.precoders, labels)]
     path = os.path.join(cfg.out_dir, surr.dataset_path)
     surrogate.save_dataset(surrogate.dataset_from_rows(rows), path)
@@ -527,7 +530,8 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
 
 def _load_dataset(cfg: ExperimentConfig) -> tuple:
     """(dataset columns, the config's fingerprint); a missing, unreadable, corrupt or empty file, or
-    a row of another fingerprint (the first such row's seed is named), is a ConfigError."""
+    a row of another label strategy than joint_<precoder> or of another fingerprint (the first such
+    row's seed is named), is a ConfigError."""
     path = os.path.join(cfg.out_dir, cfg.surrogate.dataset_path)
     try:
         data = surrogate.load_dataset(path)
@@ -535,6 +539,10 @@ def _load_dataset(cfg: ExperimentConfig) -> tuple:
         raise ConfigError(f"{path}: cannot read the dataset ({exc}); re-run gen-data") from exc
     if not data["strategy"].size:
         raise ConfigError(f"{path}: dataset is empty")
+    i = (~np.isin(data["strategy"], list(LABEL_STRATEGIES))).argmax()  # the first unknown row, or row 0
+    if (strategy := str(data["strategy"][i])) not in LABEL_STRATEGIES:
+        raise ConfigError(f"{path}: the seed-{data['seed'][i]} record's label strategy {strategy!r} is none "
+                          f"of {', '.join(LABEL_STRATEGIES)}; re-run gen-data")
     fp = fingerprint(cfg)
     i = (data["fingerprint"] != fp).argmax()  # the first foreign row, or row 0 if none is
     _require_fingerprint(path, f"the seed-{data['seed'][i]} record's", data["fingerprint"][i], fp)
@@ -579,8 +587,8 @@ def eval_model(cfg: ExperimentConfig, model_path: str) -> str:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{model_path}: cannot read the model ({exc}); re-run train") from exc
     strategy = model.strategy
-    pk = strategy.removeprefix("joint_")
-    if not strategy.startswith("joint_") or pk not in PRECODERS:
+    pk = LABEL_STRATEGIES.get(strategy)
+    if pk is None:
         raise ConfigError(f"{model_path}: unknown label strategy {strategy!r}")
     _require_fingerprint(model_path, "the model's", model.fingerprint, fingerprint(cfg))
     system, surr = cfg.system, cfg.surrogate

@@ -10,11 +10,13 @@ and reverse-mode gradients through the stack.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import zipfile
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -273,22 +275,70 @@ def dataset_from_rows(rows) -> dict:
     return {k: np.array(v, dtype=t) for k, v, t in zip(DATASET_COLUMNS, cols, (float, float, None, str, str))}
 
 
+# (blake2b digest of one dataset file's bytes, the columns they parse to): one immutable tuple, read
+# once per call, so a concurrent save cannot pair one file's digest with another file's columns
+_dataset_memo = (None, None)
+
+
+def _parsed_as(x, p, seeds, strategies, fingerprints) -> dict | None:
+    """The columns `load_dataset` parses from the rows `save_dataset` writes from these, or None where
+    that is not plain: `x` and `p_star` must be 2-D float arrays without NaN (each row a flat list
+    whose reprs read back as the same doubles; a NaN keeps no sign), seeds ints and text str."""
+    if not (all(type(a) is np.ndarray and a.ndim == 2 and a.dtype.kind == "f" and not np.isnan(a).any()
+                for a in (x, p))
+            and all(type(s) is int for s in seeds)
+            and all(type(t) is str for t in chain(strategies, fingerprints))):
+        return None
+    return dataset_from_rows(zip(x, p, seeds, strategies, fingerprints))  # float rows read as doubles exactly
+
+
 def save_dataset(data: dict, path) -> None:
-    """One JSON line per row, keys in DATASET_COLUMNS order: `tolist` writes seeds as ints, text
-    as strings and floats at full repr, one row of `x` and `p_star` at a time."""
-    rows = zip(data["x"], data["p_star"], *(data[k].tolist() for k in DATASET_COLUMNS[2:]))
-    with publish(path) as fh:
-        fh.writelines(json.dumps(dict(zip(DATASET_COLUMNS, (x.tolist(), p.tolist(), *rest)))) + "\n"
-                      for x, p, *rest in rows)
+    """One JSON line per row, `json.dumps` of its dict with keys in DATASET_COLUMNS order: `tolist` writes
+    seeds as ints, text as strings and floats at full repr, one row of `x` and `p_star` at a time, and a
+    row whose `x` has the bits of the row before reuses its text.  The columns a load of the new file
+    parses are remembered under a digest of the bytes written, so loading it back parses nothing."""
+    import hashlib  # here, not at the top, so that `import beamalloc` does not load `_hashlib`
+
+    global _dataset_memo
+    rest = [data[k].tolist() for k in DATASET_COLUMNS[2:]]
+    digest, last, x_text = hashlib.blake2b(digest_size=16), None, ""
+    with publish(path, binary=True) as fh:
+        for x, p, *tail in zip(data["x"], data["p_star"], *rest):
+            key = (x.dtype, x.shape, x.tobytes())  # bits, not values: -0.0 == 0.0 prints apart
+            if key != last:
+                last, x_text = key, json.dumps(x.tolist())
+            others = json.dumps(dict(zip(DATASET_COLUMNS[1:], (p.tolist(), *tail))))
+            line = f'{{"x": {x_text}, {others[1:]}\n'.encode()  # json.dumps of the whole row's dict
+            digest.update(line)
+            fh.write(line)
+    memo = _parsed_as(data["x"], data["p_star"], *rest)
+    if memo is not None:
+        _dataset_memo = (digest.digest(), memo)
 
 
 def load_dataset(path) -> dict:
     """The columns of a JSON-lines dataset; other keys (such as the `xi` demands older datasets
     carried) are ignored, and a missing fingerprint reads as "".  A line that does not parse, whose seed is
     not a JSON integer, or whose `x` or `p_star` is not a flat list as long as the first row's raises
-    ValueError naming path:line and, for a length, the first row's line."""
+    ValueError naming path:line and, for a length, the first row's line.  The parse is a function of
+    the file's bytes: when they are those last saved or parsed in this process, it returns copies of
+    those columns and parses nothing."""
+    import hashlib
+
+    global _dataset_memo
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.blake2b(raw, digest_size=16).digest()
+    memo_digest, columns = _dataset_memo
+    if memo_digest != digest:
+        columns = _parse_dataset(path, raw)
+        _dataset_memo = (digest, columns)
+    return {k: v.copy() for k, v in columns.items()}
+
+
+def _parse_dataset(path, raw: bytes) -> dict:
     rows, first = [], None
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:  # universal newlines, as open(path) reads
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue

@@ -215,6 +215,27 @@ def test_load_then_save_rewrites_a_gen_data_file_byte_for_byte(tmp_path, base_se
     assert json.loads(path.read_text().splitlines()[-1])["seed"] == base_seed + 8
 
 
+def test_an_in_process_pipeline_parses_no_dataset_it_wrote(tmp_path, monkeypatch):
+    # train and both evals read back the columns gen-data saved; the same rows with CRLF line ends
+    # are other bytes, parsed once, and train the same models
+    cfg = parse_config(_write_config(tmp_path))
+    parsed, parse = [], surrogate._parse_dataset
+    monkeypatch.setattr(surrogate, "_parse_dataset", lambda path, raw: parsed.append(path) or parse(path, raw))
+
+    def train_and_eval():
+        trained = train_models(cfg)
+        for model_path, _ in trained.values():
+            eval_model(cfg, model_path)
+        return {model_path: Path(model_path).read_bytes() for model_path, _ in trained.values()}
+
+    path = Path(gen_dataset(cfg))
+    models = train_and_eval()
+    assert parsed == [] and len(models) == 2
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert train_and_eval() == models
+    assert parsed == [str(path)]
+
+
 @pytest.mark.parametrize("pk", ["zf", "rzf"])
 def test_train_and_eval_pipeline(tmp_path, pk):
     text = SMALL_CONFIG.replace("precoders = zf, rzf", f"precoders = {pk}")
@@ -505,6 +526,27 @@ def test_cli_train_and_eval_exit_1_on_a_seed_that_is_not_a_json_integer(tmp_path
         err = capsys.readouterr().err
         assert err.startswith("config error") and "dataset.jsonl:100: bad dataset record" in err, err
         assert f"seed {shown} is not an integer" in err and "re-run gen-data" in err
+
+
+@pytest.mark.parametrize("strategy", [None, "joint_mrt"])
+def test_cli_train_and_eval_exit_1_on_a_row_of_an_unknown_label_strategy(tmp_path, capsys, strategy):
+    # json null read as the text "None" once trained a model_None.npz on that one row
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["train", "--config", cfg_path]) == 0
+    models = sorted(out.glob("model_*.npz"))
+    lines = (out / "dataset.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    for i in (8, 2):  # seeds 15 and 12: the first such row is named
+        lines[i] = json.dumps({**json.loads(lines[i]), "strategy": strategy}) + "\n"
+    (out / "dataset.jsonl").write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["train"], ["eval", "--model", str(out / "model_joint_zf.npz")]):
+        assert main([*argv, "--config", cfg_path]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "dataset.jsonl: the seed-12 record's label strategy" in err, err
+        assert repr(str(strategy)) in err and "re-run gen-data" in err
+    assert sorted(out.glob("model_*.npz")) == models
 
 
 def test_cli_reports_a_runtime_error_with_exit_2(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from beamalloc import QoSProfile
+from beamalloc import QoSProfile, surrogate
 from beamalloc.experiment import build_precoder, make_trial
 from beamalloc.surrogate import (
     DATASET_COLUMNS,
@@ -326,6 +328,114 @@ def test_load_dataset_names_the_first_rows_line_when_it_is_the_short_one(tmp_pat
             f"data.jsonl:{bad}: bad dataset record: x and p_star of shapes (4,) and (2,), "
             f"not flat lists as long as line {first}'s (3,) and (2,)")):
         load_dataset(path)
+
+
+def _assert_same_columns(got, want):
+    assert list(got) == list(want) == list(DATASET_COLUMNS)
+    for key in DATASET_COLUMNS:
+        assert (got[key].dtype, got[key].shape) == (want[key].dtype, want[key].shape), key
+        if got[key].dtype.kind == "f":  # a NaN's sign too: a parse reads every NaN as +nan
+            assert np.array_equal(got[key], want[key], equal_nan=True), key
+            assert np.array_equal(np.signbit(got[key]), np.signbit(want[key])), key
+        else:
+            assert np.array_equal(got[key], want[key]), key
+
+
+def _fresh_load(path):
+    """load_dataset as a new process runs it: nothing remembered, the file parsed."""
+    surrogate._dataset_memo = (None, None)
+    return load_dataset(path)
+
+
+_floats = st.floats(width=64) | st.sampled_from([0.0, -0.0, 5e-324, -1e308, -np.nan])
+
+
+@st.composite
+def _datasets(draw):
+    """Columns as gen-data makes them, and the rarer cases a file can hold: runs of rows with the same
+    x, signed zeros, NaN of either sign, seeds past int64, the empty fingerprint of a row without one,
+    no rows at all."""
+    n, dim_x, dim_p = draw(st.integers(0, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    x_rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["same", "zeros flipped", "new"] if x_rows else ["new"]))
+        if kind == "new":
+            x_rows.append(np.array(draw(st.lists(_floats, min_size=dim_x, max_size=dim_x))))
+        else:  # equal to the row before, and with its zeros' signs flipped also equal in value, not in text
+            x_rows.append(x_rows[-1] if kind == "same" else np.where(x_rows[-1] == 0, -x_rows[-1], x_rows[-1]))
+    rows = [(x, np.array(draw(st.lists(_floats, min_size=dim_p, max_size=dim_p))),
+             draw(st.integers(-2**70, 2**70) | st.integers(0, 100)),
+             draw(st.sampled_from(["joint_zf", "joint_rzf", "", 'é"x'])), draw(st.sampled_from(["", "0123abcd"])))
+            for x in x_rows]
+    return dataset_from_rows(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_datasets())
+def test_dataset_save_writes_json_dumps_per_row_and_every_load_parses_the_same(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        save_dataset(data, path)
+        oracle = "".join(json.dumps(dict(zip(DATASET_COLUMNS, (x.tolist(), p.tolist(), *rest)))) + "\n"
+                         for x, p, *rest in zip(data["x"], data["p_star"],
+                                                *(data[k].tolist() for k in DATASET_COLUMNS[2:])))
+        assert path.read_bytes() == oracle.encode()
+        remembered = load_dataset(path)  # the columns save_dataset kept: nothing is parsed
+        parsed = _fresh_load(path)
+        _assert_same_columns(remembered, parsed)
+        if len(data["seed"]) and not any(np.isnan(data[k]).any() for k in ("x", "p_star")):
+            _assert_same_columns(parsed, data)  # columns read back as they were
+        crlf = Path(tmp) / "crlf.jsonl"
+        crlf.write_bytes(oracle.replace("\n", "\r\n").encode())
+        _assert_same_columns(load_dataset(crlf), parsed)
+        if not any(data["fingerprint"]):  # rows written without the key read as fingerprint ""
+            bare = Path(tmp) / "bare.jsonl"
+            bare.write_text("".join(json.dumps({k: v for k, v in json.loads(line).items() if k != "fingerprint"}) + "\n"
+                                    for line in oracle.splitlines()), encoding="utf-8")
+            _assert_same_columns(load_dataset(bare), parsed)
+
+
+def test_load_dataset_hands_out_copies(tmp_path):
+    path = tmp_path / "data.jsonl"
+    data = _dataset(5, 4, lambda x: x[:2], seed=15, fingerprint="0123abcd")
+    save_dataset(data, path)
+    kept = {k: v.copy() for k, v in data.items()}
+    data["x"][:] = 7.0  # the caller's columns, edited after the save
+    for _ in range(2):
+        back = load_dataset(path)
+        _assert_same_columns(back, kept)
+        back["x"][0, 0], back["p_star"][:] = -1.0, 0.0
+        back["seed"][1], back["strategy"][2], back["fingerprint"][3] = 99, "joint_rzf", "ffffffff"
+    _assert_same_columns(load_dataset(path), kept)
+
+
+def test_load_dataset_parses_an_edited_file_of_the_same_size(tmp_path):
+    path = tmp_path / "data.jsonl"
+    data = dataset_from_rows([(np.array([0.25, 0.5]), np.array([1.0]), 3, "joint_zf", "0123abcd")] * 2)
+    save_dataset(data, path)
+    load_dataset(path)
+    text = path.read_text(encoding="utf-8")
+    edited = text.replace("0.25", "0.35", 1)
+    assert len(edited) == len(text)
+    path.write_text(edited, encoding="utf-8")
+    assert load_dataset(path)["x"].tolist() == [[0.35, 0.5], [0.25, 0.5]]
+
+
+def test_load_dataset_of_a_corrupt_file_after_a_good_one_raises_as_a_first_load_does(tmp_path):
+    path, bad = tmp_path / "data.jsonl", tmp_path / "bad.jsonl"
+    save_dataset(_dataset(4, 4, lambda x: x[:2], seed=14), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad.write_text("".join(lines[:2]) + lines[2][:-20] + "\n" + lines[3], encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:3: bad dataset record") as first:
+        _fresh_load(bad)
+    load_dataset(path)  # a good file, remembered
+    with pytest.raises(ValueError) as again:
+        load_dataset(bad)
+    assert str(again.value) == str(first.value)
+    path.write_bytes(bad.read_bytes())  # the remembered file, corrupted in place
+    with pytest.raises(ValueError) as again:
+        load_dataset(path)
+    assert str(again.value) == str(first.value).replace("bad.jsonl", "data.jsonl")
 
 
 def test_fit_norm_stats_uses_given_split():

@@ -272,52 +272,52 @@ def joint_opt_rzf(H, W: Precoder, qos: QoSProfile, cfg: SystemConfig, ds=None, r
     return _finish(link, W, cfg, qos, best_p, n, trace=trace, outcome="congested_growth", r=best_r)
 
 
-def joint_opt_block(H, W, qoss, cfg: SystemConfig, start: AllocationResult | None = None):
-    """joint_opt and satis_set_opt of ZF or RZF rows, one per point of `qoss`:
-    (powers, rates, outcomes), (2, D, K) arrays with joint's first, each row bit
-    for bit the one-point allocator's.  `H` and `W` are one channel (or its Link)
-    and precoder that every row shares, or a stacked Link and its precoder with
-    one row per point.  Closed-form rows (ZF within budget, RZF certified) are rows of
-    one stack; the others go through joint_opt_zf or joint_opt_rzf, and a top-up
-    failing the rate guard through _top_up.  A congested RZF row grows from
-    `start`, the shared link's sum_opt result, or else from its own water-fill."""
+def joint_opt_block(H, W, qoss, cfg: SystemConfig, starts=None):
+    """joint_opt and satis_set_opt over the grid of T trials x the D points of `qoss`: (powers,
+    rates, outcomes), (2, T, D, K) arrays and a (2, T, D) object array, joint's first, each (t, d)
+    entry bit for bit the one-point allocator's on `link[t]` with `qoss[d]`.  `H` and `W` are a
+    stacked Link of T trials and its precoder, or one channel (or Link) as T = 1.  Closed-form
+    entries (ZF within budget, RZF certified) are rows of one stack; the others go through
+    joint_opt_zf or joint_opt_rzf, and a top-up failing the rate guard through _top_up.  A
+    congested RZF entry grows from `starts[t]`, trial t's sum_opt result, or its own water-fill."""
     link = effective_gains(H, W)
-    W, p_budget = link.precoder, cfg.p_max_w
+    link = link[None] if link.Q.ndim == 2 else link
+    grid = link[:, None]  # each trial's Link, a view broadcast over the points: no copy per point
+    W, p_budget, sigma2 = grid.precoder, cfg.p_max_w, cfg.noise_power_w
     demands = np.array([qos.demands for qos in qoss])
-    n_points, k = demands.shape
-    own = link.Q.ndim > 2  # each row has its own Link, a row of `link`
-    links = link if own else [link] * n_points
+    shape, reps, guard = (len(link.Q), *demands.shape), {}, None
     if W.kind == "zf":
-        (c, p_min), guards = _zf_min_powers(W, demands, cfg), None
-    elif W.kind == "rzf":  # an uncertified row's minimum powers are inf
-        c = cfg.noise_power_w / link.g
-        ds = build_demand_system(link, W, demands + [q.tolerances for q in qoss], cfg.noise_power_w, cfg.bandwidth_mhz)
-        Qs = np.broadcast_to(link.Q, (n_points, k, k))
-        guards = [DemandSystem(ds.R[i], Qs[i], ds.nu[i], ds.alpha[i], ds.noise_power) for i in range(n_points)]
-        reps = [check_feasible(g, p_budget) if ok else None for g, ok in zip(guards, _within_bound(ds, p_budget).tolist())]
-        p_min = np.array([rep.min_powers if rep and rep.feasible else np.full(k, np.inf) for rep in reps])
+        c, p_min = _zf_min_powers(W, demands, cfg)
+    elif W.kind == "rzf":  # an uncertified entry's minimum powers are inf
+        c, p_min = sigma2 / grid.g, np.full(shape, np.inf)
+        ds = build_demand_system(grid, W, demands + [q.tolerances for q in qoss], sigma2, cfg.bandwidth_mhz)
+        def guard(t, d):  # entry (t, d)'s demand system, of views
+            return DemandSystem(ds.R[t, d], link.Q[t], ds.nu[t, d], ds.alpha[d], sigma2)
+        for t, d in zip(*_within_bound(ds, p_budget).nonzero()):
+            rep = reps[t, d] = check_feasible(guard(t, d), p_budget)
+            p_min[t, d] = rep.min_powers if rep.feasible else np.inf
     else:
         raise ValueError("the block pass serves ZF and RZF precoders")
-    closed = np.add.reduce(p_min, -1) <= p_budget  # a certified row's total is this sum
-    powers, served = np.empty((2, 2, n_points, k))
-    outcomes = [["feasible_closed_form"] * n_points for _ in range(2)]
-    rows = closed.nonzero()[0]
-    if rows.size:
-        base, at = p_min[rows], link[rows] if own else link
-        topped = np.array((_topped_up(base, p_budget, c[rows] if c.ndim > 1 else c), _topped_up(base, p_budget)))
-        r = rates(at, at.precoder, topped, cfg)
-        powers[:, rows], served[:, rows] = topped, r
-        if guards:  # a top-up can push a user below demand: _top_up repairs joint's, scales satisset's
-            met = np.logical_and.reduce(satisfied_mask(r, demands[rows]), -1)
-            for s, i in zip(*(~met).nonzero()):
-                row, li = rows[i], links[rows[i]]  # joint's water-fills on the row's c = sigma^2 / g
-                guard, wf = (guards[row], cfg.noise_power_w / li.g) if s == 0 else (True, None)
-                res = _top_up(li, li.precoder, qoss[row], cfg, base[i], guard, wf, topped[s, i], r[s, i])
-                powers[s, row], served[s, row], outcomes[s][row] = res.powers, res.rates_mbps, res.outcome
-    for i in (~closed).nonzero()[0].tolist():  # satisset shares joint's congested result
-        q, li = qoss[i], links[i]
-        res = joint_opt_rzf(li, li.precoder, q, cfg, guards[i], reps[i], start) if guards else joint_opt_zf(li, li.precoder, q, cfg)
-        powers[:, i], served[:, i], outcomes[0][i], outcomes[1][i] = res.powers, res.rates_mbps, res.outcome, res.outcome
+    closed = np.add.reduce(p_min, -1) <= p_budget  # a certified entry's total is this sum
+    powers, served = np.zeros((2, 2, *shape))  # zero powers outside the closed-form entries
+    outcomes = np.full(powers.shape[:-1], "feasible_closed_form", dtype=object)
+    ti, di = closed.nonzero()
+    if ti.size:
+        base = p_min[ti, di]
+        powers[:, ti, di] = _topped_up(base, p_budget, c[ti, 0]), _topped_up(base, p_budget)
+        served = rates(grid, W, powers, cfg)
+    if guard and ti.size:  # a top-up can push a user below demand: _top_up repairs joint's, scales satisset's
+        met = np.logical_and.reduce(satisfied_mask(served, demands), -1)
+        for s, t, d in zip(*(closed & ~met).nonzero()):
+            li = link[t]
+            res = _top_up(li, li.precoder, qoss[d], cfg, p_min[t, d], guard(t, d) if s == 0 else True,
+                          None if s else c[t, 0], powers[s, t, d], served[s, t, d])
+            powers[s, t, d], served[s, t, d], outcomes[s, t, d] = res.powers, res.rates_mbps, res.outcome
+    for t, d in zip(*(~closed).nonzero()):  # satisset shares joint's congested result
+        li, q, start = link[t], qoss[d], None if starts is None else starts[t]
+        res = (joint_opt_rzf(li, li.precoder, q, cfg, guard(t, d), reps.get((t, d)), start)
+               if guard else joint_opt_zf(li, li.precoder, q, cfg))
+        powers[:, t, d], served[:, t, d], outcomes[:, t, d] = res.powers, res.rates_mbps, res.outcome
     return powers, served, outcomes
 
 

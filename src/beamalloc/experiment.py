@@ -401,37 +401,39 @@ def _chunks(stream, n):
 
 
 def _campaign_blocks(cfg: ExperimentConfig, points):
-    """((t, seed, precoder), rates, ms, sum-opt rates) of each (trial,
-    precoder) block in trial order, with one row of rates and ms for every
-    strategy at each demand point, point after point; each block's Link is its
-    row of its chunk's stacked Link, and it keeps no allocation result.
-    Demand-free strategies are solved once per block for every demand point, in the ms of that solve.
-    joint and satisset come from one `allocators.joint_opt_block` pass over the
-    block's demand points, looked up at call time, whether one or both are
-    listed; each of their rows is given the pass's ms divided by the points."""
+    """((t, seed, precoder), rates, ms, sum-opt rates) of each (trial, precoder) block in trial
+    order, with one row of rates and ms for every strategy at each demand point, point after
+    point.  A block's Link is its row of its chunk's stacked Link, and it keeps no allocation
+    result.  Demand-free strategies are solved once per block for every point, in the ms of that
+    solve; joint and satisset come from one `allocators.joint_opt_block` pass per precoder over the
+    chunk's trials x points (looked up at call time, one or both listed), each row in the pass's
+    ms over its entries.  Where the chunk's Links fail, each trial is a pass of its own, in turn."""
     system = cfg.system
     ref_qos = allocators.QoSProfile.uniform(1.0, system.n_users, cfg.omega_frac)
     qoss = [qos for qos, _ in points]
     shared = [s for s in DEMAND_FREE_STRATEGIES if s == "sumopt" or s in cfg.strategies]
+    joint = "joint" in cfg.strategies or "satisset" in cfg.strategies
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_trials)
     for trials in _chunks(_make_trials(system, seeds), _CHUNK_TRIALS):
         try:
-            links = {pk: _chunk_link(trials, system, pk) for pk in cfg.precoders}
-        except (ArithmeticError, np.linalg.LinAlgError):
-            links = dict.fromkeys(cfg.precoders)  # each trial builds its own at its turn: the first failing one raises
-        for i, trial in enumerate(trials):
-            for pk in cfg.precoders:
-                link = links[pk][i] if links[pk] else effective_gains(trial.channel, build_precoder(trial, system, pk))
-                W = link.precoder
-                fixed = {s: _timed(getattr(allocators, DEMAND_FREE_STRATEGIES[s]), link, W, ref_qos, system) for s in shared}
-                cells = {s: [(res.rates_mbps, ms)] * len(points) for s, (res, ms) in fixed.items()}  # (rates, ms) per point
-                if "joint" in cfg.strategies or "satisset" in cfg.strategies:
-                    (_, served, _), ms = _timed(allocators.joint_opt_block, link, W, qoss, system, fixed["sumopt"][0])
-                    for s, block_rates in zip(("joint", "satisset"), served):
-                        cells[s] = [(r, ms / len(points)) for r in block_rates]
-                rows = [cells[s][d] for d in range(len(points)) for s in cfg.strategies]
-                rates, ms = [r for r, _ in rows], [row_ms for _, row_ms in rows]
-                yield (trial.seed - cfg.base_seed, trial.seed, pk), rates, ms, cells["sumopt"][0][0]
+            groups = [(trials, [_chunk_link(trials, system, pk) for pk in cfg.precoders])]
+        except (ArithmeticError, np.linalg.LinAlgError):  # the first failing trial raises after the earlier ones' rows
+            groups = (([trial], [_chunk_link([trial], system, pk) for pk in cfg.precoders]) for trial in trials)
+        for group, links in groups:
+            fixed = [[{s: _timed(getattr(allocators, DEMAND_FREE_STRATEGIES[s]), li, li.precoder, ref_qos, system)
+                       for s in shared} for li in (link[i] for link in links)] for i in range(len(group))]
+            passes = [_timed(allocators.joint_opt_block, link, link.precoder, qoss, system,
+                             [row[j]["sumopt"][0] for row in fixed]) for j, link in enumerate(links)] if joint else []
+            for i, trial in enumerate(group):
+                for j, pk in enumerate(cfg.precoders):
+                    cells = {s: [(res.rates_mbps, ms)] * len(points) for s, (res, ms) in fixed[i][j].items()}
+                    if joint:
+                        (_, served, _), ms = passes[j]
+                        for s, block_rates in zip(("joint", "satisset"), served[:, i]):
+                            cells[s] = [(r, ms / (len(group) * len(points))) for r in block_rates]
+                    rows = [cells[s][d] for d in range(len(points)) for s in cfg.strategies]
+                    rates, ms = [r for r, _ in rows], [row_ms for _, row_ms in rows]
+                    yield (trial.seed - cfg.base_seed, trial.seed, pk), rates, ms, cells["sumopt"][0][0]
 
 
 @_float_range("a system.*, qos.* or surrogate.* value leaves the float range")
@@ -510,7 +512,7 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     """Label (gain vector -> joint-optimizer powers) pairs, one trial per
     seed, for every configured precoder.  The trials are drawn in chunks; each
     precoder labels a chunk in one `allocators.joint_opt_block` pass over its stacked
-    Link, trials as rows, and the rows are kept trial by trial, precoder by precoder."""
+    Link, a grid of the trials x one point, and the rows are kept trial by trial, precoder by precoder."""
     cfg.validate()
     system, surr = cfg.system, cfg.surrogate
     qos = allocators.QoSProfile.uniform(surr.xi_mbps, system.n_users, cfg.omega_frac)
@@ -518,7 +520,7 @@ def gen_dataset(cfg: ExperimentConfig) -> str:
     seeds = range(cfg.base_seed, cfg.base_seed + surr.n_train + surr.n_test)
     rows = []
     for trials in _chunks(_make_trials(system, seeds), _CHUNK_TRIALS):
-        labels = [allocators.joint_opt_block(link, link.precoder, [qos] * len(trials), system)[0][0]
+        labels = [allocators.joint_opt_block(link, link.precoder, [qos], system)[0][0, :, 0]
                   for link in (_chunk_link(trials, system, pk) for pk in cfg.precoders)]
         gains = [surrogate.gains_vector(trial.channel) for trial in trials]  # shared by a trial's rows
         rows += [(gains[i], p[i], trial.seed, f"joint_{pk}", fp)

@@ -13,20 +13,18 @@ _COUNTS = np.arange(1.0, 65.0)  # the channel counts that divide the running sum
 
 
 def waterfill(inverse_gains: np.ndarray, budget) -> np.ndarray:
-    """Unique KKT point for inverse gains c_k > 0 and a finite budget P >= 0 in
-    the same power units; the budget is used exactly when it is positive.  D
-    budgets in an array give (D, K) powers, each row bit for bit its budget's,
-    over one (K,) c or over (D, K) rows of c, one per budget."""
+    """Unique KKT point for inverse gains c_k > 0 and a finite budget P >= 0 in the same power
+    units; the budget is used exactly when it is positive.  (D, K) rows of c with an array of D
+    budgets, one per row, give (D, K) powers, each row bit for bit its one-row call's."""
     c = np.asarray(inverse_gains, dtype=float)
     if c.size == 0:
         raise ValueError("water-filling needs at least one channel")
     order = c.argsort(kind="stable")  # as the allocators sort; np.sort pages in ~0.2 MB more code
-    own = c.ndim > 1  # rows of c, one per budget
-    cs = np.take_along_axis(c, order, -1) if own else c[order]
-    lo, hi = (cs[:, 0].min(), cs[:, -1].max()) if own else (cs[0], cs[-1])
+    rows = c.ndim > 1  # rows of c, one per budget
+    cs = np.take_along_axis(c, order, -1) if rows else c[order]
+    lo, hi = (cs[:, 0].min(), cs[:, -1].max()) if rows else (cs[0], cs[-1])
     if not (lo > 0 and hi < np.inf):  # NaN sorts last and fails both
         raise ValueError("inverse gains must be finite and strictly positive")
-    rows = own or isinstance(budget, np.ndarray) and budget.ndim > 0
     P = np.asarray(budget, dtype=float) if rows else float(budget)
     if not (np.all((P >= 0.0) & (P < np.inf)) if rows else 0.0 <= P < np.inf):
         raise ValueError("budget must be finite and nonnegative")
@@ -48,7 +46,7 @@ def waterfill(inverse_gains: np.ndarray, budget) -> np.ndarray:
         # P below the rounding of the cheapest cost (or zero): the KKT limit as
         # P -> 0 gives the whole budget to the cheapest channels, split equally
         cheapest = c == cs[..., :1]
-        p[dark] = cheapest[dark] if own else cheapest
+        p[dark] = cheapest[dark] if rows else cheapest
     # strip float residue so the budget is tight to ~1e-16 relative
     scale = P / np.add.reduce(p, -1)
     p *= scale[:, None] if rows else scale

@@ -1245,10 +1245,10 @@ def _third_trial_fails_in_its_batch(monkeypatch, how):
         seen["scored"].append([seed for _, seed, _ in blocks])
         return score(blocks, *args)
 
-    def joint_opt_block(link, *args):
-        if link.Q.ndim > 2:  # gen-data's stacked Link of a chunk's trials, not a campaign block's one Link
+    def joint_opt_block(link, W, qoss, *args):
+        if len(qoss) == 1:  # gen-data's one demand point, not a campaign's two
             seen["labeled"].append(len(link.Q))
-        return label(link, *args)
+        return label(link, W, qoss, *args)
 
     monkeypatch.setattr(experiment, "drop_users", drop_users)
     monkeypatch.setattr(experiment, "build_channel", build_channel)
